@@ -2,10 +2,15 @@
 
 Subcommands mirror the pipeline stages: ``wulff`` meshes an integrand's
 Wulff shape, ``solve-graph`` runs the Dirichlet solver, ``curvature``
-exports a fixture's curvature fields, ``spectrum`` and ``gauss`` run the
-respective analyses, ``bounds`` produces a full verdict report, and
-``selftest`` runs the no-false-pass guard.  All reports are JSON; meshes
-are ASCII OBJ.  Exit code 0 means every evaluated check passed.
+exports a fixture's curvature fields, ``spectrum`` and ``gauss`` report the
+spectral and Gauss-map stages, ``bounds`` produces a full verdict report,
+and ``selftest`` runs the no-false-pass guard.  ``curvature``, ``spectrum``,
+``gauss`` and ``bounds`` are views of one :class:`~anisolab.harness.RunContext`
+built from their arguments: they format its artifacts and compute nothing
+themselves, so each view reports exactly what the verdict sees.  All
+reports are JSON; meshes are ASCII OBJ.  Exit code 0 means every evaluated
+check passed; bad input and failed sub-operations exit 2 with
+``error: ...`` on stderr.
 """
 
 from __future__ import annotations
@@ -17,86 +22,54 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph_solver import (
-    GraphProblem,
-    GraphSolution,
-    bc_catenoid,
-    bc_edge_sine,
-    bc_linear,
-    bc_zero,
-    lift,
-    solve,
-)
-from .harness import (
-    ExperimentConfig,
-    default_exhaustion,
-    parse_surface,
-    report_json,
-    selftest,
-    verify_bounds,
-)
+from .errors import AnisolabError, GrazingCircle, InvalidSpec
+from .gauss_analysis import CriticalPoint, euler_inequality_check, index_lower_bound
+from .graph_solver import GraphProblem, bc_catenoid, bc_edge_sine, bc_linear, bc_zero, solve
+from .harness import ExperimentConfig, RunContext, report_json, selftest, verify_bounds
 from .integrand import parse_integrand, wulff_mesh
 from .objio import grid_faces, write_obj, write_obj_with_fields
-from .spectrum import comparison_operator_counts, morse_index_exhaustion
-from .surface import SurfacePatch, curvature_field
-from .gauss_analysis import (
-    critical_set,
-    degrees,
-    euler_inequality_check,
-    index_lower_bound,
-    pseudograph_extract,
-)
-from .errors import AnisolabError, GrazingCircle, NonDiscreteCriticalSet
 
 
 def _parse_bc(text: str, domain):
     head, _, tail = text.strip().partition(":")
-    if head == "zero":
-        return bc_zero()
-    if head == "linear":
-        a, b, c = (float(t) for t in tail.split(","))
-        return bc_linear(a, b, c)
-    if head == "sine":
-        return bc_edge_sine(float(tail) if tail else 0.2, domain)
-    if head == "catenoid":
-        return bc_catenoid()
+    try:
+        if head == "zero":
+            return bc_zero()
+        if head == "linear":
+            a, b, c = (float(t) for t in tail.split(","))
+            return bc_linear(a, b, c)
+        if head == "sine":
+            return bc_edge_sine(float(tail) if tail else 0.2, domain)
+        if head == "catenoid":
+            return bc_catenoid()
+    except ValueError as exc:
+        raise InvalidSpec(f"cannot parse boundary data {text!r}: {exc}") from exc
     path = Path(text)
     if path.exists():
         payload = json.loads(path.read_text())
         return _parse_bc(payload["bc"], domain)
-    raise ValueError(f"unknown boundary data {text!r}")
+    raise InvalidSpec(f"unknown boundary data {text!r}")
 
 
-def _parse_domains(text: str):
+def _parse_domains(text: str | None):
+    if not text:
+        return None
     out = []
     for part in text.split(";"):
-        vals = [float(t) for t in part.split(",")]
+        try:
+            vals = [float(t) for t in part.split(",")]
+        except ValueError as exc:
+            raise InvalidSpec(f"cannot parse domain {part!r}: {exc}") from exc
         if len(vals) != 4:
-            raise ValueError("each domain needs u0,u1,v0,v1")
+            raise InvalidSpec(f"domain {part!r} needs four numbers u0,u1,v0,v1")
         out.append(vals)
     return out
 
 
-def _surface_or_solution(text: str, grid: int) -> SurfacePatch:
-    path = Path(text)
-    if path.suffix == ".json" and path.exists():
-        payload = json.loads(path.read_text())
-        prob = GraphProblem(
-            domain=tuple(payload["domain"]),
-            shape=tuple(payload["grid"]),
-            boundary=bc_zero(),
-            spec=parse_integrand(payload["integrand"]),
-        )
-        u = np.array(payload["u"]).reshape(prob.shape)
-        sol = GraphSolution(
-            problem=prob,
-            u=u,
-            residual_linf=payload["residual_linf"],
-            iterations=payload["iterations"],
-            converged=payload["converged"],
-        )
-        return lift(sol)
-    return parse_surface(text, grid)
+def _config(args, **fields) -> ExperimentConfig:
+    return ExperimentConfig(
+        surface=args.surface, integrand=args.integrand, grid=args.grid, **fields
+    )
 
 
 def _write(path: str | None, text: str) -> None:
@@ -145,9 +118,8 @@ def cmd_solve_graph(args) -> int:
 
 
 def cmd_curvature(args) -> int:
-    spec = parse_integrand(args.integrand)
-    patch = _surface_or_solution(args.surface, args.grid)
-    fld = curvature_field(patch, spec)
+    ctx = RunContext(_config(args))
+    patch, fld = ctx.patch, ctx.field
     faces = grid_faces(patch.nu_count, patch.nv_count, patch.periodic_u)
     write_obj_with_fields(
         args.out,
@@ -164,58 +136,44 @@ def cmd_curvature(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    spec = parse_integrand(args.integrand)
-    patch = _surface_or_solution(args.surface, args.grid)
-    domains = _parse_domains(args.domains) if args.domains else default_exhaustion(patch)
-    rep = morse_index_exhaustion(patch, spec, [tuple(d) for d in domains], k=args.k)
-    cmp_counts = comparison_operator_counts(patch, spec, [tuple(d) for d in domains], k=args.k)
-    payload = {
-        "domains": [list(d) for d in rep.domains],
-        "eigenvalues": [[float(v) for v in vals] for vals in rep.eigenvalues],
-        "morse_index": rep.morse_index,
-        "stabilized_index": rep.stabilized_index,
-        "jacobi_residuals": {k: float(v) for k, v in rep.jacobi_residuals.items()},
-        "comparison_counts": cmp_counts,
-    }
+    ctx = RunContext(_config(args, domains=_parse_domains(args.domains), eig_count=args.k))
+    payload = {**ctx.spectral.to_dict(), "comparison_counts": ctx.comparison_counts}
     _write(args.out, json.dumps(payload))
     return 0
 
 
-def cmd_gauss(args) -> int:
-    spec = parse_integrand(args.integrand)
-    patch = _surface_or_solution(args.surface, args.grid)
-    patch.genus = args.genus
-    fld = curvature_field(patch, spec)
-    mesh = wulff_mesh(spec, 4)
-    degs = degrees(fld, mesh)
-    axis = [float(t) for t in args.axis.split(",")]
-    payload = {"degrees": {k: (v if not isinstance(v, bool) else bool(v)) for k, v in degs.items()}}
-    try:
-        pts = critical_set(fld)
-        payload["branch_points"] = [
-            {"uv": list(map(float, p.location)), "order": p.branch_order} for p in pts
-        ]
-    except NonDiscreteCriticalSet as exc:
+def _vertex(p: CriticalPoint) -> dict:
+    return {"uv": list(map(float, p.location)), "order": p.branch_order}
+
+
+def gauss_payload(ctx: RunContext) -> dict:
+    """The ``gauss`` report: degrees, flat points with their branch orders,
+    and the nodal pseudograph of the context's single axis."""
+    payload = {"degrees": dict(ctx.degs)}
+    points, critical_error = ctx.critical
+    if critical_error is None:
+        payload["branch_points"] = [_vertex(p) for p in points]
+    else:
         payload["branch_points"] = None
-        payload["critical_degenerate"] = str(exc)
-        pts = []
-    try:
-        pg = pseudograph_extract(patch, spec, axis, genus=args.genus, fld=fld,
-                                 critical_points=pts)
-        euler = euler_inequality_check(pg)
+        payload["critical_degenerate"] = str(critical_error)
+    (pg,) = ctx.pseudographs.values()
+    if isinstance(pg, GrazingCircle):
+        payload["pseudograph"] = {"degenerate": str(pg)}
+    else:
         payload["pseudograph"] = {
-            "vertices": [
-                {"uv": list(map(float, p.location)), "order": p.branch_order}
-                for p in pg.vertices
-            ],
+            "vertices": [_vertex(p) for p in pg.vertices],
             "edges": [[[float(x), float(y)] for x, y in e.polyline] for e in pg.edges],
             "N": pg.n_components_complement,
-            "euler": euler,
+            "euler": euler_inequality_check(pg),
             "lower_bound": index_lower_bound(pg),
         }
-    except GrazingCircle as exc:
-        payload["pseudograph"] = {"degenerate": str(exc)}
-    _write(args.out, json.dumps(payload))
+    return payload
+
+
+def cmd_gauss(args) -> int:
+    axes = [[float(t) for t in args.axis.split(",")]]
+    ctx = RunContext(_config(args, axes=axes, genus=args.genus))
+    _write(args.out, json.dumps(gauss_payload(ctx)))
     return 0
 
 
@@ -223,13 +181,8 @@ def cmd_bounds(args) -> int:
     if args.config:
         config = ExperimentConfig.from_json(Path(args.config).read_text())
     else:
-        config = ExperimentConfig(
-            surface=args.surface,
-            integrand=args.integrand,
-            grid=args.grid,
-            domains=_parse_domains(args.domains) if args.domains else None,
-            genus=args.genus,
-            seed=args.seed,
+        config = _config(
+            args, domains=_parse_domains(args.domains), genus=args.genus, seed=args.seed
         )
     report = verify_bounds(config)
     _write(args.out, report_json(report))

@@ -5,6 +5,10 @@ class AnisolabError(Exception):
     """Base class for all package-specific errors."""
 
 
+class InvalidSpec(AnisolabError, ValueError):
+    """User input (a spec string, domain list or config file) does not parse."""
+
+
 class NonUnitNormal(AnisolabError):
     """A direction that must lie on the unit sphere does not."""
 

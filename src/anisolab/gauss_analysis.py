@@ -14,10 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from .errors import AmbiguousWinding, GrazingCircle, NonDiscreteCriticalSet
 from .integrand import WulffMesh
-from .surface import CurvatureField, SurfacePatch, grid_d1
+from .surface import CurvatureField, SurfacePatch, bilinear, grid_d1
 
 MAX_CLUSTER_DIAMETER = 5  # node spacings; larger clusters are not "isolated"
 
@@ -49,82 +51,23 @@ class Pseudograph:
     degenerate: bool = False
 
 
-class UnionFind:
-    """Array union-find with union by size."""
-
-    def __init__(self, n: int):
-        self.parent = np.arange(n)
-        self.size = np.ones(n, dtype=np.int64)
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return
-        if self.size[ri] < self.size[rj]:
-            ri, rj = rj, ri
-        self.parent[rj] = ri
-        self.size[ri] += self.size[rj]
-
-
 def _components(mask: np.ndarray, periodic_u: bool) -> list[np.ndarray]:
-    """Connected components (4-adjacency) of a boolean node mask."""
-    nu_, nv_ = mask.shape
-    idx = np.flatnonzero(mask.reshape(-1))
-    if len(idx) == 0:
-        return []
-    uf = UnionFind(nu_ * nv_)
-    m = mask
-    # v-direction links
-    link = m[:, :-1] & m[:, 1:]
-    src = np.flatnonzero(np.pad(link, ((0, 0), (0, 1))).reshape(-1))
-    for s in src:
-        uf.union(s, s + 1)
-    # u-direction links
-    link = m[:-1, :] & m[1:, :]
-    src = np.flatnonzero(np.pad(link, ((0, 1), (0, 0))).reshape(-1))
-    for s in src:
-        uf.union(s, s + nv_)
-    if periodic_u:
-        link = m[-1, :] & m[0, :]
-        for j in np.flatnonzero(link):
-            uf.union((nu_ - 1) * nv_ + j, j)
-    roots = {}
-    for i in idx:
-        roots.setdefault(uf.find(i), []).append(i)
-    return [np.array(v) for v in roots.values()]
-
-
-def _bilinear(patch: SurfacePatch, grid_vals: np.ndarray, uv: np.ndarray) -> np.ndarray:
-    u0, _, v0, _ = patch.domain
-    nu_, nv_ = patch.shape
-    fu = (uv[:, 0] - u0) / patch.hu
-    if patch.periodic_u:
-        fu = np.mod(fu, nu_)
-        i0 = np.floor(fu).astype(int) % nu_
-        i1 = (i0 + 1) % nu_
-    else:
-        fu = np.clip(fu, 0, nu_ - 1 - 1e-12)
-        i0 = np.floor(fu).astype(int)
-        i1 = np.minimum(i0 + 1, nu_ - 1)
-    fv = np.clip((uv[:, 1] - v0) / patch.hv, 0, nv_ - 1 - 1e-12)
-    j0 = np.floor(fv).astype(int)
-    j1 = np.minimum(j0 + 1, nv_ - 1)
-    su = fu - np.floor(fu)
-    sv = fv - j0
-    return (
-        grid_vals[i0, j0] * (1 - su) * (1 - sv)
-        + grid_vals[i1, j0] * su * (1 - sv)
-        + grid_vals[i0, j1] * (1 - su) * sv
-        + grid_vals[i1, j1] * su * sv
-    )
+    """Connected components (4-adjacency) of a boolean node mask, as sorted
+    flat node indices, ordered by their first node."""
+    ids = np.arange(mask.size).reshape(mask.shape)
+    links = [(ids[:, :-1], ids[:, 1:], mask[:, :-1] & mask[:, 1:]),
+             (ids[:-1], ids[1:], mask[:-1] & mask[1:])]
+    if periodic_u:  # nodes facing each other across the seam are adjacent
+        links.append((ids[-1], ids[0], mask[-1] & mask[0]))
+    src = np.concatenate([a[m] for a, _, m in links])
+    dst = np.concatenate([b[m] for _, b, m in links])
+    graph = sp.coo_matrix((np.ones(len(src)), (src, dst)), shape=(mask.size, mask.size))
+    labels = csgraph.connected_components(graph, directed=False)[1]
+    idx = np.flatnonzero(mask)
+    keys = labels[idx]
+    order = np.argsort(keys, kind="stable")
+    groups = np.split(idx[order], np.flatnonzero(np.diff(keys[order])) + 1)
+    return sorted((g for g in groups if len(g)), key=lambda g: g[0])
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +129,7 @@ def _certify_radius(patch, K, tol, center, radius) -> float:
             [center[0] + radius * np.cos(theta), center[1] + radius * np.sin(theta)],
             axis=-1,
         )
-        vals = _bilinear(patch, K, circle)
+        vals = bilinear(patch, K, circle)
         if np.min(np.abs(vals)) >= tol:
             return radius
         radius *= 1.5
@@ -367,7 +310,7 @@ def pseudograph_extract(
 
 
 def _phi_at(patch: SurfacePatch, phi: np.ndarray, loc) -> float:
-    return float(_bilinear(patch, phi, np.array([loc], dtype=np.float64))[0])
+    return float(bilinear(patch, phi, np.array([loc], dtype=np.float64))[0])
 
 
 def _march_zero_set(patch: SurfacePatch, phi: np.ndarray):

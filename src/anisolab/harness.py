@@ -2,21 +2,28 @@
 
 Builds a fixture, gates it on vanishing anisotropic mean curvature, runs the
 spectral and Gauss-map pipelines, and evaluates the full list of named
-checks with explicit tolerances.  Reports are plain dictionaries with a
-fixed key order so identical configurations serialize to identical bytes.
+checks with explicit tolerances.  Every artifact of a run lives in one
+:class:`RunContext`, computed on first use and shared by the checks and by
+the ``spectrum``/``gauss``/``bounds`` command-line views.  Reports are plain
+dictionaries with a fixed key order so identical configurations serialize
+to identical bytes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import GrazingCircle, NonDiscreteCriticalSet
+from .errors import GrazingCircle, InvalidSpec, NonDiscreteCriticalSet
 from .gauss_analysis import (
+    CriticalPoint,
+    Pseudograph,
     branch_order,
     critical_set,
     degrees,
@@ -25,22 +32,25 @@ from .gauss_analysis import (
     pseudograph_extract,
     riemann_hurwitz_check,
 )
+from .graph_solver import GraphProblem, GraphSolution, bc_zero, lift
 from .integrand import (
+    AnisotropyConstants,
     IntegrandSpec,
+    WulffMesh,
     anisotropy_constants,
-    fibonacci_sphere,
+    format_integrand,
     gamma_gradients,
     parse_integrand,
     tangent_frame,
     wulff_mesh,
 )
 from .spectrum import (
+    JacobiDiscretization,
+    SpectralReport,
     assemble,
+    comparison_assembly,
     comparison_operator_counts,
-    dirichlet_eigs,
-    jacobi_field_residual,
     morse_index_exhaustion,
-    negative_count,
 )
 from .surface import CurvatureField, SurfacePatch, curvature_field, fixture
 
@@ -59,6 +69,8 @@ REQUIRED_CHECKS = (
     "pseudograph_euler_inequality",
     "index_lower_bound_vs_spectrum",
     "low_genus_instability",
+    "index_upper_bound_chain",
+    "aniso_degree_sandwich",
 )
 
 DEFAULT_AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
@@ -84,32 +96,51 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls(**json.loads(text))
+        data = json.loads(text)
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise InvalidSpec(f"unknown config keys {unknown}")
+        return cls(**data)
 
 
-def parse_surface(text: str, grid) -> SurfacePatch:
-    """Fixture grammar: plane[:lu,lv] | sphere | catenoid:V | enneper:R |
-    sheared_catenoid:m11,...,m33;V (nine row-major shear entries)."""
+# fixture parameters in the order the surface grammar lists them
+_FIXTURE_PARAMS = {"plane": ("lu", "lv"), "sphere": (), "catenoid": ("v_extent",),
+                  "enneper": ("radius",)}
+
+
+def parse_surface(text: str, grid, integrand: str | None = None) -> SurfacePatch:
+    """Surface grammar: plane[:lu,lv] | sphere | catenoid:V | enneper:R |
+    sheared_catenoid:m11,...,m33;V (nine row-major shear entries) | the path
+    of a ``solve-graph`` solution JSON, lifted to a patch on its own grid.
+    A solution solved for another integrand than ``integrand`` is refused:
+    it is not critical for the requested weight."""
+    path = Path(text)
+    if path.suffix == ".json" and path.exists():
+        payload = json.loads(path.read_text())
+        spec = parse_integrand(payload["integrand"])
+        if integrand is not None and format_integrand(spec) != format_integrand(
+                parse_integrand(integrand)):
+            raise InvalidSpec(f"{path} was solved for integrand {payload['integrand']!r}, "
+                              f"not {integrand!r}")
+        prob = GraphProblem(tuple(payload["domain"]), tuple(payload["grid"]), bc_zero(), spec)
+        sol = GraphSolution(prob, np.array(payload["u"]).reshape(prob.shape),
+                            payload["residual_linf"], payload["iterations"], payload["converged"])
+        return lift(sol)
     head, _, tail = text.strip().partition(":")
-    if head == "plane":
-        if tail:
-            lu, lv = (float(t) for t in tail.split(","))
-            return fixture("plane", grid=grid, lu=lu, lv=lv)
-        return fixture("plane", grid=grid)
-    if head == "sphere":
-        return fixture("sphere", grid=grid)
-    if head == "catenoid":
-        return fixture("catenoid", grid=grid, v_extent=float(tail) if tail else 2.0)
-    if head == "enneper":
-        if tail:
-            return fixture("enneper", grid=grid, radius=float(tail))
-        return fixture("enneper", grid=grid)
-    if head == "sheared_catenoid":
-        entries, _, vpart = tail.partition(";")
-        m = np.array([float(t) for t in entries.split(",")]).reshape(3, 3)
-        v = float(vpart) if vpart else 2.0
-        return fixture("sheared_catenoid", grid=grid, shear=m, v_extent=v)
-    raise ValueError(f"cannot parse surface spec {text!r}")
+    try:
+        if head == "sheared_catenoid":
+            entries, _, vpart = tail.partition(";")
+            m = np.array([float(t) for t in entries.split(",")]).reshape(3, 3)
+            return fixture(head, grid=grid, shear=m, v_extent=float(vpart) if vpart else 2.0)
+        if head in _FIXTURE_PARAMS:
+            names = _FIXTURE_PARAMS[head]
+            values = [float(t) for t in tail.split(",")] if tail else []
+            if len(values) not in (0, len(names)):
+                raise ValueError(f"{head} takes {len(names)} parameters")
+            return fixture(head, grid=grid, **dict(zip(names, values)))
+    except ValueError as exc:
+        raise InvalidSpec(f"cannot parse surface spec {text!r}: {exc}") from exc
+    raise InvalidSpec(f"cannot parse surface spec {text!r}")
 
 
 def default_exhaustion(patch: SurfacePatch) -> list[tuple[float, float, float, float]]:
@@ -208,92 +239,144 @@ def tangency_check(spec: IntegrandSpec, count: int, seed: int, step: float = 1e-
     return float(np.max(np.abs(np.einsum("ni,ni->n", diff, nus))))
 
 
+@dataclass
+class RunContext:
+    """Every artifact of one run, computed on first use and then kept.
+
+    Each artifact is built from ``config`` and the artifacts it depends on,
+    so a view that reads some of them computes only those, and nothing is
+    assembled or solved twice.  An artifact the configuration cannot name
+    (a ``from_jet`` chart, say) is supplied by assigning it before its first
+    use.
+    """
+
+    config: ExperimentConfig
+
+    @cached_property
+    def spec(self) -> IntegrandSpec:
+        return parse_integrand(self.config.integrand)
+
+    @cached_property
+    def patch(self) -> SurfacePatch:
+        c = self.config
+        patch = parse_surface(c.surface, c.grid, c.integrand)
+        patch.genus, patch.euler_char = c.genus, c.euler_char
+        return patch
+
+    @cached_property
+    def field(self) -> CurvatureField:
+        return curvature_field(self.patch, self.spec)
+
+    @cached_property
+    def consts(self) -> AnisotropyConstants:
+        return anisotropy_constants(self.spec, extra_normals=self.field.normal.reshape(-1, 3))
+
+    @cached_property
+    def domains(self) -> list[tuple[float, float, float, float]]:
+        if self.config.domains:
+            return [tuple(d) for d in self.config.domains]
+        return default_exhaustion(self.patch)
+
+    @cached_property
+    def disc(self) -> JacobiDiscretization:
+        return assemble(self.patch, self.spec, field=self.field)
+
+    @cached_property
+    def disc_cmp(self) -> JacobiDiscretization:
+        return comparison_assembly(self.patch, self.spec, self.field, self.consts.lambda_gamma)
+
+    @cached_property
+    def spectral(self) -> SpectralReport:
+        return morse_index_exhaustion(
+            self.patch, self.spec, self.domains, k=self.config.eig_count,
+            field=self.field, axes=tuple(tuple(a) for a in self.config.axes),
+            disc=self.disc,
+        )
+
+    @cached_property
+    def comparison_counts(self) -> list[dict[str, int]]:
+        return comparison_operator_counts(
+            self.patch, self.spec, self.domains, k=self.config.eig_count,
+            field=self.field, disc_cmp=self.disc_cmp,
+            morse_index=self.spectral.morse_index,
+        )
+
+    @cached_property
+    def wulff(self) -> WulffMesh:
+        return wulff_mesh(self.spec, self.config.wulff_refinement)
+
+    @cached_property
+    def degs(self) -> dict:
+        return degrees(self.field, self.wulff)
+
+    @cached_property
+    def critical(self) -> tuple[list[CriticalPoint], NonDiscreteCriticalSet | None]:
+        """Flat points with their branch orders, or the reason there are none."""
+        try:
+            points = critical_set(self.field)
+        except NonDiscreteCriticalSet as exc:
+            return [], exc.with_traceback(None)  # see pseudographs
+        for p in points:
+            p.branch_order = branch_order(self.patch, p)
+        return points, None
+
+    @cached_property
+    def pseudographs(self) -> dict[str, Pseudograph | GrazingCircle]:
+        """Nodal pseudograph per configured axis, keyed "x,y,z"; an axis that
+        grazes the normal field maps to the GrazingCircle it raised."""
+        out = {}
+        for ax in self.config.axes:
+            key = ",".join(f"{a:g}" for a in ax)
+            try:
+                out[key] = pseudograph_extract(
+                    self.patch, self.spec, ax, genus=self.config.genus,
+                    fld=self.field, critical_points=self.critical[0],
+                )
+            except GrazingCircle as exc:
+                # a kept traceback would reference this frame, hence the
+                # context: a cycle holding every artifact until the next gc
+                out[key] = exc.with_traceback(None)
+        return out
+
+
 def verify_bounds(config: ExperimentConfig, _flip_potential_sign: bool = False) -> dict:
-    """Run the full pipeline and evaluate every registered check.
+    """Evaluate every registered check over one run context.
 
     Sub-operation failures become degenerate flags on the affected checks;
     the pipeline always produces a complete report.
     """
-    spec = parse_integrand(config.integrand)
-    patch = parse_surface(config.surface, config.grid)
-    patch.genus = config.genus
-    patch.euler_char = config.euler_char
-    fld = curvature_field(patch, spec)
-    if _flip_potential_sign:
+    ctx = RunContext(config)
+    patch, spec, fld = ctx.patch, ctx.spec, ctx.field
+    if _flip_potential_sign:  # before any artifact reads the field
         fld.aniso_pairing = -fld.aniso_pairing
+    consts = ctx.consts
     gate = accept_candidate(patch, spec, config.minimal_accept, fld=fld)
-    consts = anisotropy_constants(spec, extra_normals=fld.normal.reshape(-1, 3))
-    domains = (
-        [tuple(d) for d in config.domains]
-        if config.domains
-        else default_exhaustion(patch)
-    )
-    spectral = morse_index_exhaustion(
-        patch, spec, domains, k=config.eig_count, field=fld,
-        axes=tuple(tuple(a) for a in config.axes),
-    )
-    cmp_counts = comparison_operator_counts(
-        patch, spec, domains, k=config.eig_count, field=fld
-    )
-    wulff = wulff_mesh(spec, config.wulff_refinement)
-    degs = degrees(fld, wulff)
-
-    try:
-        branch_points = critical_set(fld)
-        for p in branch_points:
-            p.branch_order = branch_order(patch, p)
-        critical_degenerate = False
-    except NonDiscreteCriticalSet:
-        branch_points = []
-        critical_degenerate = True
+    spectral, cmp_counts, degs = ctx.spectral, ctx.comparison_counts, ctx.degs
+    branch_points, critical_error = ctx.critical
 
     pseudographs = {}
-    for ax in config.axes:
-        key = ",".join(f"{a:g}" for a in ax)
-        try:
-            pg = pseudograph_extract(
-                patch, spec, ax, genus=config.genus, fld=fld,
-                critical_points=branch_points,
-            )
-            euler = euler_inequality_check(pg)
-            pseudographs[key] = {
-                "v": euler["v"],
-                "e": euler["e"],
-                "N": euler["N"],
-                "slack": euler["slack"],
-                "degenerate": euler["degenerate"],
-            }
-            if not euler["degenerate"]:
-                # the nodal lower bound presumes a non-planar surface with
-                # an actual nodal set; an empty graph says nothing
-                pseudographs[key]["lower_bound"] = index_lower_bound(pg)
-        except GrazingCircle as exc:
-            pseudographs[key] = {"degenerate": True, "error": str(exc)}
+    for key, pg in ctx.pseudographs.items():
+        if isinstance(pg, GrazingCircle):
+            pseudographs[key] = {"degenerate": True, "error": str(pg)}
+            continue
+        pseudographs[key] = euler_inequality_check(pg)
+        if not pg.degenerate:
+            # the nodal lower bound presumes a non-planar surface with
+            # an actual nodal set; an empty graph says nothing
+            pseudographs[key]["lower_bound"] = index_lower_bound(pg)
 
     checks = []
     scale = gate["curvature_scale"]
 
     checks.append(
-        _check(
-            "first_variation_minimality",
-            gate["accepted"],
-            gate["relative"],
-            0.0,
-            config.minimal_accept,
-            "sup |H_gamma| relative to the curvature scale",
-        )
+        _check("first_variation_minimality", gate["accepted"], gate["relative"], 0.0,
+               config.minimal_accept, "sup |H_gamma| relative to the curvature scale")
     )
 
     k_rel = float(np.max(fld.k_sigma)) / scale**2 if scale > 0 else float(np.max(fld.k_sigma))
     checks.append(
-        _check(
-            "sign_law_gauss_curvature",
-            bool(k_rel <= 1e-6),
-            k_rel,
-            0.0,
-            1e-6,
-            "max K relative to squared curvature scale on the accepted surface",
-        )
+        _check("sign_law_gauss_curvature", bool(k_rel <= 1e-6), k_rel, 0.0, 1e-6,
+               "max K relative to squared curvature scale on the accepted surface")
     )
 
     jets = _graph_heights(patch)
@@ -354,18 +437,15 @@ def verify_bounds(config: ExperimentConfig, _flip_potential_sign: bool = False) 
                "pairing between comparison multiples of the anisotropic curvature")
     )
 
-    disc = assemble(patch, spec, field=fld)
-    wgt = (2.0 / consts.lambda_gamma**2) * (-fld.k_gamma)
-    disc_cmp = assemble(patch, spec, field=fld, potential_weight=wgt,
-                        isotropic_diffusion=True)
+    disc, disc_cmp = ctx.disc, ctx.disc_cmp
     rng = np.random.default_rng(config.seed)
     free = np.flatnonzero(~disc.dirichlet_mask)
     worst_q = np.inf
     for _ in range(100):
         x = np.zeros(disc.node_count)
         x[free] = rng.standard_normal(len(free))
-        q = x @ (disc.stiffness - disc.potential) @ x
-        qg = x @ (disc_cmp.stiffness - disc_cmp.potential) @ x
+        q = x @ disc.operator @ x
+        qg = x @ disc_cmp.operator @ x
         worst_q = min(worst_q, (q - consts.lambda_gamma * qg) / (x @ disc.mass @ x))
     dominated = all(c["neg_L"] <= c["neg_Lgamma"] for c in cmp_counts)
     checks.append(
@@ -397,7 +477,7 @@ def verify_bounds(config: ExperimentConfig, _flip_potential_sign: bool = False) 
                "relative weak residual of the translation fields")
     )
 
-    if critical_degenerate:
+    if critical_error is not None:
         checks.append(
             _check("branched_cover_euler_count", None, None, None, 0,
                    "skipped: flat critical structure (planar diagnostic)")
@@ -451,8 +531,8 @@ def verify_bounds(config: ExperimentConfig, _flip_potential_sign: bool = False) 
     )
 
     total_k = fld.total_curvature()
-    lo_deg = consts.lambda_gamma**2 * total_k / wulff.area
-    hi_deg = consts.Lambda_gamma**2 * total_k / wulff.area
+    lo_deg = consts.lambda_gamma**2 * total_k / ctx.wulff.area
+    hi_deg = consts.Lambda_gamma**2 * total_k / ctx.wulff.area
     sandwich_ok = lo_deg - 1e-9 <= degs["raw_nu_gamma"] <= hi_deg + 1e-9
     checks.append(
         _check("aniso_degree_sandwich", bool(sandwich_ok),
@@ -480,13 +560,7 @@ def verify_bounds(config: ExperimentConfig, _flip_potential_sign: bool = False) 
                 "C(Wulff) not computed"
             ),
         },
-        "spectral": {
-            "domains": [list(d) for d in spectral.domains],
-            "eigenvalues": [[float(v) for v in vals] for vals in spectral.eigenvalues],
-            "morse_index": spectral.morse_index,
-            "stabilized_index": spectral.stabilized_index,
-            "jacobi_residuals": {k: float(v) for k, v in spectral.jacobi_residuals.items()},
-        },
+        "spectral": spectral.to_dict(),
         "comparison_counts": cmp_counts,
         "gauss": {
             "degrees": {k: _jsonable(v) for k, v in degs.items()},
@@ -498,7 +572,7 @@ def verify_bounds(config: ExperimentConfig, _flip_potential_sign: bool = False) 
                 }
                 for p in branch_points
             ],
-            "critical_degenerate": critical_degenerate,
+            "critical_degenerate": critical_error is not None,
             "pseudographs": pseudographs,
         },
         "checks": checks,

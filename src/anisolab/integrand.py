@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NonConvexIntegrand, NonUnitNormal, ZeroVector
+from .errors import InvalidSpec, NonConvexIntegrand, NonUnitNormal, ZeroVector
 from .harmonics import solid_harmonic_jet
 
 UNIT_TOL = 1e-12
@@ -370,8 +370,8 @@ def parse_integrand(text: str) -> IntegrandSpec:
             l, m, eps = tail.split(",")
             return spherical_harmonic(int(l), int(m), float(eps))
     except ValueError as exc:
-        raise ValueError(f"cannot parse integrand spec {text!r}: {exc}") from exc
-    raise ValueError(f"unknown integrand family in {text!r}")
+        raise InvalidSpec(f"cannot parse integrand spec {text!r}: {exc}") from exc
+    raise InvalidSpec(f"unknown integrand family in {text!r}")
 
 
 def format_integrand(spec: IntegrandSpec) -> str:

@@ -15,6 +15,7 @@ provably monotone along an exhaustion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -55,6 +56,11 @@ class JacobiDiscretization:
     def node_count(self) -> int:
         return self.stiffness.shape[0]
 
+    @cached_property
+    def operator(self) -> sp.csr_matrix:
+        """The Jacobi operator matrix, stiffness - potential."""
+        return (self.stiffness - self.potential).tocsr()
+
 
 @dataclass
 class SpectralReport:
@@ -67,6 +73,16 @@ class SpectralReport:
     @property
     def stabilized(self) -> bool:
         return self.stabilized_index is not None
+
+    def to_dict(self) -> dict:
+        """JSON-ready form, shared by the verdict report and ``anisolab spectrum``."""
+        return {
+            "domains": [list(d) for d in self.domains],
+            "eigenvalues": [[float(v) for v in vals] for vals in self.eigenvalues],
+            "morse_index": self.morse_index,
+            "stabilized_index": self.stabilized_index,
+            "jacobi_residuals": {k: float(v) for k, v in self.jacobi_residuals.items()},
+        }
 
 
 def assemble(
@@ -214,7 +230,7 @@ def dirichlet_eigs(
         raise SolverFailure("Dirichlet domain contains no free nodes")
     if k > n:
         k = n
-    op = (disc.stiffness - disc.potential).tocsr()[idx][:, idx].tocsc()
+    op = disc.operator[idx][:, idx].tocsc()
     mass = disc.mass.tocsr()[idx][:, idx].tocsc()
     qmax = float(np.max(disc.potential.diagonal()[idx] / disc.mass.diagonal()[idx]))
     sigma = -max(qmax, 0.0) - 1.0
@@ -265,6 +281,7 @@ def morse_index_exhaustion(
     k: int = DEFAULT_EIG_COUNT,
     field: CurvatureField | None = None,
     axes: tuple = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
+    disc: JacobiDiscretization | None = None,
 ) -> SpectralReport:
     """Negative-eigenvalue counts over nested Dirichlet domains.
 
@@ -273,13 +290,10 @@ def morse_index_exhaustion(
     """
     if len(domains) < 3:
         raise ValueError("need at least 3 nested domains")
-    disc = assemble(patch, spec, field=field)
-    eigenvalues: list[np.ndarray] = []
-    counts: list[int] = []
-    for dom in domains:
-        vals, _, _ = dirichlet_eigs(disc, k, domain=tuple(dom))
-        eigenvalues.append(vals)
-        counts.append(negative_count(vals))
+    if disc is None:
+        disc = assemble(patch, spec, field=field)
+    eigenvalues = [dirichlet_eigs(disc, k, domain=tuple(dom))[0] for dom in domains]
+    counts = [negative_count(vals) for vals in eigenvalues]
     if any(b < a for a, b in zip(counts, counts[1:])):
         raise SolverFailure(
             f"negative counts {counts} not monotone along nested domains"
@@ -302,36 +316,45 @@ def _axis_name(axis) -> str:
     return "axis_" + ",".join(f"{c:g}" for c in axis)
 
 
+def comparison_assembly(
+    patch: SurfacePatch, spec: IntegrandSpec, field: CurvatureField, lambda_gamma: float
+) -> JacobiDiscretization:
+    """The scalar comparison operator: identity diffusion and the curvature
+    potential (2 / lambda_gamma^2)(-K_gamma), lambda_gamma being the
+    smallest weight eigenvalue."""
+    weight = (2.0 / lambda_gamma**2) * (-field.k_gamma)
+    return assemble(patch, spec, field=field, potential_weight=weight, isotropic_diffusion=True)
+
+
 def comparison_operator_counts(
     patch: SurfacePatch,
     spec: IntegrandSpec,
     domains: list[tuple[float, float, float, float]],
     k: int = DEFAULT_EIG_COUNT,
     field: CurvatureField | None = None,
+    disc_cmp: JacobiDiscretization | None = None,
+    morse_index: list[int] | None = None,
 ) -> list[dict[str, int]]:
     """Per-domain negative counts of the Jacobi operator and the scalar
-    comparison operator (identity diffusion, curvature potential scaled by
-    2 over the squared smallest weight eigenvalue).
+    comparison operator of :func:`comparison_assembly`.
 
     The comparison count dominates: every unstable direction of the full
-    operator is one of the comparison operator.
+    operator is one of the comparison operator.  A caller holding the
+    comparison assembly, or the Jacobi counts of :func:`morse_index_exhaustion`
+    on the same domains and ``k``, passes them in instead.
     """
     if field is None:
         field = curvature_field(patch, spec)
-    consts = anisotropy_constants(spec, extra_normals=field.normal.reshape(-1, 3))
-    disc = assemble(patch, spec, field=field)
-    w = (2.0 / consts.lambda_gamma**2) * (-field.k_gamma)
-    disc_cmp = assemble(
-        patch, spec, field=field, potential_weight=w, isotropic_diffusion=True
-    )
-    out = []
-    for dom in domains:
-        vals, _, _ = dirichlet_eigs(disc, k, domain=tuple(dom))
-        vals_cmp, _, _ = dirichlet_eigs(disc_cmp, k, domain=tuple(dom))
-        out.append(
-            {"neg_L": negative_count(vals), "neg_Lgamma": negative_count(vals_cmp)}
-        )
-    return out
+
+    def counts(disc):
+        return [negative_count(dirichlet_eigs(disc, k, domain=tuple(d))[0]) for d in domains]
+
+    if morse_index is None:
+        morse_index = counts(assemble(patch, spec, field=field))
+    if disc_cmp is None:
+        consts = anisotropy_constants(spec, extra_normals=field.normal.reshape(-1, 3))
+        disc_cmp = comparison_assembly(patch, spec, field, consts.lambda_gamma)
+    return [{"neg_L": a, "neg_Lgamma": b} for a, b in zip(morse_index, counts(disc_cmp))]
 
 
 def jacobi_field_residual(
@@ -351,7 +374,7 @@ def jacobi_field_residual(
     if disc is None:
         disc = assemble(patch, spec)
     phi = disc.field.normal.reshape(-1, 3) @ axis
-    r = (disc.stiffness - disc.potential) @ phi
+    r = disc.operator @ phi
     idx = np.flatnonzero(~disc.dirichlet_mask)
     rho = r[idx] / disc.lumped_mass[idx]
     m = disc.lumped_mass[idx]

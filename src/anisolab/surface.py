@@ -104,12 +104,13 @@ class SurfacePatch:
             jets = self.jet_fn(uv[:, 0], uv[:, 1])
             raw = np.cross(jets["xu"], jets["xv"])
             return self.orientation * raw / np.linalg.norm(raw, axis=-1, keepdims=True)
-        normals, _ = self.normals()
-        return _bilinear_unit(self, normals, uv)
+        out = bilinear(self, self.normals()[0], uv)
+        return out / np.linalg.norm(out, axis=-1, keepdims=True)
 
 
-def _bilinear_unit(patch: SurfacePatch, values: np.ndarray, uv: np.ndarray) -> np.ndarray:
-    u0, u1, v0, v1 = patch.domain
+def bilinear(patch: SurfacePatch, values: np.ndarray, uv: np.ndarray) -> np.ndarray:
+    """Bilinear interpolation of per-node scalars or vectors at parameter points."""
+    u0, _, v0, _ = patch.domain
     nu, nv = patch.shape
     fu = (uv[:, 0] - u0) / patch.hu
     if patch.periodic_u:
@@ -123,15 +124,15 @@ def _bilinear_unit(patch: SurfacePatch, values: np.ndarray, uv: np.ndarray) -> n
     fv = np.clip((uv[:, 1] - v0) / patch.hv, 0, nv - 1 - 1e-12)
     j0 = np.floor(fv).astype(int)
     j1 = np.minimum(j0 + 1, nv - 1)
-    su = (fu - np.floor(fu))[:, None]
-    sv = (fv - j0)[:, None]
-    out = (
+    # weights broadcast over the value axes of vector data
+    su = (fu - np.floor(fu)).reshape(-1, *(1,) * (values.ndim - 2))
+    sv = (fv - j0).reshape(su.shape)
+    return (
         values[i0, j0] * (1 - su) * (1 - sv)
         + values[i1, j0] * su * (1 - sv)
         + values[i0, j1] * (1 - su) * sv
         + values[i1, j1] * su * sv
     )
-    return out / np.linalg.norm(out, axis=-1, keepdims=True)
 
 
 def grid_d1(arr: np.ndarray, h: float, axis: int, periodic: bool) -> np.ndarray:

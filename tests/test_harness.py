@@ -1,18 +1,23 @@
 import json
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from anisolab import integrand as ig, surface as sf
-from anisolab.cli import main
+from anisolab import integrand as ig, spectrum as spx, surface as sf
+from anisolab.cli import gauss_payload, main
+from anisolab.errors import InvalidSpec
 from anisolab.harness import (
     REQUIRED_CHECKS,
     ExperimentConfig,
+    RunContext,
     accept_candidate,
     parse_surface,
     selftest,
     verify_bounds,
 )
+from conftest import higher_order_enneper
 
 C1 = ig.constant(1.0)
 TWO_PI = 2 * np.pi
@@ -62,8 +67,8 @@ class TestVerifyBounds:
         assert rep["comparison_counts"][-1]["neg_Lgamma"] >= 1
 
     def test_check_registry_covered(self, catenoid_report):
-        names = {c["name"] for c in catenoid_report["checks"]}
-        assert set(REQUIRED_CHECKS) <= names
+        names = [c["name"] for c in catenoid_report["checks"]]
+        assert names == list(REQUIRED_CHECKS)
 
     def test_every_check_carries_tolerance(self, catenoid_report):
         for c in catenoid_report["checks"]:
@@ -159,6 +164,37 @@ class TestCli:
         assert rc == 0
         rep = json.loads(spec_out.read_text())
         assert rep["stabilized_index"] == 0  # small stable graph piece
+        verdict = tmp_path / "verdict.json"
+        rc = main(
+            ["bounds", "--surface", str(sol), "--integrand", "const:1",
+             "--out", str(verdict)]
+        )
+        report = json.loads(verdict.read_text())
+        assert report["accepted"]
+        assert rc == (0 if report["all_passed"] else 1)
+        # both views read the same run
+        assert report["comparison_counts"] == rep.pop("comparison_counts")
+        assert report["spectral"] == rep
+
+    def test_solution_integrand_must_match(self, tmp_path, capsys):
+        sol = tmp_path / "sol.json"
+        main(
+            ["solve-graph", "--integrand", "const:1", "--domain", "1.2,2,-0.4,0.4",
+             "--grid", "17", "--bc", "catenoid", "--out", str(sol)]
+        )
+        capsys.readouterr()
+        rc = main(["spectrum", "--surface", str(sol), "--integrand", "ellipsoid:1,1,2"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: InvalidSpec: ")
+        config = ExperimentConfig(surface=str(sol), integrand="ellipsoid:1,1,2")
+        with pytest.raises(InvalidSpec):
+            RunContext(config).patch
+        # compared in canonical form, so another spelling of const:1 is accepted
+        rc = main(
+            ["curvature", "--surface", str(sol), "--integrand", "const:1.0",
+             "--out", str(tmp_path / "c.obj")]
+        )
+        assert rc == 0
 
     def test_curvature_export_with_sidecar(self, tmp_path):
         out = tmp_path / "c.obj"
@@ -212,8 +248,72 @@ class TestCli:
         assert rc == 0
         assert json.loads(sol.read_text())["iterations"] == 1
 
+    @pytest.mark.parametrize("case", ["integrand", "config_key", "surface", "domains"])
+    def test_bad_input_exits_2(self, tmp_path, capsys, case):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"surface": "plane", "bogus": 1}))
+        argv = {
+            "integrand": ["wulff", "--integrand", "foo:1", "--out", str(tmp_path / "w.obj")],
+            "config_key": ["bounds", "--config", str(cfg)],
+            "surface": ["bounds", "--surface", "torus"],
+            "domains": ["spectrum", "--surface", "plane", "--integrand", "const:1",
+                        "--domains", "1,2,3"],
+        }[case]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: InvalidSpec: ")
+
     def test_integrand_error_is_reported(self, tmp_path):
         rc = main(
             ["wulff", "--integrand", "sh:2,0,9", "--out", str(tmp_path / "x.obj")]
         )
         assert rc == 2
+
+
+class TestRunContext:
+    def test_gauss_view_reports_branch_orders(self):
+        # (1, z^2) chart: one flat point at the origin, Gauss map branched to order 1
+        ctx = RunContext(ExperimentConfig(axes=[[1.0, 0.0, 0.0]]))
+        ctx.patch = higher_order_enneper(2, grid=97)
+        payload = gauss_payload(ctx)
+        (point,) = payload["branch_points"]
+        assert point["order"] == 1
+        assert point["uv"] == pytest.approx([0.0, 0.0], abs=1e-12)
+        assert [v["order"] for v in payload["pseudograph"]["vertices"]] == [1]
+        assert payload["pseudograph"]["lower_bound"] == 2
+
+    @staticmethod
+    def _count_calls(monkeypatch) -> Counter:
+        """Count calls of the shared-artifact builders in every anisolab
+        namespace that binds them."""
+        counts = Counter()
+        originals = {
+            "assemble": spx.assemble,
+            "dirichlet_eigs": spx.dirichlet_eigs,
+            "curvature_field": sf.curvature_field,
+            "anisotropy_constants": ig.anisotropy_constants,
+        }
+        for name, original in originals.items():
+            def counted(*args, _name=name, _fn=original, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            for mod_name, mod in list(sys.modules.items()):
+                if mod_name == "anisolab" or mod_name.startswith("anisolab."):
+                    for attr, value in list(vars(mod).items()):
+                        if value is original:
+                            monkeypatch.setattr(mod, attr, counted)
+        return counts
+
+    def test_each_artifact_computed_once(self, monkeypatch, tmp_path):
+        counts = self._count_calls(monkeypatch)
+        verify_bounds(ExperimentConfig(surface="catenoid:2", grid=48))
+        assert counts == {"assemble": 2, "dirichlet_eigs": 6, "curvature_field": 1,
+                          "anisotropy_constants": 1}
+        counts.clear()
+        rc = main(
+            ["spectrum", "--surface", "catenoid:2", "--integrand", "const:1",
+             "--grid", "48", "--out", str(tmp_path / "s.json")]
+        )
+        assert rc == 0
+        assert counts == {"assemble": 2, "dirichlet_eigs": 6, "curvature_field": 1,
+                          "anisotropy_constants": 1}

@@ -36,8 +36,7 @@ def _parse_bc(text: str, domain):
         if head == "zero":
             return bc_zero()
         if head == "linear":
-            a, b, c = (float(t) for t in tail.split(","))
-            return bc_linear(a, b, c)
+            return bc_linear(*_parse_numbers(tail, "a,b,c"))
         if head == "sine":
             return bc_edge_sine(float(tail) if tail else 0.2, domain)
         if head == "catenoid":
@@ -51,19 +50,21 @@ def _parse_bc(text: str, domain):
     raise InvalidSpec(f"unknown boundary data {text!r}")
 
 
+def _parse_numbers(text: str, names: str) -> list[float]:
+    """Comma-separated numbers, as many as ``names`` lists (e.g. "u0,u1,v0,v1")."""
+    try:
+        vals = [float(t) for t in text.split(",")]
+    except ValueError as exc:
+        raise InvalidSpec(f"cannot parse {text!r} as {names}: {exc}") from exc
+    if len(vals) != names.count(",") + 1:
+        raise InvalidSpec(f"{text!r} needs the numbers {names}")
+    return vals
+
+
 def _parse_domains(text: str | None):
     if not text:
         return None
-    out = []
-    for part in text.split(";"):
-        try:
-            vals = [float(t) for t in part.split(",")]
-        except ValueError as exc:
-            raise InvalidSpec(f"cannot parse domain {part!r}: {exc}") from exc
-        if len(vals) != 4:
-            raise InvalidSpec(f"domain {part!r} needs four numbers u0,u1,v0,v1")
-        out.append(vals)
-    return out
+    return [_parse_numbers(part, "u0,u1,v0,v1") for part in text.split(";")]
 
 
 def _config(args, **fields) -> ExperimentConfig:
@@ -89,15 +90,19 @@ def cmd_wulff(args) -> int:
 
 def cmd_solve_graph(args) -> int:
     spec = parse_integrand(args.integrand)
-    domain = tuple(float(t) for t in args.domain.split(","))
-    prob = GraphProblem(
-        domain=domain,
-        shape=(args.grid, args.grid),
-        boundary=_parse_bc(args.bc, domain),
-        spec=spec,
-        tol=args.tol,
-        max_iter=args.max_iter,
-    )
+    domain = tuple(_parse_numbers(args.domain, "x0,x1,y0,y1"))
+    boundary = _parse_bc(args.bc, domain)
+    try:
+        prob = GraphProblem(
+            domain=domain,
+            shape=(args.grid, args.grid),
+            boundary=boundary,
+            spec=spec,
+            tol=args.tol,
+            max_iter=args.max_iter,
+        )
+    except ValueError as exc:  # the problem's own validation of its inputs
+        raise InvalidSpec(str(exc)) from exc
     sol = solve(prob)
     payload = {
         "grid": list(prob.shape),
@@ -171,8 +176,10 @@ def gauss_payload(ctx: RunContext) -> dict:
 
 
 def cmd_gauss(args) -> int:
-    axes = [[float(t) for t in args.axis.split(",")]]
-    ctx = RunContext(_config(args, axes=axes, genus=args.genus))
+    axis = _parse_numbers(args.axis, "x,y,z")
+    if not any(axis):
+        raise InvalidSpec(f"axis {args.axis!r} is the zero vector")
+    ctx = RunContext(_config(args, axes=[axis], genus=args.genus))
     _write(args.out, json.dumps(gauss_payload(ctx)))
     return 0
 

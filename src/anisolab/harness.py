@@ -45,11 +45,13 @@ from .integrand import (
     wulff_mesh,
 )
 from .spectrum import (
+    ZERO_EIG_REL,
     JacobiDiscretization,
     SpectralReport,
     assemble,
     comparison_assembly,
     comparison_operator_counts,
+    inertia,
     morse_index_exhaustion,
 )
 from .surface import CurvatureField, SurfacePatch, curvature_field, fixture
@@ -70,6 +72,7 @@ REQUIRED_CHECKS = (
     "index_lower_bound_vs_spectrum",
     "low_genus_instability",
     "index_upper_bound_chain",
+    "inertia_count_agreement",
     "aniso_degree_sandwich",
 )
 
@@ -528,6 +531,21 @@ def verify_bounds(config: ExperimentConfig, _flip_potential_sign: bool = False) 
         _check("index_upper_bound_chain", bool(upper_ok), stab,
                cmp_counts[-1]["neg_Lgamma"], 0,
                "stabilized index dominated by the comparison-operator count")
+    )
+
+    # shifted by the eigensolver's zero threshold, the inertia counts exactly
+    # the eigenvalues negative_count counts
+    by_inertia = [
+        inertia(ctx.disc, dom, shift=ZERO_EIG_REL * float(np.max(np.abs(vals))))
+        for dom, vals in zip(spectral.domains, spectral.eigenvalues)
+    ]
+    if any(a is not None and a != b for a, b in zip(by_inertia, spectral.morse_index)):
+        agree = False
+    else:
+        agree = None if None in by_inertia else True
+    checks.append(
+        _check("inertia_count_agreement", agree, by_inertia, spectral.morse_index, 0,
+               "symmetric-factorization inertia against the eigenvalue count per domain")
     )
 
     total_k = fld.total_curvature()

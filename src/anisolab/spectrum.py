@@ -10,6 +10,12 @@ integrated exactly.
 Dirichlet problems on nested sub-rectangles restrict to nested interior
 node sets of one fixed grid, which makes the count of negative eigenvalues
 provably monotone along an exhaustion.
+
+Where only a count is needed (the comparison operator's), it is the
+inertia of a symmetric factorization: the mass is SPD, so by Sylvester's
+law negative eigenvalues are negative pivots.  A second factorization at a
+small shift delta guards the eigensolver's zero threshold, and the
+eigensolve is the fallback.
 """
 
 from __future__ import annotations
@@ -274,6 +280,68 @@ def negative_count(vals: np.ndarray) -> int:
     return int(np.sum(vals < -ZERO_EIG_REL * scale))
 
 
+def inertia(
+    disc: JacobiDiscretization,
+    domain: tuple[float, float, float, float] | None = None,
+    shift: float = 0.0,
+) -> int | None:
+    """Number of eigenvalues below -shift of (stiffness - potential) x =
+    lambda mass x on the domain's free nodes, by Sylvester's law of inertia.
+
+    The count is that of the negative pivots of P (A + shift M) P^T = L D L^T,
+    factored by SuperLU in a symmetric ordering without pivoting.  Static
+    pivoting has no stability guarantee, so None -- do not trust the count --
+    is returned when the row permutation leaves the symmetric order, a pivot
+    is exactly zero, or a pivot is below ZERO_EIG_REL times the largest
+    entry of the row it eliminates.
+    """
+    idx = interior_indices(disc, domain)
+    if len(idx) == 0:
+        return None
+    a = disc.operator[idx][:, idx]
+    if shift:
+        a = a + shift * disc.mass[idx][:, idx]
+    a = a.tocsc()
+    try:
+        lu = spla.splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError:  # exactly singular pivot
+        return None
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        return None
+    pivots = lu.U.diagonal()
+    row_max = abs(a).max(axis=1).toarray().reshape(-1)[np.argsort(lu.perm_r)]
+    if np.any(np.abs(pivots) <= ZERO_EIG_REL * row_max):
+        return None
+    return int(np.sum(pivots < 0))
+
+
+def guarded_negative_count(
+    disc: JacobiDiscretization,
+    k: int,
+    domain: tuple[float, float, float, float] | None = None,
+) -> int:
+    """``negative_count(dirichlet_eigs(disc, k, domain)[0])``, from inertia
+    whenever that provably gives the same number.
+
+    The eigensolver counts eigenvalues below -ZERO_EIG_REL * max|lambda|.
+    With m the lumped mass, the Jacobian-weighted P1 mass dominates m / 5
+    (m / 4 for a constant weight), so 5 max_i sum_j |A_ij| / m_i bounds the
+    spectral radius and delta = ZERO_EIG_REL times that bound is at least
+    the threshold.  When the inertia at shifts 0 and delta agree, no
+    eigenvalue lies in [-delta, 0) and both counts are equal; otherwise the
+    eigensolve decides.
+    """
+    idx = interior_indices(disc, domain)
+    below_zero = inertia(disc, domain)
+    if below_zero is not None:
+        row_sum = np.asarray(abs(disc.operator[idx][:, idx]).sum(axis=1)).reshape(-1)
+        delta = ZERO_EIG_REL * 5.0 * float(np.max(row_sum / disc.lumped_mass[idx]))
+        if below_zero == inertia(disc, domain, shift=delta):
+            return below_zero
+    return negative_count(dirichlet_eigs(disc, k, domain=domain)[0])
+
+
 def morse_index_exhaustion(
     patch: SurfacePatch,
     spec: IntegrandSpec,
@@ -339,15 +407,18 @@ def comparison_operator_counts(
     comparison operator of :func:`comparison_assembly`.
 
     The comparison count dominates: every unstable direction of the full
-    operator is one of the comparison operator.  A caller holding the
-    comparison assembly, or the Jacobi counts of :func:`morse_index_exhaustion`
-    on the same domains and ``k``, passes them in instead.
+    operator is one of the comparison operator.  Counts come from
+    inertia, guarded by a shift delta, with the eigensolve on ``k``
+    eigenvalues as the fallback (:func:`guarded_negative_count`).  A caller
+    holding the comparison assembly, or the Jacobi counts of
+    :func:`morse_index_exhaustion` on the same domains and ``k``, passes
+    them in instead.
     """
     if field is None:
         field = curvature_field(patch, spec)
 
     def counts(disc):
-        return [negative_count(dirichlet_eigs(disc, k, domain=tuple(d))[0]) for d in domains]
+        return [guarded_negative_count(disc, k, domain=tuple(d)) for d in domains]
 
     if morse_index is None:
         morse_index = counts(assemble(patch, spec, field=field))

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from anisolab import integrand as ig, spectrum as spx, surface as sf
+from anisolab import harness, integrand as ig, spectrum as spx, surface as sf
 from anisolab.cli import gauss_payload, main
 from anisolab.errors import InvalidSpec
 from anisolab.harness import (
@@ -69,6 +69,20 @@ class TestVerifyBounds:
     def test_check_registry_covered(self, catenoid_report):
         names = [c["name"] for c in catenoid_report["checks"]]
         assert names == list(REQUIRED_CHECKS)
+        assert len(names) == 16
+        (agreement,) = [c for c in catenoid_report["checks"]
+                        if c["name"] == "inertia_count_agreement"]
+        assert agreement["passed"] is True
+        assert agreement["lhs"] == agreement["rhs"] == [0, 1, 1]
+
+    @pytest.mark.parametrize("count, passed", [(None, None), (7, False)])
+    def test_inertia_check_never_passes_unverified(self, monkeypatch, count, passed):
+        # a guarded-out factorization skips the check, a disagreement fails it
+        monkeypatch.setattr(harness, "inertia", lambda *args, **kwargs: count)
+        rep = verify_bounds(ExperimentConfig(surface="plane", grid=32))
+        (check,) = [c for c in rep["checks"] if c["name"] == "inertia_count_agreement"]
+        assert check["passed"] is passed
+        assert check["lhs"] == [count] * 3
 
     def test_every_check_carries_tolerance(self, catenoid_report):
         for c in catenoid_report["checks"]:
@@ -248,16 +262,27 @@ class TestCli:
         assert rc == 0
         assert json.loads(sol.read_text())["iterations"] == 1
 
-    @pytest.mark.parametrize("case", ["integrand", "config_key", "surface", "domains"])
+    @pytest.mark.parametrize("case", [
+        "integrand", "config_key", "surface", "domains", "axis_number", "axis_length",
+        "axis_zero", "graph_domain_number", "graph_domain_length", "graph_grid",
+    ])
     def test_bad_input_exits_2(self, tmp_path, capsys, case):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"surface": "plane", "bogus": 1}))
+        gauss = ["gauss", "--surface", "plane", "--integrand", "const:1", "--grid", "16"]
+        graph = ["solve-graph", "--integrand", "const:1", "--bc", "catenoid"]
         argv = {
             "integrand": ["wulff", "--integrand", "foo:1", "--out", str(tmp_path / "w.obj")],
             "config_key": ["bounds", "--config", str(cfg)],
             "surface": ["bounds", "--surface", "torus"],
             "domains": ["spectrum", "--surface", "plane", "--integrand", "const:1",
                         "--domains", "1,2,3"],
+            "axis_number": gauss + ["--axis", "0,0,x"],
+            "axis_length": gauss + ["--axis", "0,0"],
+            "axis_zero": gauss + ["--axis", "0,0,0"],
+            "graph_domain_number": graph + ["--domain", "1.2,2,x,0.4"],
+            "graph_domain_length": graph + ["--domain", "1.2,2,0.4"],
+            "graph_grid": graph + ["--domain", "1.2,2,-0.4,0.4", "--grid", "5"],
         }[case]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: InvalidSpec: ")
@@ -307,7 +332,8 @@ class TestRunContext:
     def test_each_artifact_computed_once(self, monkeypatch, tmp_path):
         counts = self._count_calls(monkeypatch)
         verify_bounds(ExperimentConfig(surface="catenoid:2", grid=48))
-        assert counts == {"assemble": 2, "dirichlet_eigs": 6, "curvature_field": 1,
+        # only the Jacobi spectra are solved; comparison counts come from inertia
+        assert counts == {"assemble": 2, "dirichlet_eigs": 3, "curvature_field": 1,
                           "anisotropy_constants": 1}
         counts.clear()
         rc = main(
@@ -315,5 +341,5 @@ class TestRunContext:
              "--grid", "48", "--out", str(tmp_path / "s.json")]
         )
         assert rc == 0
-        assert counts == {"assemble": 2, "dirichlet_eigs": 6, "curvature_field": 1,
+        assert counts == {"assemble": 2, "dirichlet_eigs": 3, "curvature_field": 1,
                           "anisotropy_constants": 1}

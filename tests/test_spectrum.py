@@ -5,6 +5,7 @@ from scipy.integrate import dblquad
 
 from anisolab import integrand as ig, spectrum as spx, surface as sf
 from anisolab.errors import SolverFailure
+from anisolab.harness import ExperimentConfig, RunContext
 from anisolab.objio import grid_faces
 
 C1 = ig.constant(1.0)
@@ -193,8 +194,8 @@ class TestComparisonOperator:
         )
         for c in counts:
             assert c["neg_L"] <= c["neg_Lgamma"]
-        # the comparison count exceeded the default eigenvalue window, so the
-        # auto-extension demonstrably kicked in
+        # the comparison count exceeds the default eigenvalue window; inertia
+        # counts it without one (TestInertia covers the eigensolve's extension)
         assert counts[-1]["neg_Lgamma"] > spx.DEFAULT_EIG_COUNT
 
     def test_q_comparison_inequality(self, rng):
@@ -232,6 +233,64 @@ class TestComparisonOperator:
             s_iso = x @ iso.stiffness @ x
             assert consts.lambda_gamma * s_iso <= s + 1e-9
             assert s <= consts.Lambda_gamma * s_iso + 1e-9
+
+
+CRITERION_11 = [
+    ExperimentConfig(surface="catenoid:3", grid=56,
+                     domains=[[0, TWO_PI, -1, 1], [0, TWO_PI, -2, 2], [0, TWO_PI, -2.8, 2.8]]),
+    ExperimentConfig(surface="enneper:1.3", grid=56),
+    ExperimentConfig(surface="sheared_catenoid:1,0,0,0,1,0,0,0,2;2",
+                     integrand="ellipsoid:1,1,2", grid=56),
+]
+
+
+class TestInertia:
+    @pytest.mark.parametrize("config", CRITERION_11, ids=["catenoid", "enneper", "sheared"])
+    def test_matches_eigensolve_count(self, config):
+        ctx = RunContext(config)
+        for disc in (ctx.disc, ctx.disc_cmp):
+            for dom in ctx.domains:
+                vals = spx.dirichlet_eigs(disc, spx.DEFAULT_EIG_COUNT, domain=dom)[0]
+                expected = spx.negative_count(vals)
+                shift = spx.ZERO_EIG_REL * float(np.max(np.abs(vals)))
+                assert spx.inertia(disc, dom, shift=shift) == expected
+                assert spx.guarded_negative_count(disc, spx.DEFAULT_EIG_COUNT, dom) == expected
+
+    def test_guard_falls_back_to_eigensolve(self, monkeypatch):
+        # plane with constant potential weight q: eigenvalues mu_i - q, with
+        # q tuned so that lambda_1 sits halfway into [-delta, 0)
+        patch = sf.fixture("plane", grid=(32, 32))
+        flat = spx.assemble(patch, C1, potential_weight=np.zeros(patch.shape))
+        mu1 = spx.dirichlet_eigs(flat, 1, auto_extend=False)[0][0]
+        idx = spx.interior_indices(flat)
+        row_sum = np.asarray(abs(flat.operator[idx][:, idx]).sum(axis=1)).reshape(-1)
+        delta = spx.ZERO_EIG_REL * 5.0 * np.max(row_sum / flat.lumped_mass[idx])
+        disc = spx.assemble(patch, C1, potential_weight=np.full(patch.shape, mu1 + delta / 2))
+        assert spx.inertia(disc) == 1
+        assert spx.inertia(disc, shift=delta) == 0
+
+        calls = []
+        original = spx.dirichlet_eigs
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(spx, "dirichlet_eigs", counted)
+        count = spx.guarded_negative_count(disc, spx.DEFAULT_EIG_COUNT)
+        assert len(calls) == 1
+        assert count == spx.negative_count(original(disc, spx.DEFAULT_EIG_COUNT)[0]) == 1
+
+    def test_dirichlet_eigs_extends_past_window(self):
+        patch = sf.fixture(
+            "sheared_catenoid", grid=(64, 64), shear=np.diag([1.0, 1.0, 2.0]), v_extent=2.5
+        )
+        fld = sf.curvature_field(patch, E112)
+        consts = ig.anisotropy_constants(E112, extra_normals=fld.normal.reshape(-1, 3))
+        disc = spx.comparison_assembly(patch, E112, fld, consts.lambda_gamma)
+        vals = spx.dirichlet_eigs(disc, 12, domain=(0, TWO_PI, -2.5, 2.5))[0]
+        assert len(vals) > 12
+        assert spx.negative_count(vals) > 12
 
 
 class TestJacobiFieldResidual:

@@ -112,11 +112,13 @@ def cmd_solve_graph(args) -> int:
         "residual_linf": sol.residual_linf,
         "iterations": sol.iterations,
         "converged": sol.converged,
+        "status": sol.status,
+        "residual_history": sol.residual_history,
     }
     _write(args.out, json.dumps(payload))
     print(
-        f"solve-graph: converged={sol.converged} iterations={sol.iterations} "
-        f"residual={sol.residual_linf:.3e}",
+        f"solve-graph: converged={sol.converged} status={sol.status} "
+        f"iterations={sol.iterations} residual={sol.residual_linf:.3e}",
         file=sys.stderr,
     )
     return 0 if sol.converged else 1

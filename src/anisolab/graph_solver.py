@@ -1,11 +1,24 @@
 """Dirichlet solver for the anisotropic minimal-graph equation.
 
-The height function satisfies a quasilinear equation whose coefficients are
-the upper-left Hessian block of the 1-homogeneous integrand extension,
-evaluated at the downhill normal direction.  The solver freezes those
-coefficients at the current iterate, solves the resulting linear Dirichlet
-problem with a direct sparse factorization, applies (adaptively halved)
-damping, and repeats until the nonlinear residual is below tolerance.
+The height function satisfies a quasilinear equation R(u) = 0 whose
+coefficients are the upper-left Hessian block of the 1-homogeneous integrand
+extension, evaluated at the downhill normal direction.  Each step is a
+Picard correction
+
+    u <- u - omega * A^{-1} R(u)    (interior nodes; edges hold the data)
+
+where A is the interior 9-point operator with coefficients frozen at some
+earlier iterate.  With A frozen at u itself this is the classical
+frozen-coefficient step; in correction form its rounding scales with the
+correction, not with the size of u, so the iteration reaches residuals well
+below eps * max|u| / h^2.
+
+The LU of A (SuperLU with the minimum-degree ordering of A^T + A) is reused
+across steps.  A full step with the lagged factor must shrink the residual
+by LAG_CONTRACTION; if it does not, A is refactored at the current iterate
+and the damping omega is halved until the residual decreases.  If even a
+freshly factored step cannot lower it at omega >= MIN_DAMPING, the solver
+reports "stalled".  The stencil's sparsity pattern is built once per solve.
 
 Second-order stencils throughout: 3-point for pure second differences,
 4-point cross for the mixed one, central first differences.
@@ -74,6 +87,10 @@ class GraphSolution:
     iterations: int
     converged: bool
     residual_history: list[float] = field(default_factory=list)
+    # "converged", "stalled" (a freshly factored step could not lower the
+    # residual at damping >= MIN_DAMPING) or "max_iter"; None when not
+    # recorded, as for a solution loaded from JSON
+    status: str | None = None
 
 
 def _interior_jets(u: np.ndarray, hx: float, hy: float) -> dict[str, np.ndarray]:
@@ -103,111 +120,150 @@ def residual(u: np.ndarray, problem: GraphProblem) -> np.ndarray:
     return out
 
 
-def _frozen_solve(
-    problem: GraphProblem,
-    bgrid: np.ndarray,
-    c11: np.ndarray,
-    c12: np.ndarray,
-    c22: np.ndarray,
-) -> np.ndarray:
-    """Direct solve of the linear Dirichlet problem with frozen coefficients.
+# Offsets of the 9-point stencil, in the order ``_Stencil.factor`` stacks
+# their weights.
+_OFFSETS = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1))
 
-    One step of iterative refinement keeps the row residual near machine
-    precision, which the exact-reproduction contract for linear data needs.
+# A step with a lagged factorization is kept only if it shrinks the residual
+# by at least this factor; otherwise the operator is refactored.
+LAG_CONTRACTION = 0.5
+
+
+class _Stencil:
+    """Sparsity pattern of the interior 9-point operator, built once per problem.
+
+    Stored entries are kept in CSC order; ``_take`` says which offset's
+    weight at which row node each entry carries, so a new set of frozen
+    coefficients becomes a matrix by one gather.
     """
-    nx, ny = problem.shape
-    hx, hy = problem.hx, problem.hy
-    mine = 0.5 * (c11 + c22) - np.sqrt(0.25 * (c11 - c22) ** 2 + c12**2)
-    if np.min(mine) < 1e-10:
-        raise EllipticityLoss(
-            f"frozen coefficient matrix has eigenvalue {np.min(mine):.3e}"
+
+    def __init__(self, problem: GraphProblem):
+        self.problem = problem
+        nxi, nyi = problem.shape[0] - 2, problem.shape[1] - 2
+        self.n = nxi * nyi
+        node = np.arange(self.n).reshape(nxi, nyi)
+        ii, jj = np.indices((nxi, nyi))
+        rows, cols, take = [], [], []
+        for k, (di, dj) in enumerate(_OFFSETS):
+            ni, nj = ii + di, jj + dj
+            inner = (ni >= 0) & (ni < nxi) & (nj >= 0) & (nj < nyi)
+            rows.append(node[inner])
+            cols.append(ni[inner] * nyi + nj[inner])
+            take.append(k * self.n + node[inner])
+        rows, cols, take = (np.concatenate(a) for a in (rows, cols, take))
+        order = np.lexsort((rows, cols))
+        self._take = take[order]
+        self._indices = rows[order]
+        self._indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=self.n))))
+
+    def factor(self, c11: np.ndarray, c12: np.ndarray, c22: np.ndarray):
+        """LU of the operator with these frozen coefficients on interior nodes."""
+        mine = 0.5 * (c11 + c22) - np.sqrt(0.25 * (c11 - c22) ** 2 + c12**2)
+        if np.min(mine) < 1e-10:
+            raise EllipticityLoss(
+                f"frozen coefficient matrix has eigenvalue {np.min(mine):.3e}"
+            )
+        hx, hy = self.problem.hx, self.problem.hy
+        a, b, m = c11 / hx**2, c22 / hy**2, c12 / (2 * hx * hy)
+        weights = np.stack([-2 * a - 2 * b, a, a, b, b, m, m, -m, -m]).ravel()
+        mat = sp.csc_matrix(
+            (weights[self._take], self._indices, self._indptr), shape=(self.n, self.n)
         )
+        return spla.splu(mat, permc_spec="MMD_AT_PLUS_A")
 
-    nxi, nyi = nx - 2, ny - 2
-    ii, jj = np.meshgrid(np.arange(1, nx - 1), np.arange(1, ny - 1), indexing="ij")
-    idx = (ii - 1) * nyi + (jj - 1)
+    def factor_at(self, u: np.ndarray):
+        """LU of the operator with coefficients frozen at the iterate ``u``."""
+        jets = _interior_jets(u, self.problem.hx, self.problem.hy)
+        return self.factor(*_coefficients(self.problem.spec, jets["ux"], jets["uy"]))
 
-    stencil = [
-        (0, 0, -2 * c11 / hx**2 - 2 * c22 / hy**2),
-        (1, 0, c11 / hx**2),
-        (-1, 0, c11 / hx**2),
-        (0, 1, c22 / hy**2),
-        (0, -1, c22 / hy**2),
-        (1, 1, c12 / (2 * hx * hy)),
-        (-1, -1, c12 / (2 * hx * hy)),
-        (1, -1, -c12 / (2 * hx * hy)),
-        (-1, 1, -c12 / (2 * hx * hy)),
-    ]
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(nxi * nyi)
-    for di, dj, coef in stencil:
-        ni, nj = ii + di, jj + dj
-        inner = (ni >= 1) & (ni <= nx - 2) & (nj >= 1) & (nj <= ny - 2)
-        rows.append(idx[inner])
-        cols.append((ni[inner] - 1) * nyi + (nj[inner] - 1))
-        vals.append(coef[inner])
-        outer = ~inner
-        if outer.any():
-            np.add.at(rhs, idx[outer], -coef[outer] * bgrid[ni[outer], nj[outer]])
-    mat = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nxi * nyi, nxi * nyi),
-    )
-    lu = spla.splu(mat.tocsc())
-    sol = lu.solve(rhs)
-    sol += lu.solve(rhs - mat @ sol)
-    out = bgrid.copy()
-    out[1:-1, 1:-1] = sol.reshape(nxi, nyi)
+
+def _correct(u: np.ndarray, lu, r: np.ndarray, omega: float) -> np.ndarray:
+    """``u - omega * A^{-1} r`` on interior nodes; edge nodes are kept."""
+    out = u.copy()
+    inner = r[1:-1, 1:-1]
+    out[1:-1, 1:-1] -= omega * lu.solve(inner.ravel()).reshape(inner.shape)
     return out
+
+
+def _attempt(u, r, lu, omega, problem):
+    """Trial iterate from ``u`` with residual ``r``, its residual and sup norm."""
+    trial = _correct(u, lu, r, omega)
+    trial_r = residual(trial, problem)
+    return trial, trial_r, float(np.max(np.abs(trial_r)))
+
+
+def _harmonic(problem: GraphProblem, stencil: _Stencil) -> np.ndarray:
+    u = problem.boundary_grid()
+    one = np.ones((problem.shape[0] - 2, problem.shape[1] - 2))
+    lu = stencil.factor(one, np.zeros_like(one), one)
+    # the correction from the boundary data, then one refinement step
+    for _ in range(2):
+        jets = _interior_jets(u, problem.hx, problem.hy)
+        lap = np.zeros_like(u)
+        lap[1:-1, 1:-1] = jets["uxx"] + jets["uyy"]
+        u = _correct(u, lu, lap, 1.0)
+    return u
 
 
 def harmonic_extension(problem: GraphProblem) -> np.ndarray:
     """Dirichlet extension with identity coefficients (the default seed)."""
-    bgrid = problem.boundary_grid()
-    one = np.ones((problem.shape[0] - 2, problem.shape[1] - 2))
-    return _frozen_solve(problem, bgrid, one, np.zeros_like(one), one)
+    return _harmonic(problem, _Stencil(problem))
 
 
 def solve(problem: GraphProblem, u0: np.ndarray | None = None) -> GraphSolution:
-    """Frozen-coefficient iteration with damping halved on residual increase.
+    """Picard corrections on a lagged factorization, with damping halved on
+    residual increase.
 
-    Non-convergence is data, not an error: the best iterate comes back with
-    ``converged=False`` so the caller can still inspect it.
+    A caller-supplied ``u0`` supplies interior values only; its edge nodes
+    are replaced by the boundary data.  Non-convergence is data, not an
+    error: the best iterate comes back with its ``status`` so the caller
+    can still inspect it.
     """
-    bgrid = problem.boundary_grid()
-    u = harmonic_extension(problem) if u0 is None else np.asarray(u0, dtype=float).copy()
-    res = float(np.max(np.abs(residual(u, problem))))
+    stencil = _Stencil(problem)
+    if u0 is None:
+        u = _harmonic(problem, stencil)
+    else:
+        u = problem.boundary_grid()
+        u[1:-1, 1:-1] = np.asarray(u0, dtype=float)[1:-1, 1:-1]
+
+    r = residual(u, problem)
+    res = float(np.max(np.abs(r)))
     history = [res]
     omega = problem.damping
     iterations = 0
-    converged = False
+    status = "max_iter"
+    lu = None
     for it in range(1, problem.max_iter + 1):
-        jets = _interior_jets(u, problem.hx, problem.hy)
-        c11, c12, c22 = _coefficients(problem.spec, jets["ux"], jets["uy"])
-        proposal = _frozen_solve(problem, bgrid, c11, c12, c22)
-        accepted = False
-        while omega >= MIN_DAMPING:
-            trial = u + omega * (proposal - u)
-            trial_res = float(np.max(np.abs(residual(trial, problem))))
-            if trial_res < res or trial_res <= problem.tol:
-                u, res = trial, trial_res
-                history.append(res)
-                iterations = it
-                accepted = True
-                break
-            omega *= 0.5
-        if not accepted:
+        step = None
+        if lu is not None:
+            step = _attempt(u, r, lu, omega, problem)
+            if not (step[2] <= LAG_CONTRACTION * res or step[2] <= problem.tol):
+                step = None
+        if step is None:
+            lu = stencil.factor_at(u)
+            while omega >= MIN_DAMPING:
+                step = _attempt(u, r, lu, omega, problem)
+                if step[2] < res or step[2] <= problem.tol:
+                    break
+                step = None
+                omega *= 0.5
+        if step is None:
+            status = "stalled"
             break
+        u, r, res = step
+        history.append(res)
+        iterations = it
         if res <= problem.tol:
-            converged = True
+            status = "converged"
             break
     return GraphSolution(
         problem=problem,
         u=u,
         residual_linf=res,
         iterations=iterations,
-        converged=converged,
+        converged=status == "converged",
         residual_history=history,
+        status=status,
     )
 
 

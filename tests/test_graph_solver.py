@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from anisolab import graph_solver as gs, integrand as ig, surface as sf
 from anisolab.errors import EllipticityLoss
@@ -139,8 +140,70 @@ class TestSolve:
         )
         sol = gs.solve(prob)
         assert not sol.converged
+        assert sol.status == "max_iter"
         assert sol.iterations == 1
         assert np.isfinite(sol.residual_linf)
+
+    def test_catenoid_grid_257_converges_on_reused_factor(self, monkeypatch):
+        # at this grid the residual floor of a full re-solve sat above the
+        # default tol; the correction form must get below it, and the
+        # factorization must be reused across Picard steps
+        factored = []
+
+        class CountingSpla:
+            def __getattr__(self, name):
+                return getattr(spla, name)
+
+            def splu(self, *args, **kwargs):
+                factored.append(1)
+                return spla.splu(*args, **kwargs)
+
+        monkeypatch.setattr(gs, "spla", CountingSpla())
+        prob = gs.GraphProblem(
+            domain=(1.2, 2.0, -0.4, 0.4),
+            shape=(257, 257),
+            boundary=gs.bc_catenoid(),
+            spec=C1,
+        )
+        sol = gs.solve(prob)
+        assert sol.converged and sol.status == "converged"
+        assert sol.residual_linf <= prob.tol
+        X, Y = prob.node_coords()
+        exact = np.arccosh(np.sqrt(X**2 + Y**2))
+        assert np.max(np.abs(sol.u - exact)) <= 5e-4
+        assert len(factored) <= 3
+
+    def test_unreachable_tol_reports_stalled(self):
+        prob = gs.GraphProblem(
+            domain=(1.2, 2.0, -0.4, 0.4),
+            shape=(65, 65),
+            boundary=gs.bc_catenoid(),
+            spec=C1,
+            tol=1e-16,
+        )
+        sol = gs.solve(prob)
+        assert not sol.converged
+        assert sol.status == "stalled"
+        assert sol.iterations < prob.max_iter
+        hist = sol.residual_history
+        assert all(b < a for a, b in zip(hist, hist[1:]))
+
+    def test_initial_guess_edges_take_boundary_data(self):
+        prob = gs.GraphProblem(
+            domain=(1.2, 2.0, -0.4, 0.4),
+            shape=(33, 33),
+            boundary=gs.bc_catenoid(),
+            spec=E112,
+        )
+        u0 = gs.harmonic_extension(prob) + 0.3  # wrong on every edge node
+        sol = gs.solve(prob, u0)
+        assert sol.converged
+        b = prob.boundary_grid()
+        mask = np.ones(prob.shape, dtype=bool)
+        mask[1:-1, 1:-1] = False
+        assert np.array_equal(sol.u[mask], b[mask])
+        # and the interior lands on the solution from the default seed
+        assert np.max(np.abs(sol.u - gs.solve(prob).u)) <= 1e-9
 
     def test_ellipticity_guard(self):
         # a raw near-degenerate quadratic weight sneaks past no validation

@@ -169,6 +169,8 @@ class TestCli:
         assert rc == 0
         payload = json.loads(sol.read_text())
         assert payload["converged"]
+        assert payload["status"] == "converged"
+        assert payload["residual_history"][-1] == payload["residual_linf"]
         assert len(payload["u"]) == 49 * 49
         spec_out = tmp_path / "spec.json"
         rc = main(
@@ -209,6 +211,22 @@ class TestCli:
              "--out", str(tmp_path / "c.obj")]
         )
         assert rc == 0
+
+    def test_solution_without_status_still_loads(self, tmp_path, capsys):
+        sol = tmp_path / "sol.json"
+        rc = main(
+            ["solve-graph", "--integrand", "const:1", "--domain", "1.2,2,-0.4,0.4",
+             "--grid", "17", "--bc", "catenoid", "--out", str(sol)]
+        )
+        assert rc == 0
+        assert "status=converged" in capsys.readouterr().err
+        payload = json.loads(sol.read_text())
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(
+            {k: v for k, v in payload.items() if k not in ("status", "residual_history")}))
+        new_patch = parse_surface(str(sol), 17, "const:1")
+        old_patch = parse_surface(str(old), 17, "const:1")
+        assert np.array_equal(old_patch.position, new_patch.position)
 
     def test_curvature_export_with_sidecar(self, tmp_path):
         out = tmp_path / "c.obj"

@@ -274,16 +274,14 @@ def pseudograph_extract(
     v_count = len(vertices)
     e_count = 0
     tol_dist = 2.0 * max(patch.hu, patch.hv)
+    period = patch.domain[1] - patch.domain[0]
     for pts, closed in polylines:
         hits = []
         for vi, vert in enumerate(vertices):
-            d = np.hypot(pts[:, 0] - vert.location[0], pts[:, 1] - vert.location[1])
-            if patch.periodic_u:
-                period = patch.domain[1] - patch.domain[0]
-                du = np.abs(pts[:, 0] - vert.location[0])
+            du = np.abs(pts[:, 0] - vert.location[0])
+            if patch.periodic_u:  # the shorter way round the seam
                 du = np.minimum(du, period - du)
-                d = np.hypot(du, pts[:, 1] - vert.location[1])
-            if np.min(d) <= tol_dist:
+            if np.min(np.hypot(du, pts[:, 1] - vert.location[1])) <= tol_dist:
                 hits.append(vi)
         k = len(hits)
         if closed:
@@ -314,65 +312,55 @@ def _phi_at(patch: SurfacePatch, phi: np.ndarray, loc) -> float:
 
 
 def _march_zero_set(patch: SurfacePatch, phi: np.ndarray):
-    """Marching-squares polylines of the zero level set on the node grid."""
+    """Marching-squares polylines of the zero level set on the node grid.
+
+    Edge (i, j) -> (i + 1, j) has id i * nv + j (across the seam for the last
+    row of a periodic patch); edge (i, j) -> (i, j + 1) has id
+    n_u + i * (nv - 1) + j, n_u being the number of u-edges.  Crossings are
+    found and interpolated as arrays; only cells with crossing edges are
+    visited one by one, in C order.
+    """
     nu_, nv_ = patch.shape
-    hu, hv = patch.hu, patch.hv
     us, vs = patch.u_samples(), patch.v_samples()
     ncells_u = nu_ if patch.periodic_u else nu_ - 1
+    next_row = np.arange(1, ncells_u + 1) % nu_
 
-    crossings: dict[tuple, np.ndarray] = {}
+    a_u, b_u = phi[:ncells_u], phi[next_row]
+    a_v, b_v = phi[:, :-1], phi[:, 1:]
+    cross_u, cross_v = a_u * b_u < 0, a_v * b_v < 0
+    iu, ju = np.nonzero(cross_u)
+    iv, jv = np.nonzero(cross_v)
+    t_u = a_u[iu, ju] / (a_u[iu, ju] - b_u[iu, ju])
+    t_v = a_v[iv, jv] / (a_v[iv, jv] - b_v[iv, jv])
+    points = np.concatenate([
+        np.stack([us[iu] + t_u * patch.hu, vs[ju]], axis=-1),
+        np.stack([us[iv], vs[jv] + t_v * patch.hv], axis=-1),
+    ])
+    n_u = cross_u.size
+    edge_ids = np.concatenate([np.flatnonzero(cross_u), n_u + np.flatnonzero(cross_v)])
 
-    def u_edge(i, j):
-        a, b = phi[i, j], phi[(i + 1) % nu_, j]
-        if a * b < 0:
-            t = a / (a - b)
-            return np.array([us[i] + t * hu, vs[j]])
-        return None
-
-    def v_edge(i, j):
-        a, b = phi[i, j], phi[i, j + 1]
-        if a * b < 0:
-            t = a / (a - b)
-            return np.array([us[i], vs[j] + t * hv])
-        return None
-
-    for i in range(ncells_u):
-        for j in range(nv_):
-            p = u_edge(i, j)
-            if p is not None:
-                crossings[("u", i, j)] = p
-    for i in range(nu_):
-        for j in range(nv_ - 1):
-            p = v_edge(i, j)
-            if p is not None:
-                crossings[("v", i, j)] = p
-
-    segments: list[tuple] = []
-    for i in range(ncells_u):
+    # per cell: bottom, top, left and right edge
+    sides = (cross_u[:, :-1], cross_u[:, 1:], cross_v[:ncells_u], cross_v[next_row])
+    count = sum(s.astype(np.int8) for s in sides)
+    segments: list[tuple[int, int]] = []
+    for i, j in zip(*(x.tolist() for x in np.nonzero((count == 2) | (count == 4)))):
         i1 = (i + 1) % nu_
-        for j in range(nv_ - 1):
-            ids = [
-                e
-                for e in (("u", i, j), ("u", i, j + 1), ("v", i, j), ("v", i1, j))
-                if e in crossings
-            ]
-            if len(ids) == 2:
-                segments.append((ids[0], ids[1]))
-            elif len(ids) == 4:
-                # saddle cell: resolve by the center sign
-                center = 0.25 * (
-                    phi[i, j] + phi[i1, j] + phi[i, j + 1] + phi[i1, j + 1]
-                )
-                bottom, top = ("u", i, j), ("u", i, j + 1)
-                left, right = ("v", i, j), ("v", i1, j)
-                if (center > 0) == (phi[i, j] > 0):
-                    segments.append((bottom, right))
-                    segments.append((top, left))
-                else:
-                    segments.append((bottom, left))
-                    segments.append((top, right))
+        bottom, top = i * nv_ + j, i * nv_ + j + 1
+        left, right = n_u + i * (nv_ - 1) + j, n_u + i1 * (nv_ - 1) + j
+        if count[i, j] == 2:
+            ids = [e for e, s in zip((bottom, top, left, right), sides) if s[i, j]]
+            segments.append((ids[0], ids[1]))
+            continue
+        # saddle cell: resolve by the center sign
+        center = 0.25 * (phi[i, j] + phi[i1, j] + phi[i, j + 1] + phi[i1, j + 1])
+        if (center > 0) == (phi[i, j] > 0):
+            segments.append((bottom, right))
+            segments.append((top, left))
+        else:
+            segments.append((bottom, left))
+            segments.append((top, right))
 
-    by_edge: dict[tuple, list[int]] = {}
+    by_edge: dict[int, list[int]] = {}
     for si, (ea, eb) in enumerate(segments):
         by_edge.setdefault(ea, []).append(si)
         by_edge.setdefault(eb, []).append(si)
@@ -402,7 +390,7 @@ def _march_zero_set(patch: SurfacePatch, phi: np.ndarray):
         closed = len(chain) > 3 and chain[0] == chain[-1]
         if closed:
             chain = chain[:-1]
-        pts = np.array([crossings[e] for e in chain])
+        pts = points[np.searchsorted(edge_ids, chain)]
         polylines.append((pts, closed))
     return polylines
 

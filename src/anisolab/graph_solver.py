@@ -111,6 +111,19 @@ def _coefficients(spec: IntegrandSpec, ux: np.ndarray, uy: np.ndarray):
     return h[..., 0, 0], h[..., 0, 1], h[..., 1, 1]
 
 
+def _frozen_coefficients(problem: GraphProblem, u: np.ndarray):
+    """Coefficients frozen at the iterate ``u``, refused when they are not
+    uniformly elliptic."""
+    jets = _interior_jets(u, problem.hx, problem.hy)
+    c11, c12, c22 = _coefficients(problem.spec, jets["ux"], jets["uy"])
+    mine = 0.5 * (c11 + c22) - np.sqrt(0.25 * (c11 - c22) ** 2 + c12**2)
+    if np.min(mine) < 1e-10:
+        raise EllipticityLoss(
+            f"frozen coefficient matrix has eigenvalue {np.min(mine):.3e}"
+        )
+    return c11, c12, c22
+
+
 def residual(u: np.ndarray, problem: GraphProblem) -> np.ndarray:
     """Pointwise quasilinear residual; zero entries on boundary nodes."""
     jets = _interior_jets(u, problem.hx, problem.hy)
@@ -158,11 +171,6 @@ class _Stencil:
 
     def factor(self, c11: np.ndarray, c12: np.ndarray, c22: np.ndarray):
         """LU of the operator with these frozen coefficients on interior nodes."""
-        mine = 0.5 * (c11 + c22) - np.sqrt(0.25 * (c11 - c22) ** 2 + c12**2)
-        if np.min(mine) < 1e-10:
-            raise EllipticityLoss(
-                f"frozen coefficient matrix has eigenvalue {np.min(mine):.3e}"
-            )
         hx, hy = self.problem.hx, self.problem.hy
         a, b, m = c11 / hx**2, c22 / hy**2, c12 / (2 * hx * hy)
         weights = np.stack([-2 * a - 2 * b, a, a, b, b, m, m, -m, -m]).ravel()
@@ -173,8 +181,7 @@ class _Stencil:
 
     def factor_at(self, u: np.ndarray):
         """LU of the operator with coefficients frozen at the iterate ``u``."""
-        jets = _interior_jets(u, self.problem.hx, self.problem.hy)
-        return self.factor(*_coefficients(self.problem.spec, jets["ux"], jets["uy"]))
+        return self.factor(*_frozen_coefficients(self.problem, u))
 
 
 def _correct(u: np.ndarray, lu, r: np.ndarray, omega: float) -> np.ndarray:
@@ -215,9 +222,11 @@ def solve(problem: GraphProblem, u0: np.ndarray | None = None) -> GraphSolution:
     residual increase.
 
     A caller-supplied ``u0`` supplies interior values only; its edge nodes
-    are replaced by the boundary data.  Non-convergence is data, not an
-    error: the best iterate comes back with its ``status`` so the caller
-    can still inspect it.
+    are replaced by the boundary data; a ``u0`` already within ``tol`` comes
+    back converged after 0 iterations, without a factorization.  The
+    harmonic seed always takes a Picard step unless ``max_iter`` is 0.
+    Non-convergence is data, not an error: the best iterate comes back with
+    its ``status`` so the caller can still inspect it.
     """
     stencil = _Stencil(problem)
     if u0 is None:
@@ -233,7 +242,11 @@ def solve(problem: GraphProblem, u0: np.ndarray | None = None) -> GraphSolution:
     iterations = 0
     status = "max_iter"
     lu = None
-    for it in range(1, problem.max_iter + 1):
+    budget = problem.max_iter
+    if u0 is not None and res <= problem.tol:
+        _frozen_coefficients(problem, u)  # no step, but a non-elliptic problem is refused
+        budget = 0
+    for it in range(1, budget + 1):
         step = None
         if lu is not None:
             step = _attempt(u, r, lu, omega, problem)
@@ -256,6 +269,8 @@ def solve(problem: GraphProblem, u0: np.ndarray | None = None) -> GraphSolution:
         if res <= problem.tol:
             status = "converged"
             break
+    if res <= problem.tol:  # also a start within tol
+        status = "converged"
     return GraphSolution(
         problem=problem,
         u=u,

@@ -94,6 +94,11 @@ class ExperimentConfig:
     wulff_refinement: int = 4
     eig_count: int = 12
 
+    def __post_init__(self):
+        if self.grid < 3 or self.eig_count < 1:
+            raise InvalidSpec(f"need grid >= 3 and eig_count >= 1, got grid {self.grid} "
+                              f"and eig_count {self.eig_count}")
+
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
 

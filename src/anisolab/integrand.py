@@ -399,7 +399,7 @@ class WulffMesh:
 def icosphere(refinement: int) -> tuple[np.ndarray, np.ndarray]:
     """Unit icosphere with 20 * 4^refinement faces, deterministic ordering."""
     if refinement < 0:
-        raise ValueError("refinement must be >= 0")
+        raise InvalidSpec(f"refinement must be >= 0, got {refinement}")
     phi = (1.0 + math.sqrt(5.0)) / 2.0
     verts = np.array(
         [

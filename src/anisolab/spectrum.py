@@ -16,6 +16,12 @@ inertia of a symmetric factorization: the mass is SPD, so by Sylvester's
 law negative eigenvalues are negative pivots.  A second factorization at a
 small shift delta guards the eigensolver's zero threshold, and the
 eigensolve is the fallback.
+
+The eigensolve is shift-invert Lanczos (ARPACK) with that same symmetric
+factorization of A - sigma M as its operator, and the factorization's
+inertia proves sigma below the spectrum before any iteration (Ericsson and
+Ruhe, Math. Comp. 35, 1980).  One factorization serves every widening of
+the eigenvalue window.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from .surface import CurvatureField, SurfacePatch, curvature_field
 ZERO_EIG_REL = 1e-8
 DEFAULT_EIG_COUNT = 12
 DENSE_CUTOFF = 400
+SHIFT_TRIES = 8  # factorizations spent looking for a shift below the spectrum
 
 # int_T lambda_i lambda_j lambda_k / area: 1/10 on the diagonal triple,
 # 1/30 with one repeated index, 1/60 all distinct
@@ -240,10 +247,14 @@ def dirichlet_eigs(
     mass = disc.mass.tocsr()[idx][:, idx].tocsc()
     qmax = float(np.max(disc.potential.diagonal()[idx] / disc.mass.diagonal()[idx]))
     sigma = -max(qmax, 0.0) - 1.0
+    opinv = None
 
     while True:
+        dense = k >= n - 1 or n <= DENSE_CUTOFF
+        if not dense and opinv is None:  # sigma stays put, so one factor serves every k
+            sigma, opinv = _shift_below_spectrum(op, mass, sigma)
         try:
-            if k >= n - 1 or n <= DENSE_CUTOFF:
+            if dense:
                 vals, vecs = sla.eigh(op.toarray(), mass.toarray())
                 vals, vecs = vals[: min(k, n)], vecs[:, : min(k, n)]
             else:
@@ -256,6 +267,7 @@ def dirichlet_eigs(
                     which="LM",
                     v0=rng.standard_normal(n),
                     tol=0,
+                    OPinv=opinv,
                 )
                 order = np.argsort(vals)
                 vals, vecs = vals[order], vecs[:, order]
@@ -288,12 +300,8 @@ def inertia(
     """Number of eigenvalues below -shift of (stiffness - potential) x =
     lambda mass x on the domain's free nodes, by Sylvester's law of inertia.
 
-    The count is that of the negative pivots of P (A + shift M) P^T = L D L^T,
-    factored by SuperLU in a symmetric ordering without pivoting.  Static
-    pivoting has no stability guarantee, so None -- do not trust the count --
-    is returned when the row permutation leaves the symmetric order, a pivot
-    is exactly zero, or a pivot is below ZERO_EIG_REL times the largest
-    entry of the row it eliminates.
+    The count is that of the negative pivots of P (A + shift M) P^T = L D L^T
+    (:func:`_symmetric_factor`), or None when that factor is not trusted.
     """
     idx = interior_indices(disc, domain)
     if len(idx) == 0:
@@ -301,19 +309,48 @@ def inertia(
     a = disc.operator[idx][:, idx]
     if shift:
         a = a + shift * disc.mass[idx][:, idx]
-    a = a.tocsc()
+    return _symmetric_factor(a.tocsc())[1]
+
+
+def _symmetric_factor(a: sp.csc_matrix):
+    """SuperLU of the symmetric matrix ``a`` in the symmetric minimum-degree
+    order of A^T + A without pivoting, and its count of negative pivots.
+
+    Static pivoting has no stability guarantee, so (None, None) -- do not
+    trust the factor -- comes back when the row permutation leaves the
+    symmetric order, a pivot is exactly zero, or a pivot is below
+    ZERO_EIG_REL times the largest entry of the row it eliminates.
+    """
     try:
         lu = spla.splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
     except RuntimeError:  # exactly singular pivot
-        return None
+        return None, None
     if not np.array_equal(lu.perm_r, lu.perm_c):
-        return None
+        return None, None
     pivots = lu.U.diagonal()
     row_max = abs(a).max(axis=1).toarray().reshape(-1)[np.argsort(lu.perm_r)]
     if np.any(np.abs(pivots) <= ZERO_EIG_REL * row_max):
-        return None
-    return int(np.sum(pivots < 0))
+        return None, None
+    return lu, int(np.sum(pivots < 0))
+
+
+def _shift_below_spectrum(op: sp.csc_matrix, mass: sp.csc_matrix, sigma: float):
+    """A shift proved to lie below every eigenvalue of op x = lambda mass x,
+    starting from ``sigma < 0``, and the inverse of op - shift mass.
+
+    By Sylvester's law the shift is below the spectrum when the trusted
+    symmetric factorization of op - shift mass has no negative pivot;
+    otherwise the shift moves down fourfold and the matrix is refactored,
+    at most SHIFT_TRIES times.
+    """
+    for _ in range(SHIFT_TRIES):
+        lu, negatives = _symmetric_factor((op - sigma * mass).tocsc())
+        if negatives == 0:
+            n = op.shape[0]
+            return sigma, spla.LinearOperator((n, n), matvec=lu.solve, dtype=np.float64)
+        sigma *= 4.0
+    raise SolverFailure(f"no shift below the spectrum found in {SHIFT_TRIES} factorizations")
 
 
 def guarded_negative_count(

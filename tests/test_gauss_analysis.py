@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
 from anisolab import gauss_analysis as ga, integrand as ig, surface as sf
+from anisolab.cli import main
 from anisolab.errors import AmbiguousWinding, GrazingCircle, NonDiscreteCriticalSet
 
 from conftest import higher_order_enneper
@@ -186,6 +189,134 @@ class TestPseudograph:
         assert ga.euler_inequality_check(pg)["slack"] >= 0
         # genus 0, one vertex of order 1: floor of two unstable directions
         assert ga.index_lower_bound(pg) == 2
+
+
+def march_per_cell(patch, phi):
+    """Marching squares edge by edge and cell by cell: the loop that
+    ``_march_zero_set`` vectorizes, kept as its oracle."""
+    nu_, nv_ = patch.shape
+    hu, hv = patch.hu, patch.hv
+    us, vs = patch.u_samples(), patch.v_samples()
+    ncells_u = nu_ if patch.periodic_u else nu_ - 1
+    crossings = {}
+    for i in range(ncells_u):
+        for j in range(nv_):
+            a, b = phi[i, j], phi[(i + 1) % nu_, j]
+            if a * b < 0:
+                t = a / (a - b)
+                crossings[("u", i, j)] = np.array([us[i] + t * hu, vs[j]])
+    for i in range(nu_):
+        for j in range(nv_ - 1):
+            a, b = phi[i, j], phi[i, j + 1]
+            if a * b < 0:
+                t = a / (a - b)
+                crossings[("v", i, j)] = np.array([us[i], vs[j] + t * hv])
+
+    segments = []
+    for i in range(ncells_u):
+        i1 = (i + 1) % nu_
+        for j in range(nv_ - 1):
+            bottom, top = ("u", i, j), ("u", i, j + 1)
+            left, right = ("v", i, j), ("v", i1, j)
+            ids = [e for e in (bottom, top, left, right) if e in crossings]
+            if len(ids) == 2:
+                segments.append((ids[0], ids[1]))
+            elif len(ids) == 4:
+                center = 0.25 * (phi[i, j] + phi[i1, j] + phi[i, j + 1] + phi[i1, j + 1])
+                if (center > 0) == (phi[i, j] > 0):
+                    segments += [(bottom, right), (top, left)]
+                else:
+                    segments += [(bottom, left), (top, right)]
+
+    by_edge = {}
+    for si, (ea, eb) in enumerate(segments):
+        by_edge.setdefault(ea, []).append(si)
+        by_edge.setdefault(eb, []).append(si)
+    used = np.zeros(len(segments), dtype=bool)
+    polylines = []
+    for start in range(len(segments)):
+        if used[start]:
+            continue
+        chain = list(segments[start])
+        used[start] = True
+        for end in (1, 0):
+            while True:
+                tip = chain[-1] if end == 1 else chain[0]
+                nxt = [s for s in by_edge.get(tip, []) if not used[s]]
+                if not nxt:
+                    break
+                used[nxt[0]] = True
+                ea, eb = segments[nxt[0]]
+                new = eb if ea == tip else ea
+                if end == 1:
+                    chain.append(new)
+                else:
+                    chain.insert(0, new)
+        closed = len(chain) > 3 and chain[0] == chain[-1]
+        if closed:
+            chain = chain[:-1]
+        polylines.append((np.array([crossings[e] for e in chain]), closed))
+    return polylines
+
+
+def assert_same_polylines(patch, phi):
+    expected = march_per_cell(patch, phi)
+    got = ga._march_zero_set(patch, phi)
+    assert len(got) == len(expected)
+    for (pts, closed), (ref, ref_closed) in zip(got, expected):
+        assert closed == ref_closed
+        assert np.array_equal(pts, ref)
+    return got
+
+
+class TestMarchZeroSet:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("fixture", ["catenoid", "plane"])
+    def test_random_fields_match_per_cell_oracle(self, fixture, seed):
+        patch = sf.fixture(fixture, grid=(19 + seed, 14 + 3 * seed))
+        phi = np.random.default_rng(seed).standard_normal(patch.shape)
+        # the fields must exercise saddle cells and, when periodic, the seam
+        sign = phi > 0
+        rows = np.arange(1, patch.shape[0] + 1) % patch.shape[0]
+        saddle = ((sign[:-1, :-1] == sign[1:, 1:]) & (sign[1:, :-1] == sign[:-1, 1:])
+                  & (sign[:-1, :-1] != sign[1:, :-1]))
+        assert np.any(saddle)
+        if patch.periodic_u:
+            assert np.any(phi[-1] * phi[0] < 0)
+            seam = ga._march_zero_set(patch, phi)
+            assert any(np.any(pts[:, 0] > patch.u_samples()[-1]) for pts, _ in seam)
+        assert np.any(phi * phi[rows] < 0)
+        assert_same_polylines(patch, phi)
+
+    def test_seam_crossing_closes_loop(self):
+        # a disc straddling u = 0 is one closed loop through the seam cells
+        patch = sf.fixture("catenoid", grid=(24, 17))
+        U, V = np.meshgrid(patch.u_samples(), patch.v_samples(), indexing="ij")
+        du = np.abs(U - 0.3 * patch.hu)
+        phi = 0.6 - np.hypot(np.minimum(du, TWO_PI - du), V)
+        (pts, closed), = assert_same_polylines(patch, phi)
+        assert closed
+        assert np.any(pts[:, 0] > patch.u_samples()[-1])
+
+    @pytest.mark.parametrize("axis", [E1, E3, (0.6, 0.0, 0.8)])
+    def test_fixture_normal_fields_match_oracle(self, catenoid_field, axis):
+        for patch in (catenoid_field.patch, higher_order_enneper(3, grid=97)):
+            phi = patch.normals()[0] @ np.asarray(axis)
+            assert_same_polylines(patch, phi + 1e-12 * np.max(np.abs(phi)))
+
+    @pytest.mark.parametrize("args,digest", [
+        (["--surface", "catenoid:2"],
+         "38b7f39b3f8333160f2330c8e778efdfb4e59bf55ccb3fba6296e5ba8fce761e"),
+        (["--surface", "enneper:1.3", "--axis", "1,0,0"],
+         "7caebf84c929516c6f6839cf8ad08aa3bc0f25f934d5fd34ada054249f8004e9"),
+        (["--surface", "plane"],
+         "d24d93cf17c62d6827cd67a634a7a40180523bbbfd88317ae52d814b94dd32d5"),
+    ])
+    def test_gauss_report_bytes_unchanged(self, tmp_path, args, digest):
+        # digests of the reports the per-cell loop produced
+        out = tmp_path / "g.json"
+        assert main(["gauss", "--integrand", "const:1", *args, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestBoundArithmetic:

@@ -173,6 +173,30 @@ class TestSolve:
         assert np.max(np.abs(sol.u - exact)) <= 5e-4
         assert len(factored) <= 3
 
+    def test_converged_initial_guess_is_not_refactored(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("factored for an already converged start")
+
+        monkeypatch.setattr(gs, "spla", type("NoSplu", (), {"splu": staticmethod(refuse)})())
+        for spec, max_iter in ((C1, 0), (C1, 5), (E112, 5)):
+            # linear functions are exact solutions for every integrand
+            prob = square_problem(spec, bc=gs.bc_linear(0.3, -0.7, 0.2), max_iter=max_iter)
+            X, Y = prob.node_coords()
+            sol = gs.solve(prob, u0=0.3 * X - 0.7 * Y + 0.2)
+            assert sol.converged and sol.status == "converged"
+            assert sol.iterations == 0 and sol.residual_history == [sol.residual_linf]
+            assert sol.residual_linf <= prob.tol
+        # no step is taken, yet a degenerate integrand is still refused
+        bad = square_problem(IntegrandSpec("ellipsoid", (1e-7, 1.0, 1.0)),
+                             bc=gs.bc_linear(1.0, 0.0, 0.0))
+        with pytest.raises(EllipticityLoss):
+            gs.solve(bad, u0=bad.node_coords()[0])
+
+    def test_seed_within_tol_and_no_steps_is_converged(self):
+        sol = gs.solve(square_problem(C1, max_iter=0))
+        assert (sol.converged, sol.status, sol.iterations) == (True, "converged", 0)
+        assert sol.residual_linf == 0.0
+
     def test_unreachable_tol_reports_stalled(self):
         prob = gs.GraphProblem(
             domain=(1.2, 2.0, -0.4, 0.4),

@@ -283,12 +283,15 @@ class TestCli:
     @pytest.mark.parametrize("case", [
         "integrand", "config_key", "surface", "domains", "axis_number", "axis_length",
         "axis_zero", "graph_domain_number", "graph_domain_length", "graph_grid",
+        "spectrum_k_zero", "spectrum_k_negative", "bounds_grid_zero", "gauss_grid_two",
+        "wulff_refine_negative",
     ])
     def test_bad_input_exits_2(self, tmp_path, capsys, case):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"surface": "plane", "bogus": 1}))
         gauss = ["gauss", "--surface", "plane", "--integrand", "const:1", "--grid", "16"]
         graph = ["solve-graph", "--integrand", "const:1", "--bc", "catenoid"]
+        spectrum = ["spectrum", "--surface", "catenoid:2", "--integrand", "const:1"]
         argv = {
             "integrand": ["wulff", "--integrand", "foo:1", "--out", str(tmp_path / "w.obj")],
             "config_key": ["bounds", "--config", str(cfg)],
@@ -301,6 +304,12 @@ class TestCli:
             "graph_domain_number": graph + ["--domain", "1.2,2,x,0.4"],
             "graph_domain_length": graph + ["--domain", "1.2,2,0.4"],
             "graph_grid": graph + ["--domain", "1.2,2,-0.4,0.4", "--grid", "5"],
+            "spectrum_k_zero": spectrum + ["--k", "0"],
+            "spectrum_k_negative": spectrum + ["--k", "-3"],
+            "bounds_grid_zero": ["bounds", "--grid", "0"],
+            "gauss_grid_two": gauss[:-1] + ["2"],
+            "wulff_refine_negative": ["wulff", "--integrand", "const:1", "--refine", "-1",
+                                      "--out", str(tmp_path / "w.obj")],
         }[case]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: InvalidSpec: ")

@@ -1,6 +1,10 @@
+import importlib
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.integrate import dblquad
 
 from anisolab import integrand as ig, spectrum as spx, surface as sf
@@ -244,6 +248,35 @@ CRITERION_11 = [
 ]
 
 
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Counts the factorizations the spectrum module makes; ARPACK's own
+    shift-invert factorization raises."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("ARPACK factored op - sigma mass itself")
+
+    arpack = importlib.import_module("scipy.sparse.linalg._eigen.arpack.arpack")
+    monkeypatch.setattr(arpack, "splu", refuse)
+    made = []
+
+    class CountingSpla:
+        def __getattr__(self, name):
+            return getattr(spla, name)
+
+        def splu(self, *args, **kwargs):
+            made.append(kwargs.get("permc_spec"))
+            return spla.splu(*args, **kwargs)
+
+    monkeypatch.setattr(spx, "spla", CountingSpla())
+    return made
+
+
+def dense_pencil(disc):
+    idx = spx.interior_indices(disc)
+    a, m = disc.operator[idx][:, idx].toarray(), disc.mass[idx][:, idx].toarray()
+    return sla.eigh(a, m, eigvals_only=True)
+
+
 class TestInertia:
     @pytest.mark.parametrize("config", CRITERION_11, ids=["catenoid", "enneper", "sheared"])
     def test_matches_eigensolve_count(self, config):
@@ -281,7 +314,7 @@ class TestInertia:
         assert len(calls) == 1
         assert count == spx.negative_count(original(disc, spx.DEFAULT_EIG_COUNT)[0]) == 1
 
-    def test_dirichlet_eigs_extends_past_window(self):
+    def test_dirichlet_eigs_extends_past_window(self, factorizations):
         patch = sf.fixture(
             "sheared_catenoid", grid=(64, 64), shear=np.diag([1.0, 1.0, 2.0]), v_extent=2.5
         )
@@ -291,6 +324,43 @@ class TestInertia:
         vals = spx.dirichlet_eigs(disc, 12, domain=(0, TWO_PI, -2.5, 2.5))[0]
         assert len(vals) > 12
         assert spx.negative_count(vals) > 12
+        # every widening of the window reuses the one shift-invert factor
+        assert len(factorizations) == 1
+
+
+class TestShiftInvert:
+    def test_arpack_matches_dense_above_cutoff(self, factorizations):
+        patch = sf.fixture("catenoid", grid=(24, 22), v_extent=2.0)
+        disc = spx.assemble(patch, C1)
+        assert len(spx.interior_indices(disc)) == 480 > spx.DENSE_CUTOFF
+        vals = spx.dirichlet_eigs(disc, 8)[0]
+        ref = dense_pencil(disc)[:8]
+        assert ref[0] < 0 < ref[1]
+        np.testing.assert_allclose(vals, ref, rtol=1e-10, atol=1e-10 * np.max(np.abs(ref)))
+        assert factorizations == ["MMD_AT_PLUS_A"]
+
+    def test_shift_above_lambda1_is_lowered(self, factorizations):
+        # a one-node potential spike: the diagonal estimate puts the first
+        # shift at -0.6 q - 1, but the spike mode sits near -0.607 q
+        patch = sf.fixture("plane", grid=(23, 23))
+        weight = np.zeros(patch.shape)
+        weight[11, 11] = 1e6
+        disc = spx.assemble(patch, C1, potential_weight=weight)
+        idx = spx.interior_indices(disc)
+        assert len(idx) > spx.DENSE_CUTOFF
+        first_shift = -np.max(disc.potential.diagonal()[idx] / disc.mass.diagonal()[idx]) - 1
+        ref = dense_pencil(disc)
+        assert ref[0] < first_shift < ref[1]
+        vals = spx.dirichlet_eigs(disc, 6)[0]
+        ref = ref[: len(vals)]
+        np.testing.assert_allclose(vals, ref, rtol=1e-10, atol=1e-10 * np.max(np.abs(ref)))
+        assert len(factorizations) == 2
+
+    def test_unprovable_shift_fails_loudly(self, monkeypatch):
+        disc = spx.assemble(sf.fixture("plane", grid=(32, 32)), C1)
+        monkeypatch.setattr(spx, "_symmetric_factor", lambda a: (None, None))
+        with pytest.raises(SolverFailure, match="no shift below the spectrum"):
+            spx.dirichlet_eigs(disc, 4)
 
 
 class TestJacobiFieldResidual:

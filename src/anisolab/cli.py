@@ -30,7 +30,9 @@ from .integrand import parse_integrand, wulff_mesh
 from .objio import grid_faces, write_obj, write_obj_with_fields
 
 
-def _parse_bc(text: str, domain):
+def _parse_bc(text: str, domain, in_file: bool = False):
+    """Boundary-data grammar, or a JSON file {"bc": <grammar>}; such a file
+    may not name another file."""
     head, _, tail = text.strip().partition(":")
     try:
         if head == "zero":
@@ -43,10 +45,12 @@ def _parse_bc(text: str, domain):
             return bc_catenoid()
     except ValueError as exc:
         raise InvalidSpec(f"cannot parse boundary data {text!r}: {exc}") from exc
-    path = Path(text)
-    if path.exists():
-        payload = json.loads(path.read_text())
-        return _parse_bc(payload["bc"], domain)
+    if not in_file and Path(text).exists():
+        try:
+            bc = json.loads(Path(text).read_text())["bc"]
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise InvalidSpec(f"cannot read boundary data from {text!r}: {exc!r}") from exc
+        return _parse_bc(str(bc), domain, in_file=True)
     raise InvalidSpec(f"unknown boundary data {text!r}")
 
 
@@ -179,8 +183,6 @@ def gauss_payload(ctx: RunContext) -> dict:
 
 def cmd_gauss(args) -> int:
     axis = _parse_numbers(args.axis, "x,y,z")
-    if not any(axis):
-        raise InvalidSpec(f"axis {args.axis!r} is the zero vector")
     ctx = RunContext(_config(args, axes=[axis], genus=args.genus))
     _write(args.out, json.dumps(gauss_payload(ctx)))
     return 0
@@ -188,7 +190,10 @@ def cmd_gauss(args) -> int:
 
 def cmd_bounds(args) -> int:
     if args.config:
-        config = ExperimentConfig.from_json(Path(args.config).read_text())
+        try:
+            config = ExperimentConfig.from_json(Path(args.config).read_text())
+        except (OSError, ValueError) as exc:
+            raise InvalidSpec(f"cannot read config {args.config!r}: {exc}") from exc
     else:
         config = _config(
             args, domains=_parse_domains(args.domains), genus=args.genus, seed=args.seed

@@ -34,7 +34,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import EllipticityLoss
-from .integrand import IntegrandSpec, gamma_hessians
+from .integrand import IntegrandSpec, gamma_hessians, sym2, sym2x2_eigenvalues
 from .surface import SurfacePatch
 
 MIN_DAMPING = 2.0**-20
@@ -48,7 +48,6 @@ class GraphProblem:
     spec: IntegrandSpec
     tol: float = 1e-10
     max_iter: int = 200
-    damping: float = 1.0
 
     def __post_init__(self):
         nx, ny = self.shape
@@ -116,7 +115,7 @@ def _frozen_coefficients(problem: GraphProblem, u: np.ndarray):
     uniformly elliptic."""
     jets = _interior_jets(u, problem.hx, problem.hy)
     c11, c12, c22 = _coefficients(problem.spec, jets["ux"], jets["uy"])
-    mine = 0.5 * (c11 + c22) - np.sqrt(0.25 * (c11 - c22) ** 2 + c12**2)
+    mine = sym2x2_eigenvalues(sym2(c11, c12, c22))[..., 0]
     if np.min(mine) < 1e-10:
         raise EllipticityLoss(
             f"frozen coefficient matrix has eigenvalue {np.min(mine):.3e}"
@@ -222,11 +221,11 @@ def solve(problem: GraphProblem, u0: np.ndarray | None = None) -> GraphSolution:
     residual increase.
 
     A caller-supplied ``u0`` supplies interior values only; its edge nodes
-    are replaced by the boundary data; a ``u0`` already within ``tol`` comes
-    back converged after 0 iterations, without a factorization.  The
-    harmonic seed always takes a Picard step unless ``max_iter`` is 0.
-    Non-convergence is data, not an error: the best iterate comes back with
-    its ``status`` so the caller can still inspect it.
+    are replaced by the boundary data.  A start already within ``tol``, be
+    it ``u0`` or the harmonic seed, comes back converged after 0 iterations,
+    without a factorization.  Non-convergence is data, not an error: the
+    best iterate comes back with its ``status`` so the caller can still
+    inspect it.
     """
     stencil = _Stencil(problem)
     if u0 is None:
@@ -238,12 +237,12 @@ def solve(problem: GraphProblem, u0: np.ndarray | None = None) -> GraphSolution:
     r = residual(u, problem)
     res = float(np.max(np.abs(r)))
     history = [res]
-    omega = problem.damping
+    omega = 1.0
     iterations = 0
     status = "max_iter"
     lu = None
     budget = problem.max_iter
-    if u0 is not None and res <= problem.tol:
+    if res <= problem.tol:
         _frozen_coefficients(problem, u)  # no step, but a non-elliptic problem is refused
         budget = 0
     for it in range(1, budget + 1):
@@ -267,7 +266,6 @@ def solve(problem: GraphProblem, u0: np.ndarray | None = None) -> GraphSolution:
         history.append(res)
         iterations = it
         if res <= problem.tol:
-            status = "converged"
             break
     if res <= problem.tol:  # also a start within tol
         status = "converged"

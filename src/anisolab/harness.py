@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +40,6 @@ from .integrand import (
     IntegrandSpec,
     WulffMesh,
     anisotropy_constants,
-    format_integrand,
     gamma_gradients,
     parse_integrand,
     tangent_frame,
@@ -95,9 +96,23 @@ class ExperimentConfig:
     eig_count: int = 12
 
     def __post_init__(self):
-        if self.grid < 3 or self.eig_count < 1:
-            raise InvalidSpec(f"need grid >= 3 and eig_count >= 1, got grid {self.grid} "
-                              f"and eig_count {self.eig_count}")
+        if not (isinstance(self.surface, str) and isinstance(self.integrand, str)):
+            raise InvalidSpec("surface and integrand must be strings")
+        for name, low in (("grid", 3), ("eig_count", 1), ("genus", 0), ("seed", 0),
+                          ("wulff_refinement", 0), ("euler_char", -math.inf)):
+            value = getattr(self, name)
+            if not (isinstance(value, Integral) and not isinstance(value, bool) and value >= low):
+                raise InvalidSpec(f"{name} must be an integer >= {low}, got {value!r}")
+        if not _numbers([self.minimal_accept, self.jacobi_residual_tol], 2):
+            raise InvalidSpec("minimal_accept and jacobi_residual_tol must be finite numbers")
+        if self.domains is not None and not (
+                isinstance(self.domains, (list, tuple)) and len(self.domains) >= 3
+                and all(_numbers(d, 4) for d in self.domains)):
+            raise InvalidSpec(f"domains must be three or more lists u0,u1,v0,v1, "
+                              f"got {self.domains!r}")
+        if not (isinstance(self.axes, (list, tuple)) and self.axes
+                and all(_numbers(a, 3) and any(a) for a in self.axes)):
+            raise InvalidSpec(f"axes must be one or more nonzero 3-vectors, got {self.axes!r}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -105,10 +120,19 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise InvalidSpec("a config is a JSON object")
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise InvalidSpec(f"unknown config keys {unknown}")
         return cls(**data)
+
+
+def _numbers(values, count: int) -> bool:
+    """Whether ``values`` is a list or tuple of ``count`` finite numbers."""
+    return (isinstance(values, (list, tuple)) and len(values) == count
+            and all(isinstance(v, Real) and not isinstance(v, bool)
+                    and math.isfinite(v) for v in values))
 
 
 # fixture parameters in the order the surface grammar lists them
@@ -124,16 +148,20 @@ def parse_surface(text: str, grid, integrand: str | None = None) -> SurfacePatch
     it is not critical for the requested weight."""
     path = Path(text)
     if path.suffix == ".json" and path.exists():
-        payload = json.loads(path.read_text())
-        spec = parse_integrand(payload["integrand"])
-        if integrand is not None and format_integrand(spec) != format_integrand(
-                parse_integrand(integrand)):
-            raise InvalidSpec(f"{path} was solved for integrand {payload['integrand']!r}, "
-                              f"not {integrand!r}")
-        prob = GraphProblem(tuple(payload["domain"]), tuple(payload["grid"]), bc_zero(), spec)
-        sol = GraphSolution(prob, np.array(payload["u"]).reshape(prob.shape),
-                            payload["residual_linf"], payload["iterations"], payload["converged"])
-        return lift(sol)
+        try:
+            payload = json.loads(path.read_text())
+            spec = parse_integrand(str(payload["integrand"]))
+            if integrand is not None and spec != parse_integrand(integrand):
+                raise InvalidSpec(f"{path} was solved for integrand {payload['integrand']!r}, "
+                                  f"not {integrand!r}")
+            prob = GraphProblem(tuple(payload["domain"]), tuple(payload["grid"]), bc_zero(), spec)
+            return lift(GraphSolution(
+                prob, np.array(payload["u"], dtype=float).reshape(prob.shape),
+                payload["residual_linf"], payload["iterations"], payload["converged"]))
+        except InvalidSpec:
+            raise
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise InvalidSpec(f"cannot read solution {text!r}: {exc!r}") from exc
     head, _, tail = text.strip().partition(":")
     try:
         if head == "sheared_catenoid":
@@ -268,7 +296,7 @@ class RunContext:
     def patch(self) -> SurfacePatch:
         c = self.config
         patch = parse_surface(c.surface, c.grid, c.integrand)
-        patch.genus, patch.euler_char = c.genus, c.euler_char
+        patch.genus = c.genus
         return patch
 
     @cached_property

@@ -181,14 +181,19 @@ def tangential_curvature_tensor(
     """
     nu = np.asarray(normals, dtype=np.float64)
     e1, e2 = tangent_frame(nu)
-    h = gamma_hessians(spec, nu)
-    a11 = np.einsum("...i,...ij,...j->...", e1, h, e1)
-    a12 = np.einsum("...i,...ij,...j->...", e1, h, e2)
-    a22 = np.einsum("...i,...ij,...j->...", e2, h, e2)
-    A = np.stack(
-        [np.stack([a11, a12], axis=-1), np.stack([a12, a22], axis=-1)], axis=-2
-    )
-    return A, e1, e2
+    return restrict2(gamma_hessians(spec, nu), e1, e2), e1, e2
+
+
+def sym2(a, b, d) -> np.ndarray:
+    """The symmetric 2x2 stack [[a, b], [b, d]], shape (..., 2, 2)."""
+    return np.stack([np.stack([a, b], axis=-1), np.stack([b, d], axis=-1)], axis=-2)
+
+
+def restrict2(h: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The 3x3 forms h restricted to the legs (x, y): [[x.h.x, x.h.y], [x.h.y, y.h.y]]."""
+    def form(p, q):
+        return np.einsum("...i,...ij,...j->...", p, h, q)
+    return sym2(form(x, x), form(x, y), form(y, y))
 
 
 def sym2x2_eigenvalues(mats: np.ndarray) -> np.ndarray:
@@ -323,14 +328,7 @@ def _harmonic_eps_cap(l: int, m: int) -> float:
     base = gamma_hessians(IntegrandSpec("constant", (1.0,)), sample)
     full = gamma_hessians(probe, sample)
     B = full - base  # tangential Hessian contribution of the harmonic alone
-    e1, e2 = tangent_frame(sample)
-    b11 = np.einsum("ni,nij,nj->n", e1, B, e1)
-    b12 = np.einsum("ni,nij,nj->n", e1, B, e2)
-    b22 = np.einsum("ni,nij,nj->n", e2, B, e2)
-    radius = np.abs(0.5 * (b11 + b22)) + np.sqrt(
-        np.maximum(0.0, (0.5 * (b11 - b22)) ** 2 + b12 * b12)
-    )
-    b_max = float(np.max(radius))
+    b_max = float(np.max(np.abs(sym2x2_eigenvalues(restrict2(B, *tangent_frame(sample))))))
     caps = [0.95 / y_max if y_max > 0 else math.inf]
     if b_max > 0:
         caps.append(0.95 / b_max)

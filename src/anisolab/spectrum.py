@@ -35,7 +35,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import SolverFailure
-from .integrand import IntegrandSpec, anisotropy_constants, gamma_hessians
+from .integrand import IntegrandSpec, anisotropy_constants, gamma_hessians, restrict2, sym2
 from .objio import grid_faces
 from .surface import CurvatureField, SurfacePatch, curvature_field
 
@@ -143,25 +143,12 @@ def assemble(
     E = np.einsum("ti,ti->t", xu, xu)
     F = np.einsum("ti,ti->t", xu, xv)
     G = np.einsum("ti,ti->t", xv, xv)
-    gmat = np.stack(
-        [np.stack([E, F], axis=-1), np.stack([F, G], axis=-1)], axis=-2
-    )
     if isotropic_diffusion:
-        amat = gmat
+        amat = sym2(E, F, G)
     else:
-        hmat = gamma_hessians(spec, nbar)
-        auu = np.einsum("ti,tij,tj->t", xu, hmat, xu)
-        auv = np.einsum("ti,tij,tj->t", xu, hmat, xv)
-        avv = np.einsum("ti,tij,tj->t", xv, hmat, xv)
-        amat = np.stack(
-            [np.stack([auu, auv], axis=-1), np.stack([auv, avv], axis=-1)], axis=-2
-        )
+        amat = restrict2(gamma_hessians(spec, nbar), xu, xv)
     det_g = E * G - F * F
-    ginv = np.empty_like(gmat)
-    ginv[:, 0, 0] = G / det_g
-    ginv[:, 0, 1] = -F / det_g
-    ginv[:, 1, 0] = -F / det_g
-    ginv[:, 1, 1] = E / det_g
+    ginv = sym2(G / det_g, -F / det_g, E / det_g)
     coeff = np.einsum("tab,tbc,tcd->tad", ginv, amat, ginv) * jac[:, None, None]
     local_k = area[:, None, None] * np.einsum("tai,tij,tbj->tab", grads, coeff, grads)
 
@@ -273,17 +260,9 @@ def dirichlet_eigs(
                 vals, vecs = vals[order], vecs[:, order]
         except Exception as exc:  # ARPACK and LAPACK failures surface loudly
             raise SolverFailure(f"eigensolve failed: {exc}") from exc
-        scale = float(np.max(np.abs(vals))) if len(vals) else 1.0
-        if not auto_extend or len(vals) >= n or vals[-1] >= -ZERO_EIG_REL * scale:
+        if not auto_extend or len(vals) >= n or negative_count(vals) < len(vals):
             break
         k = min(2 * k, n)
-
-    # deterministic eigenvector signs: first significant entry positive
-    for j in range(vecs.shape[1]):
-        col = vecs[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-8 * np.max(np.abs(col)))
-        if len(nz) and col[nz[0]] < 0:
-            vecs[:, j] = -col
     return vals, vecs, idx
 
 

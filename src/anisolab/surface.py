@@ -15,7 +15,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import BoundaryNotFixed, DegenerateImmersion, SingularShear, UnknownFixture
-from .integrand import IntegrandSpec, gamma_hessians, gamma_values
+from .integrand import (IntegrandSpec, gamma_hessians, gamma_values, restrict2, sym2,
+                        sym2x2_eigenvalues)
 
 IMMERSION_TOL = 1e-10
 
@@ -34,7 +35,6 @@ class SurfacePatch:
     orientation: int = 1
     periodic_u: bool = False
     genus: int = 0
-    euler_char: int = 2
     jet_fn: Callable | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -213,22 +213,12 @@ def curvature_field(patch: SurfacePatch, spec: IntegrandSpec) -> CurvatureField:
     s11 = c1u * c1u * L
     s12 = c1u * (c2u * L + c2v * M)
     s22 = c2u * c2u * L + 2 * c2u * c2v * M + c2v * c2v * N
-    shape_op = np.stack(
-        [np.stack([s11, s12], axis=-1), np.stack([s12, s22], axis=-1)], axis=-2
-    )
+    shape_op = sym2(s11, s12, s22)
+    kappa = sym2x2_eigenvalues(shape_op)
+    kappa1, kappa2 = kappa[..., 0], kappa[..., 1]
 
-    mean = 0.5 * (s11 + s22)
-    dev = np.sqrt(np.maximum(0.0, (0.5 * (s11 - s22)) ** 2 + s12 * s12))
-    kappa1 = mean - dev
-    kappa2 = mean + dev
-
-    hess = gamma_hessians(spec, normal)
-    a11 = np.einsum("...i,...ij,...j->...", e1, hess, e1)
-    a12 = np.einsum("...i,...ij,...j->...", e1, hess, e2)
-    a22 = np.einsum("...i,...ij,...j->...", e2, hess, e2)
-    a_tensor = np.stack(
-        [np.stack([a11, a12], axis=-1), np.stack([a12, a22], axis=-1)], axis=-2
-    )
+    a_tensor = restrict2(gamma_hessians(spec, normal), e1, e2)
+    a11, a12, a22 = a_tensor[..., 0, 0], a_tensor[..., 0, 1], a_tensor[..., 1, 1]
 
     # principal frame (ties fall back to the X_u direction via atan2(0, 0) = 0)
     theta = 0.5 * np.arctan2(2 * s12, s11 - s22)
@@ -323,10 +313,10 @@ def first_variation_check(
 # ---------------------------------------------------------------------------
 
 def _as_shape(grid) -> tuple[int, int]:
-    if isinstance(grid, int):
-        return (grid, grid)
-    nu, nv = grid
-    return (int(nu), int(nv))
+    nu, nv = (grid, grid) if isinstance(grid, int) else map(int, grid)
+    if min(nu, nv) < 3:  # the one-sided derivative stencils need three nodes
+        raise ValueError(f"need at least 3 nodes per direction, got {nu}x{nv}")
+    return (nu, nv)
 
 
 def _build(name, jet_fn, domain, shape, periodic_u, orientation) -> SurfacePatch:
@@ -469,10 +459,8 @@ def from_jet(
     periodic_u: bool = False,
     orientation: int = 1,
     genus: int = 0,
-    euler_char: int = 2,
 ) -> SurfacePatch:
     """Wrap a user-supplied analytic jet function as a patch."""
     patch = _build(name, jet_fn, domain, _as_shape(grid), periodic_u, orientation)
     patch.genus = genus
-    patch.euler_char = euler_char
     return patch

@@ -350,14 +350,13 @@ class TestBoundArithmetic:
         euler = ga.euler_inequality_check(pg)
         assert (euler["v"], euler["e"], euler["N"], euler["slack"]) == (2, 2, 3, 1)
 
-    def test_euler_violation_raises(self):
+    def test_euler_violation_negative_slack(self):
         pg = ga.Pseudograph(
             vertices=[], edges=[ga.PseudographEdge(np.zeros((4, 2)), True)],
             n_components_complement=1, genus=0, band_tol=0.1,
             v_count=0, e_count=2,
         )
-        with pytest.raises(AssertionError):
-            ga.euler_inequality_check(pg)
+        assert ga.euler_inequality_check(pg)["slack"] < 0
 
     def test_riemann_hurwitz_fixtures(self, catenoid_field, wulff_sphere):
         d = ga.degrees(catenoid_field, wulff_sphere)

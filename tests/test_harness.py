@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from anisolab import harness, integrand as ig, spectrum as spx, surface as sf
+from anisolab import gauss_analysis as ga, harness, integrand as ig, spectrum as spx, surface as sf
 from anisolab.cli import gauss_payload, main
 from anisolab.errors import InvalidSpec
 from anisolab.harness import (
@@ -84,6 +84,20 @@ class TestVerifyBounds:
         assert check["passed"] is passed
         assert check["lhs"] == [count] * 3
 
+    def test_euler_violation_fails_the_check(self, monkeypatch):
+        # a violating pseudograph is a failed check in a complete report
+        pg = ga.Pseudograph(
+            vertices=[], edges=[ga.PseudographEdge(np.zeros((4, 2)), True)],
+            n_components_complement=1, genus=0, band_tol=0.1, v_count=0, e_count=2,
+        )
+        monkeypatch.setattr(harness, "pseudograph_extract", lambda *args, **kwargs: pg)
+        rep = verify_bounds(ExperimentConfig(surface="plane", grid=32))
+        assert [c["name"] for c in rep["checks"]] == list(REQUIRED_CHECKS)
+        (check,) = [c for c in rep["checks"] if c["name"] == "pseudograph_euler_inequality"]
+        assert check["passed"] is False
+        assert check["lhs"] == -3
+        assert "pseudograph_euler_inequality" in rep["failed_checks"]
+
     def test_every_check_carries_tolerance(self, catenoid_report):
         for c in catenoid_report["checks"]:
             assert "tolerance" in c and "name" in c and "note" in c
@@ -132,7 +146,7 @@ class TestConfig:
             surface="enneper:1.3",
             integrand="sh:2,0,0.05",
             grid=64,
-            domains=[[0, 1, 0, 1]],
+            domains=[[0.2, 0.8, 0.2, 0.8], [0.1, 0.9, 0.1, 0.9], [0, 1, 0, 1]],
             genus=0,
             seed=7,
         )
@@ -205,12 +219,20 @@ class TestCli:
         config = ExperimentConfig(surface=str(sol), integrand="ellipsoid:1,1,2")
         with pytest.raises(InvalidSpec):
             RunContext(config).patch
-        # compared in canonical form, so another spelling of const:1 is accepted
+        # compared as specs, so another spelling of const:1 is accepted
         rc = main(
             ["curvature", "--surface", str(sol), "--integrand", "const:1.0",
              "--out", str(tmp_path / "c.obj")]
         )
         assert rc == 0
+        # and weights that print alike but differ are not
+        near = tmp_path / "near.json"
+        near.write_text(json.dumps({**json.loads(sol.read_text()), "integrand": "const:1.0000001"}))
+        capsys.readouterr()
+        rc = main(["curvature", "--surface", str(near), "--integrand", "const:1.0000002",
+                   "--out", str(tmp_path / "c.obj")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: InvalidSpec: ")
 
     def test_solution_without_status_still_loads(self, tmp_path, capsys):
         sol = tmp_path / "sol.json"
@@ -278,23 +300,38 @@ class TestCli:
              "--out", str(sol)]
         )
         assert rc == 0
-        assert json.loads(sol.read_text())["iterations"] == 1
+        assert json.loads(sol.read_text())["iterations"] == 0
 
     @pytest.mark.parametrize("case", [
         "integrand", "config_key", "surface", "domains", "axis_number", "axis_length",
         "axis_zero", "graph_domain_number", "graph_domain_length", "graph_grid",
         "spectrum_k_zero", "spectrum_k_negative", "bounds_grid_zero", "gauss_grid_two",
-        "wulff_refine_negative",
+        "wulff_refine_negative", "config_one_domain", "config_grid_string",
+        "config_missing", "config_bad_json", "config_axis_zero", "domains_two",
+        "bc_file_names_itself", "bc_file_without_bc", "solution_missing_keys",
+        "solution_bad_json", "config_no_axes", "config_surface_number",
+        "config_tolerance_string",
     ])
     def test_bad_input_exits_2(self, tmp_path, capsys, case):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"surface": "plane", "bogus": 1}))
+        cfg.write_text({
+            "config_one_domain": json.dumps({"surface": "plane", "domains": [[0, 1, 0, 1]]}),
+            "config_grid_string": json.dumps({"surface": "plane", "grid": "24"}),
+            "config_bad_json": '{"surface": ',
+            "config_axis_zero": json.dumps({"surface": "plane", "axes": [[0, 0, 0]]}),
+            "config_no_axes": json.dumps({"surface": "plane", "axes": []}),
+            "config_surface_number": json.dumps({"surface": 5}),
+            "config_tolerance_string": json.dumps({"surface": "plane", "minimal_accept": "x"}),
+            "bc_file_names_itself": json.dumps({"bc": str(cfg)}),
+            "bc_file_without_bc": json.dumps({"boundary": "zero"}),
+            "solution_missing_keys": json.dumps({"integrand": "const:1"}),
+            "solution_bad_json": "{",
+        }.get(case, json.dumps({"surface": "plane", "bogus": 1})))
         gauss = ["gauss", "--surface", "plane", "--integrand", "const:1", "--grid", "16"]
         graph = ["solve-graph", "--integrand", "const:1", "--bc", "catenoid"]
         spectrum = ["spectrum", "--surface", "catenoid:2", "--integrand", "const:1"]
         argv = {
             "integrand": ["wulff", "--integrand", "foo:1", "--out", str(tmp_path / "w.obj")],
-            "config_key": ["bounds", "--config", str(cfg)],
             "surface": ["bounds", "--surface", "torus"],
             "domains": ["spectrum", "--surface", "plane", "--integrand", "const:1",
                         "--domains", "1,2,3"],
@@ -310,7 +347,14 @@ class TestCli:
             "gauss_grid_two": gauss[:-1] + ["2"],
             "wulff_refine_negative": ["wulff", "--integrand", "const:1", "--refine", "-1",
                                       "--out", str(tmp_path / "w.obj")],
-        }[case]
+            "config_missing": ["bounds", "--config", str(tmp_path / "missing.json")],
+            "domains_two": ["bounds", "--surface", "plane", "--grid", "16",
+                            "--domains", "0,1,0.1,0.9;0,1,0,1"],
+            "bc_file_names_itself": graph[:-1] + [str(cfg), "--domain", "0,1,0,1"],
+            "bc_file_without_bc": graph[:-1] + [str(cfg), "--domain", "0,1,0,1"],
+            "solution_missing_keys": ["bounds", "--surface", str(cfg)],
+            "solution_bad_json": ["bounds", "--surface", str(cfg)],
+        }.get(case, ["bounds", "--config", str(cfg)])  # the config_* cases
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: InvalidSpec: ")
 

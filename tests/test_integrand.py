@@ -130,6 +130,32 @@ class TestHessianAGamma:
         assert np.allclose(np.cross(e1, e2), nus, atol=1e-12)
 
 
+class TestTangentAlgebra:
+    def test_sym2_and_restrict2_entrywise(self, rng):
+        h = rng.standard_normal((7, 5, 3, 3))
+        h = h + np.swapaxes(h, -1, -2)
+        x, y = rng.standard_normal((2, 7, 5, 3))
+        a, b, d = rng.standard_normal((3, 7, 5))
+        s = ig.sym2(a, b, d)
+        assert s.shape == (7, 5, 2, 2)
+        for (i, j), want in {(0, 0): a, (0, 1): b, (1, 0): b, (1, 1): d}.items():
+            assert np.array_equal(s[..., i, j], want)
+        r = ig.restrict2(h, x, y)
+        assert r.shape == (7, 5, 2, 2)
+        xhy = np.einsum("abi,abij,abj->ab", x, h, y)
+        assert np.array_equal(r[..., 0, 0], np.einsum("abi,abij,abj->ab", x, h, x))
+        assert np.array_equal(r[..., 0, 1], xhy)
+        assert np.array_equal(r[..., 1, 0], xhy)
+        assert np.array_equal(r[..., 1, 1], np.einsum("abi,abij,abj->ab", y, h, y))
+
+    def test_eigenvalues_match_lapack(self, rng):
+        a, b, d = rng.standard_normal((3, 500))
+        # repeated eigenvalues hit the clamp under the square root
+        mats = np.concatenate([ig.sym2(a, b, d), ig.sym2(a, 0 * a, a)])
+        eigs = ig.sym2x2_eigenvalues(mats)
+        assert np.max(np.abs(eigs - np.linalg.eigvalsh(mats))) <= 1e-12
+
+
 class TestCahnHoffman:
     def test_constant_is_identity(self, rng):
         for nu in unit_samples(rng, 5):

@@ -248,6 +248,15 @@ class TestFixtures:
         with pytest.raises(ValueError):
             sf.fixture("enneper", radius=2.0)
 
+    def test_grid_floor(self):
+        # the one-sided derivative stencils need three nodes per direction
+        for grid in (2, (2, 16), (16, 1)):
+            with pytest.raises(ValueError):
+                sf.fixture("plane", grid=grid)
+        with pytest.raises(ValueError):
+            sf.from_jet("plane", sf._plane_jets, (0.0, 1.0, 0.0, 1.0), (16, 2))
+        assert sf.fixture("plane", grid=3).shape == (3, 3)
+
     def test_identity_shear_is_catenoid(self):
         a = sf.fixture("sheared_catenoid", grid=(32, 32), shear=np.eye(3), v_extent=1.5)
         b = sf.fixture("catenoid", grid=(32, 32), v_extent=1.5)

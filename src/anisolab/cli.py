@@ -40,7 +40,7 @@ def _parse_bc(text: str, domain, in_file: bool = False):
         if head == "linear":
             return bc_linear(*_parse_numbers(tail, "a,b,c"))
         if head == "sine":
-            return bc_edge_sine(float(tail) if tail else 0.2, domain)
+            return bc_edge_sine(_parse_numbers(tail, "amp")[0] if tail else 0.2, domain)
         if head == "catenoid":
             return bc_catenoid()
     except ValueError as exc:
@@ -55,13 +55,13 @@ def _parse_bc(text: str, domain, in_file: bool = False):
 
 
 def _parse_numbers(text: str, names: str) -> list[float]:
-    """Comma-separated numbers, as many as ``names`` lists (e.g. "u0,u1,v0,v1")."""
+    """Comma-separated finite numbers, as many as ``names`` lists (e.g. "u0,u1,v0,v1")."""
     try:
         vals = [float(t) for t in text.split(",")]
     except ValueError as exc:
         raise InvalidSpec(f"cannot parse {text!r} as {names}: {exc}") from exc
-    if len(vals) != names.count(",") + 1:
-        raise InvalidSpec(f"{text!r} needs the numbers {names}")
+    if len(vals) != names.count(",") + 1 or not np.all(np.isfinite(vals)):
+        raise InvalidSpec(f"{text!r} needs the finite numbers {names}")
     return vals
 
 

@@ -18,7 +18,7 @@ import scipy.sparse as sp
 from scipy.sparse import csgraph
 
 from .errors import AmbiguousWinding, GrazingCircle, NonDiscreteCriticalSet
-from .integrand import WulffMesh
+from .integrand import WulffMesh, tangent_frame
 from .surface import CurvatureField, SurfacePatch, bilinear, grid_d1
 
 MAX_CLUSTER_DIAMETER = 5  # node spacings; larger clusters are not "isolated"
@@ -141,10 +141,11 @@ def _certify_radius(patch, K, tol, center, radius) -> float:
 def branch_order(patch: SurfacePatch, point: CriticalPoint, samples: int = 64) -> int:
     """Covering multiplicity of the Gauss map around a point, minus one.
 
-    The normal field along a small circle is rotated so the center normal
-    faces the projection pole away from it, projected stereographically and
-    its winding number about the center image read off.  Negative curvature
-    reverses orientation, so the magnitude of the winding is what counts.
+    The normal field along a small circle is read as an angle in the
+    tangent frame of the center normal -- the angle stereographic
+    projection from its antipode keeps -- and its winding number about the
+    center is counted.  Negative curvature reverses orientation, so the
+    magnitude of the winding is what counts.
     """
     uc, vc = point.location
     r = point.detection_radius
@@ -153,13 +154,12 @@ def branch_order(patch: SurfacePatch, point: CriticalPoint, samples: int = 64) -
         not patch.periodic_u and not (u0 + r <= uc <= u1 - r)
     ):
         raise ValueError("no regular annulus inside the patch around the point")
-    rot = _rotation_to_pole(point.nu)
+    e1, e2 = tangent_frame(point.nu)
     for n in (samples, 2 * samples):
         theta = np.linspace(0, 2 * np.pi, n, endpoint=False)
         uv = np.stack([uc + r * np.cos(theta), vc + r * np.sin(theta)], axis=-1)
-        normals = patch.normal_at(uv) @ rot.T
-        w = normals[:, :2] / (1.0 + normals[:, 2])[:, None]
-        ang = np.arctan2(w[:, 1], w[:, 0])
+        normals = patch.normal_at(uv)
+        ang = np.arctan2(normals @ e2, normals @ e1)
         steps = np.diff(np.concatenate([ang, ang[:1]]))
         steps = (steps + np.pi) % (2 * np.pi) - np.pi
         if np.max(np.abs(steps)) <= 0.5 * np.pi:
@@ -168,28 +168,6 @@ def branch_order(patch: SurfacePatch, point: CriticalPoint, samples: int = 64) -
     raise AmbiguousWinding(
         f"angular steps exceed pi/2 with {2 * samples} samples around {point.location}"
     )
-
-
-def _rotation_to_pole(nu: np.ndarray) -> np.ndarray:
-    """Rotation taking nu to +e3 (so the projection pole -e3 is -nu)."""
-    nu = nu / np.linalg.norm(nu)
-    target = np.array([0.0, 0.0, 1.0])
-    c = float(nu @ target)
-    if c > 1.0 - 1e-14:
-        return np.eye(3)
-    if c < -1.0 + 1e-14:
-        return np.diag([1.0, -1.0, -1.0])
-    axis = np.cross(nu, target)
-    s = np.linalg.norm(axis)
-    axis = axis / s
-    kmat = np.array(
-        [
-            [0, -axis[2], axis[1]],
-            [axis[2], 0, -axis[0]],
-            [-axis[1], axis[0], 0],
-        ]
-    )
-    return np.eye(3) + s * kmat + (1 - c) * (kmat @ kmat)
 
 
 # ---------------------------------------------------------------------------
@@ -226,20 +204,23 @@ def pseudograph_extract(
     patch: SurfacePatch,
     spec,
     axis,
-    genus: int | None = None,
+    genus: int = 0,
     fld: CurvatureField | None = None,
-    critical_points: list[CriticalPoint] | None = None,
+    *,
+    critical_points: list[CriticalPoint],
 ) -> Pseudograph:
     """Trace the zero set of the normal component along a fixed axis.
 
     Sign changes on grid edges are interpolated linearly and joined cell by
-    cell into polylines.  Critical points sitting inside the nodal band
-    become graph vertices; vertex-free closed loops receive one artificial
-    vertex and open boundary arcs two, so the Euler count is well-defined.
+    cell into polylines.  The caller's flat points (with their branch
+    orders) that sit inside the nodal band become graph vertices; vertex-free
+    closed loops receive one artificial vertex and open boundary arcs two,
+    so the Euler count is well-defined.  ``fld``, when given, supplies the
+    patch normals.
     """
     axis = np.asarray(axis, dtype=np.float64)
     axis = axis / np.linalg.norm(axis)
-    normals, _ = patch.normals()
+    normals = fld.normal if fld is not None else patch.normals()[0]
     phi = normals @ axis
     scale = float(np.max(np.abs(phi)))
     gu = grid_d1(phi, patch.hu, 0, patch.periodic_u)
@@ -258,11 +239,6 @@ def pseudograph_extract(
     polylines = _march_zero_set(patch, phis)
     n_comp = _count_sign_components(patch, phis)
 
-    if critical_points is None:
-        try:
-            critical_points = critical_set(fld) if fld is not None else []
-        except NonDiscreteCriticalSet:
-            critical_points = []
     vertices = [
         p for p in critical_points if abs(_phi_at(patch, phi, p.location)) <= band_tol
     ]
@@ -296,7 +272,7 @@ def pseudograph_extract(
         vertices=vertices,
         edges=edges,
         n_components_complement=n_comp,
-        genus=patch.genus if genus is None else genus,
+        genus=genus,
         band_tol=band_tol,
         v_count=v_count,
         e_count=e_count,

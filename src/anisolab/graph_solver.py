@@ -27,6 +27,7 @@ Second-order stencils throughout: 3-point for pure second differences,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -53,6 +54,13 @@ class GraphProblem:
         nx, ny = self.shape
         if nx < 8 or ny < 8:
             raise ValueError("grid must be at least 8x8")
+        x0, x1, y0, y1 = self.domain
+        if not (np.all(np.isfinite(self.domain)) and x0 < x1 and y0 < y1):
+            raise ValueError(f"domain needs finite x0 < x1 and y0 < y1, got {self.domain}")
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be a finite number > 0, got {self.tol}")
+        if not (isinstance(self.max_iter, Integral) and self.max_iter >= 0):
+            raise ValueError(f"max_iter must be an integer >= 0, got {self.max_iter!r}")
 
     @property
     def hx(self) -> float:

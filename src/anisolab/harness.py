@@ -36,6 +36,7 @@ from .gauss_analysis import (
 )
 from .graph_solver import GraphProblem, GraphSolution, bc_zero, lift
 from .integrand import (
+    MAX_REFINEMENT,
     AnisotropyConstants,
     IntegrandSpec,
     WulffMesh,
@@ -103,6 +104,9 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not (isinstance(value, Integral) and not isinstance(value, bool) and value >= low):
                 raise InvalidSpec(f"{name} must be an integer >= {low}, got {value!r}")
+        if self.wulff_refinement > MAX_REFINEMENT:
+            raise InvalidSpec(f"wulff_refinement must be <= {MAX_REFINEMENT}, "
+                              f"got {self.wulff_refinement!r}")
         if not _numbers([self.minimal_accept, self.jacobi_residual_tol], 2):
             raise InvalidSpec("minimal_accept and jacobi_residual_tol must be finite numbers")
         if self.domains is not None and not (
@@ -295,9 +299,7 @@ class RunContext:
     @cached_property
     def patch(self) -> SurfacePatch:
         c = self.config
-        patch = parse_surface(c.surface, c.grid, c.integrand)
-        patch.genus = c.genus
-        return patch
+        return parse_surface(c.surface, c.grid, c.integrand)
 
     @cached_property
     def field(self) -> CurvatureField:
@@ -332,9 +334,7 @@ class RunContext:
     @cached_property
     def comparison_counts(self) -> list[dict[str, int]]:
         return comparison_operator_counts(
-            self.patch, self.spec, self.domains, k=self.config.eig_count,
-            field=self.field, disc_cmp=self.disc_cmp,
-            morse_index=self.spectral.morse_index,
+            self.disc_cmp, self.domains, self.spectral.morse_index, k=self.config.eig_count
         )
 
     @cached_property

@@ -33,6 +33,7 @@ UNIT_TOL = 1e-12
 CONVEXITY_MARGIN = 1e-6
 VALIDATION_SAMPLES = 10_000
 MAX_HARMONIC_DEGREE = 4
+MAX_REFINEMENT = 7  # icosphere levels: 20 * 4^7 faces build in under a second
 
 
 @dataclass(frozen=True)
@@ -396,8 +397,8 @@ class WulffMesh:
 @lru_cache(maxsize=None)
 def icosphere(refinement: int) -> tuple[np.ndarray, np.ndarray]:
     """Unit icosphere with 20 * 4^refinement faces, deterministic ordering."""
-    if refinement < 0:
-        raise InvalidSpec(f"refinement must be >= 0, got {refinement}")
+    if not 0 <= refinement <= MAX_REFINEMENT:
+        raise InvalidSpec(f"refinement must lie in [0, {MAX_REFINEMENT}], got {refinement}")
     phi = (1.0 + math.sqrt(5.0)) / 2.0
     verts = np.array(
         [

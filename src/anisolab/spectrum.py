@@ -35,7 +35,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import SolverFailure
-from .integrand import IntegrandSpec, anisotropy_constants, gamma_hessians, restrict2, sym2
+from .integrand import IntegrandSpec, gamma_hessians, restrict2, sym2
 from .objio import grid_faces
 from .surface import CurvatureField, SurfacePatch, curvature_field
 
@@ -83,10 +83,6 @@ class SpectralReport:
     stabilized_index: int | None
     jacobi_residuals: dict[str, float]
 
-    @property
-    def stabilized(self) -> bool:
-        return self.stabilized_index is not None
-
     def to_dict(self) -> dict:
         """JSON-ready form, shared by the verdict report and ``anisolab spectrum``."""
         return {
@@ -120,12 +116,10 @@ def assemble(
         field = curvature_field(patch, spec)
     nu_, nv_ = patch.shape
     faces = grid_faces(nu_, nv_, patch.periodic_u)
-    iu, jv = faces // nv_, faces % nv_
-    diu = iu - iu[:, :1]
-    if patch.periodic_u:  # faces span one cell, so seam offsets are +-(nu-1)
-        diu = np.where(diu > 1, diu - nu_, diu)
-        diu = np.where(diu < -1, diu + nu_, diu)
-    pts = np.stack([diu * patch.hu, (jv - jv[:, :1]) * patch.hv], axis=-1)
+    # every cell is cut into the triangles (a, b, c) and (a, c, d) in turn,
+    # so the local points are those two tiles scaled by the spacings
+    tiles = np.array([[[0, 0], [1, 0], [1, 1]], [[0, 0], [1, 1], [0, 1]]])
+    pts = np.tile(tiles, (len(faces) // 2, 1, 1)) * np.array([patch.hu, patch.hv])
     p0, p1, p2 = pts[:, 0], pts[:, 1], pts[:, 2]
     d1, d2 = p1 - p0, p2 - p0
     signed2 = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]  # twice the signed area
@@ -411,37 +405,25 @@ def comparison_assembly(
 
 
 def comparison_operator_counts(
-    patch: SurfacePatch,
-    spec: IntegrandSpec,
+    disc_cmp: JacobiDiscretization,
     domains: list[tuple[float, float, float, float]],
+    morse_index: list[int],
     k: int = DEFAULT_EIG_COUNT,
-    field: CurvatureField | None = None,
-    disc_cmp: JacobiDiscretization | None = None,
-    morse_index: list[int] | None = None,
 ) -> list[dict[str, int]]:
-    """Per-domain negative counts of the Jacobi operator and the scalar
-    comparison operator of :func:`comparison_assembly`.
+    """Per-domain negative counts of the Jacobi operator, ``morse_index``
+    from :func:`morse_index_exhaustion` on the same domains, paired with
+    those of the scalar comparison operator ``disc_cmp`` of
+    :func:`comparison_assembly`.
 
     The comparison count dominates: every unstable direction of the full
-    operator is one of the comparison operator.  Counts come from
+    operator is one of the comparison operator.  Its counts come from
     inertia, guarded by a shift delta, with the eigensolve on ``k``
-    eigenvalues as the fallback (:func:`guarded_negative_count`).  A caller
-    holding the comparison assembly, or the Jacobi counts of
-    :func:`morse_index_exhaustion` on the same domains and ``k``, passes
-    them in instead.
+    eigenvalues as the fallback (:func:`guarded_negative_count`).
     """
-    if field is None:
-        field = curvature_field(patch, spec)
-
-    def counts(disc):
-        return [guarded_negative_count(disc, k, domain=tuple(d)) for d in domains]
-
-    if morse_index is None:
-        morse_index = counts(assemble(patch, spec, field=field))
-    if disc_cmp is None:
-        consts = anisotropy_constants(spec, extra_normals=field.normal.reshape(-1, 3))
-        disc_cmp = comparison_assembly(patch, spec, field, consts.lambda_gamma)
-    return [{"neg_L": a, "neg_Lgamma": b} for a, b in zip(morse_index, counts(disc_cmp))]
+    return [
+        {"neg_L": a, "neg_Lgamma": guarded_negative_count(disc_cmp, k, domain=tuple(d))}
+        for a, d in zip(morse_index, domains)
+    ]
 
 
 def jacobi_field_residual(

@@ -34,7 +34,6 @@ class SurfacePatch:
     dvv: np.ndarray
     orientation: int = 1
     periodic_u: bool = False
-    genus: int = 0
     jet_fn: Callable | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -406,6 +405,8 @@ def fixture(name: str, grid=96, **params) -> SurfacePatch:
         lu = float(params.pop("lu", 1.0))
         lv = float(params.pop("lv", 1.0))
         _no_extra(params)
+        if not (0.0 < lu < np.inf and 0.0 < lv < np.inf):
+            raise ValueError("plane lu and lv must be finite and positive")
         return _build("plane", _plane_jets, (0.0, lu, 0.0, lv), shape, False, 1)
     if name == "sphere":
         cap = float(params.pop("cap", 0.02))
@@ -458,9 +459,6 @@ def from_jet(
     grid,
     periodic_u: bool = False,
     orientation: int = 1,
-    genus: int = 0,
 ) -> SurfacePatch:
     """Wrap a user-supplied analytic jet function as a patch."""
-    patch = _build(name, jet_fn, domain, _as_shape(grid), periodic_u, orientation)
-    patch.genus = genus
-    return patch
+    return _build(name, jet_fn, domain, _as_shape(grid), periodic_u, orientation)

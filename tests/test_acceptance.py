@@ -333,7 +333,9 @@ def test_criterion_09_comparison_chain(accepted_fields):
             worst_q = min(
                 worst_q, (q - consts.lambda_gamma * qg) / (x @ disc.mass @ x)
             )
-        counts = spx.comparison_operator_counts(patch, spec, domains_for[name], field=fld)
+        morse_index = spx.morse_index_exhaustion(
+            patch, spec, domains_for[name], disc=disc).morse_index
+        counts = spx.comparison_operator_counts(cmp_disc, domains_for[name], morse_index)
         dominated &= all(c["neg_L"] <= c["neg_Lgamma"] for c in counts)
         if spec.family == "constant":
             round_equal &= all(c["neg_L"] == c["neg_Lgamma"] for c in counts)

@@ -8,7 +8,7 @@ from anisolab import gauss_analysis as ga, integrand as ig, surface as sf
 from anisolab.cli import main
 from anisolab.errors import AmbiguousWinding, GrazingCircle, NonDiscreteCriticalSet
 
-from conftest import higher_order_enneper
+from conftest import higher_order_enneper, higher_order_enneper_jets
 
 C1 = ig.constant(1.0)
 TWO_PI = 2 * np.pi
@@ -83,6 +83,67 @@ class TestBranchOrder:
             ga.branch_order(patch, pt, samples=4)
 
 
+def rotation_to_pole(nu):
+    """Rotation taking nu to +e3, so the projection pole -e3 is -nu."""
+    nu = nu / np.linalg.norm(nu)
+    c = float(nu[2])
+    if c > 1.0 - 1e-14:
+        return np.eye(3)
+    if c < -1.0 + 1e-14:
+        return np.diag([1.0, -1.0, -1.0])
+    axis = np.cross(nu, [0.0, 0.0, 1.0])
+    s = np.linalg.norm(axis)
+    axis = axis / s
+    kmat = np.array([[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]], [-axis[1], axis[0], 0]])
+    return np.eye(3) + s * kmat + (1 - c) * (kmat @ kmat)
+
+
+def rotated_branch_order(patch, point, samples):
+    """Branch order from the winding of the normals rotated so the center
+    normal is +e3 and projected stereographically from -e3: the reading
+    ``branch_order`` takes in the center's tangent frame, kept as its
+    oracle.  None where the angular steps exceed pi/2 at both samplings."""
+    rot = rotation_to_pole(point.nu)
+    uc, vc = point.location
+    r = point.detection_radius
+    for n in (samples, 2 * samples):
+        theta = np.linspace(0, 2 * np.pi, n, endpoint=False)
+        uv = np.stack([uc + r * np.cos(theta), vc + r * np.sin(theta)], axis=-1)
+        normals = patch.normal_at(uv) @ rot.T
+        w = normals[:, :2] / (1.0 + normals[:, 2])[:, None]
+        ang = np.arctan2(w[:, 1], w[:, 0])
+        steps = np.diff(np.concatenate([ang, ang[:1]]))
+        steps = (steps + np.pi) % (2 * np.pi) - np.pi
+        if np.max(np.abs(steps)) <= 0.5 * np.pi:
+            return abs(int(round(float(np.sum(steps)) / (2 * np.pi)))) - 1
+    return None
+
+
+class TestBranchOrderFrame:
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_tangent_frame_matches_rotation_oracle(self, k):
+        rng = np.random.default_rng(k)
+        outcomes = []
+        for orientation in (1, -1):
+            patch = sf.from_jet(f"enneper_order_{k}", higher_order_enneper_jets(k),
+                                (-1.0, 1.0, -1.0, 1.0), (65, 65), orientation=orientation)
+            # the origin's normal is -e3 or +e3: the oracle's two special rotations
+            centres = [(0.0, 0.0)] * 3 + [tuple(c) for c in rng.uniform(-0.5, 0.5, (20, 2))]
+            for centre, radius in zip(centres, rng.uniform(0.05, 0.45, len(centres))):
+                nu = patch.normal_at(np.array([centre]))[0]
+                pt = ga.CriticalPoint(centre, nu, branch_order=0, detection_radius=radius)
+                for samples in (4, 16, 64):
+                    expected = rotated_branch_order(patch, pt, samples)
+                    if expected is None:
+                        with pytest.raises(AmbiguousWinding):
+                            ga.branch_order(patch, pt, samples=samples)
+                    else:
+                        assert ga.branch_order(patch, pt, samples=samples) == expected
+                    outcomes.append(expected)
+        # the circles exercise both decisions and both windings
+        assert {None, 0, k - 1} <= set(outcomes)
+
+
 class TestDegrees:
     @pytest.mark.parametrize("v_extent", [2.0, 3.0])
     def test_catenoid_total_curvature(self, wulff_sphere, v_extent):
@@ -129,7 +190,7 @@ class TestDegrees:
 class TestPseudograph:
     def test_catenoid_polar_axis(self, catenoid_field):
         pg = ga.pseudograph_extract(
-            catenoid_field.patch, C1, E3, fld=catenoid_field
+            catenoid_field.patch, C1, E3, fld=catenoid_field, critical_points=[]
         )
         assert len(pg.edges) == 1
         assert pg.edges[0].closed
@@ -142,7 +203,7 @@ class TestPseudograph:
 
     def test_catenoid_equatorial_axis(self, catenoid_field):
         pg = ga.pseudograph_extract(
-            catenoid_field.patch, C1, E1, fld=catenoid_field
+            catenoid_field.patch, C1, E1, fld=catenoid_field, critical_points=[]
         )
         assert len(pg.edges) == 2
         assert not any(e.closed for e in pg.edges)
@@ -158,7 +219,8 @@ class TestPseudograph:
 
     def test_nodal_great_circle_duality(self, catenoid_field):
         for axis in (E3, E1):
-            pg = ga.pseudograph_extract(catenoid_field.patch, C1, axis, fld=catenoid_field)
+            pg = ga.pseudograph_extract(
+                catenoid_field.patch, C1, axis, fld=catenoid_field, critical_points=[])
             a = np.asarray(axis)
             for e in pg.edges:
                 normals = catenoid_field.patch.normal_at(e.polyline)
@@ -168,7 +230,7 @@ class TestPseudograph:
 
     def test_plane_constant_axis_empty(self):
         patch = sf.fixture("plane", grid=(32, 32))
-        pg = ga.pseudograph_extract(patch, C1, E3)
+        pg = ga.pseudograph_extract(patch, C1, E3, critical_points=[])
         assert pg.degenerate and len(pg.edges) == 0
         euler = ga.euler_inequality_check(pg)
         assert euler == {"v": 0, "e": 0, "N": 1, "slack": 1, "degenerate": True}
@@ -176,7 +238,7 @@ class TestPseudograph:
     def test_plane_tangent_axis_grazes(self):
         patch = sf.fixture("plane", grid=(32, 32))
         with pytest.raises(GrazingCircle):
-            ga.pseudograph_extract(patch, C1, E1)
+            ga.pseudograph_extract(patch, C1, E1, critical_points=[])
 
     def test_branched_chart_vertex_on_nodal_set(self):
         patch = higher_order_enneper(2, grid=97)
@@ -317,7 +379,8 @@ class TestMarchZeroSet:
 
 class TestBoundArithmetic:
     def test_catenoid_lower_bound(self, catenoid_field):
-        pg = ga.pseudograph_extract(catenoid_field.patch, C1, E3, fld=catenoid_field)
+        pg = ga.pseudograph_extract(
+            catenoid_field.patch, C1, E3, fld=catenoid_field, critical_points=[])
         assert ga.index_lower_bound(pg) == 1
 
     def test_reported_low_genus_values(self):

@@ -1,3 +1,4 @@
+import inspect
 import json
 import sys
 from collections import Counter
@@ -8,6 +9,7 @@ import pytest
 from anisolab import gauss_analysis as ga, harness, integrand as ig, spectrum as spx, surface as sf
 from anisolab.cli import gauss_payload, main
 from anisolab.errors import InvalidSpec
+from anisolab.integrand import MAX_REFINEMENT
 from anisolab.harness import (
     REQUIRED_CHECKS,
     ExperimentConfig,
@@ -310,7 +312,9 @@ class TestCli:
         "config_missing", "config_bad_json", "config_axis_zero", "domains_two",
         "bc_file_names_itself", "bc_file_without_bc", "solution_missing_keys",
         "solution_bad_json", "config_no_axes", "config_surface_number",
-        "config_tolerance_string",
+        "config_tolerance_string", "wulff_refine_above_cap", "config_wulff_refinement_above_cap",
+        "graph_domain_flat", "graph_domain_nan", "graph_domain_reversed", "graph_bc_nan",
+        "graph_tol_nan", "graph_max_iter_negative", "plane_zero_width",
     ])
     def test_bad_input_exits_2(self, tmp_path, capsys, case):
         cfg = tmp_path / "cfg.json"
@@ -322,6 +326,8 @@ class TestCli:
             "config_no_axes": json.dumps({"surface": "plane", "axes": []}),
             "config_surface_number": json.dumps({"surface": 5}),
             "config_tolerance_string": json.dumps({"surface": "plane", "minimal_accept": "x"}),
+            "config_wulff_refinement_above_cap": json.dumps(
+                {"surface": "plane", "wulff_refinement": MAX_REFINEMENT + 1}),
             "bc_file_names_itself": json.dumps({"bc": str(cfg)}),
             "bc_file_without_bc": json.dumps({"boundary": "zero"}),
             "solution_missing_keys": json.dumps({"integrand": "const:1"}),
@@ -347,6 +353,15 @@ class TestCli:
             "gauss_grid_two": gauss[:-1] + ["2"],
             "wulff_refine_negative": ["wulff", "--integrand", "const:1", "--refine", "-1",
                                       "--out", str(tmp_path / "w.obj")],
+            "wulff_refine_above_cap": ["wulff", "--integrand", "const:1", "--refine",
+                                       str(MAX_REFINEMENT + 1), "--out", str(tmp_path / "w.obj")],
+            "graph_domain_flat": graph + ["--domain", "1,1,0,1"],
+            "graph_domain_nan": graph + ["--domain", "nan,1,0,1"],
+            "graph_domain_reversed": graph + ["--domain", "2,1.2,-0.4,0.4"],
+            "graph_bc_nan": graph[:-1] + ["sine:nan", "--domain", "0,1,0,1"],
+            "graph_tol_nan": graph + ["--domain", "1.2,2,-0.4,0.4", "--tol", "nan"],
+            "graph_max_iter_negative": graph + ["--domain", "1.2,2,-0.4,0.4", "--max-iter", "-3"],
+            "plane_zero_width": ["bounds", "--surface", "plane:0,1"],
             "config_missing": ["bounds", "--config", str(tmp_path / "missing.json")],
             "domains_two": ["bounds", "--surface", "plane", "--grid", "16",
                             "--domains", "0,1,0.1,0.9;0,1,0,1"],
@@ -363,6 +378,25 @@ class TestCli:
             ["wulff", "--integrand", "sh:2,0,9", "--out", str(tmp_path / "x.obj")]
         )
         assert rc == 2
+
+
+class TestBenchmarkEntryPoints:
+    """The benchmark in perfbench/ binds these names; its smoke suite runs
+    outside tier 1, so they are pinned here."""
+
+    @pytest.mark.parametrize("fn,names", [
+        (spx.assemble, ("patch", "spec", "field", "potential_weight", "isotropic_diffusion")),
+        (spx.dirichlet_eigs, ("disc", "k", "domain", "auto_extend")),
+    ])
+    def test_traced_argument_names(self, fn, names):
+        assert set(names) <= set(inspect.signature(fn).parameters)
+
+    def test_workload_calls_bind(self):
+        # bind raises TypeError when a workload's call no longer fits
+        inspect.signature(ga.pseudograph_extract).bind(
+            "patch", "spec", "axis", fld="fld", critical_points=[])
+        inspect.signature(spx.morse_index_exhaustion).bind("patch", "spec", "domains")
+        inspect.signature(accept_candidate).bind("patch", "spec")
 
 
 class TestRunContext:

@@ -171,31 +171,27 @@ class TestMorseIndex:
 
 class TestComparisonOperator:
     def test_plane_counts_zero(self):
-        counts = spx.comparison_operator_counts(
-            sf.fixture("plane", grid=(48, 48)),
-            C1,
-            [(0.2, 0.8, 0.2, 0.8), (0.1, 0.9, 0.1, 0.9), (0.0, 1.0, 0.0, 1.0)],
-        )
+        counts = RunContext(ExperimentConfig(
+            surface="plane", grid=48,
+            domains=[(0.2, 0.8, 0.2, 0.8), (0.1, 0.9, 0.1, 0.9), (0.0, 1.0, 0.0, 1.0)],
+        )).comparison_counts
         assert all(c == {"neg_L": 0, "neg_Lgamma": 0} for c in counts)
 
     def test_round_weight_counts_coincide(self):
         # for the round integrand both operators carry the same potential
-        counts = spx.comparison_operator_counts(
-            sf.fixture("catenoid", grid=(96, 96), v_extent=2.0),
-            C1,
-            [(0, TWO_PI, -1, 1), (0, TWO_PI, -1.5, 1.5), (0, TWO_PI, -2, 2)],
-        )
+        counts = RunContext(ExperimentConfig(
+            surface="catenoid:2", grid=96,
+            domains=[(0, TWO_PI, -1, 1), (0, TWO_PI, -1.5, 1.5), (0, TWO_PI, -2, 2)],
+        )).comparison_counts
         assert [c["neg_L"] for c in counts] == [0, 1, 1]
         for c in counts:
             assert c["neg_L"] == c["neg_Lgamma"]
 
     def test_anisotropic_domination(self):
-        patch = sf.fixture(
-            "sheared_catenoid", grid=(96, 96), shear=np.diag([1.0, 1.0, 2.0]), v_extent=2.5
-        )
-        counts = spx.comparison_operator_counts(
-            patch, E112, [(0, TWO_PI, -1, 1), (0, TWO_PI, -1.8, 1.8), (0, TWO_PI, -2.5, 2.5)]
-        )
+        counts = RunContext(ExperimentConfig(
+            surface="sheared_catenoid:1,0,0,0,1,0,0,0,2;2.5", integrand="ellipsoid:1,1,2",
+            grid=96, domains=[(0, TWO_PI, -1, 1), (0, TWO_PI, -1.8, 1.8), (0, TWO_PI, -2.5, 2.5)],
+        )).comparison_counts
         for c in counts:
             assert c["neg_L"] <= c["neg_Lgamma"]
         # the comparison count exceeds the default eigenvalue window; inertia

@@ -176,8 +176,9 @@ def gauss_payload(ctx: RunContext) -> dict:
             "edges": [[[float(x), float(y)] for x, y in e.polyline] for e in pg.edges],
             "N": pg.n_components_complement,
             "euler": euler_inequality_check(pg),
-            "lower_bound": index_lower_bound(pg),
         }
+        if not pg.degenerate:  # as in the verdict: an empty graph bounds nothing
+            payload["pseudograph"]["lower_bound"] = index_lower_bound(pg)
     return payload
 
 

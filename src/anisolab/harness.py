@@ -480,9 +480,9 @@ def verify_bounds(config: ExperimentConfig, _flip_potential_sign: bool = False) 
     for _ in range(100):
         x = np.zeros(disc.node_count)
         x[free] = rng.standard_normal(len(free))
-        q = x @ disc.operator @ x
-        qg = x @ disc_cmp.operator @ x
-        worst_q = min(worst_q, (q - consts.lambda_gamma * qg) / (x @ disc.mass @ x))
+        q = x @ (disc.operator @ x)
+        qg = x @ (disc_cmp.operator @ x)
+        worst_q = min(worst_q, (q - consts.lambda_gamma * qg) / (x @ (disc.mass @ x)))
     dominated = all(c["neg_L"] <= c["neg_Lgamma"] for c in cmp_counts)
     checks.append(
         _check("quadratic_form_comparison", bool(worst_q >= -1e-9 and dominated),

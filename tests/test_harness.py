@@ -314,7 +314,7 @@ class TestCli:
         "solution_bad_json", "config_no_axes", "config_surface_number",
         "config_tolerance_string", "wulff_refine_above_cap", "config_wulff_refinement_above_cap",
         "graph_domain_flat", "graph_domain_nan", "graph_domain_reversed", "graph_bc_nan",
-        "graph_tol_nan", "graph_max_iter_negative", "plane_zero_width",
+        "graph_tol_nan", "graph_max_iter_negative", "plane_zero_width", "graph_bc_overflow",
     ])
     def test_bad_input_exits_2(self, tmp_path, capsys, case):
         cfg = tmp_path / "cfg.json"
@@ -359,6 +359,8 @@ class TestCli:
             "graph_domain_nan": graph + ["--domain", "nan,1,0,1"],
             "graph_domain_reversed": graph + ["--domain", "2,1.2,-0.4,0.4"],
             "graph_bc_nan": graph[:-1] + ["sine:nan", "--domain", "0,1,0,1"],
+            "graph_bc_overflow": graph[:-1] + ["linear:1e308,1e308,0", "--domain", "0,1,0,1",
+                                               "--grid", "9"],
             "graph_tol_nan": graph + ["--domain", "1.2,2,-0.4,0.4", "--tol", "nan"],
             "graph_max_iter_negative": graph + ["--domain", "1.2,2,-0.4,0.4", "--max-iter", "-3"],
             "plane_zero_width": ["bounds", "--surface", "plane:0,1"],

@@ -11,7 +11,7 @@ cluster.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,7 +36,6 @@ class CriticalPoint:
 class PseudographEdge:
     polyline: np.ndarray          # (m, 2) parameter points
     closed: bool
-    vertex_hits: list[int] = field(default_factory=list)  # indices into vertices
 
 
 @dataclass
@@ -249,14 +248,12 @@ def pseudograph_extract(
     tol_dist = 2.0 * max(patch.hu, patch.hv)
     period = patch.domain[1] - patch.domain[0]
     for pts, closed in polylines:
-        hits = []
-        for vi, vert in enumerate(vertices):
+        k = 0  # vertices the polyline passes through
+        for vert in vertices:
             du = np.abs(pts[:, 0] - vert.location[0])
             if patch.periodic_u:  # the shorter way round the seam
                 du = np.minimum(du, period - du)
-            if np.min(np.hypot(du, pts[:, 1] - vert.location[1])) <= tol_dist:
-                hits.append(vi)
-        k = len(hits)
+            k += bool(np.min(np.hypot(du, pts[:, 1] - vert.location[1])) <= tol_dist)
         if closed:
             if k == 0:
                 v_count += 1  # artificial vertex regularizing a vertex-free loop
@@ -266,7 +263,7 @@ def pseudograph_extract(
         else:
             v_count += 2  # artificial endpoints on the patch boundary
             e_count += k + 1
-        edges.append(PseudographEdge(polyline=pts, closed=closed, vertex_hits=hits))
+        edges.append(PseudographEdge(polyline=pts, closed=closed))
 
     return Pseudograph(
         vertices=vertices,

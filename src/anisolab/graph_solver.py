@@ -18,7 +18,8 @@ across steps.  A full step with the lagged factor must shrink the residual
 by LAG_CONTRACTION; if it does not, A is refactored at the current iterate
 and the damping omega is halved until the residual decreases.  If even a
 freshly factored step cannot lower it at omega >= MIN_DAMPING, the solver
-reports "stalled".  The stencil's sparsity pattern is built once per solve.
+reports "stalled".  The stencil's sparsity pattern is built once per solve,
+at the first factorization; a start already within tolerance builds none.
 
 The default seed is the harmonic extension of the boundary data: the
 identity-coefficient operator is the 5-point Laplacian on a uniform
@@ -121,9 +122,11 @@ def _interior_jets(u: np.ndarray, hx: float, hy: float) -> dict[str, np.ndarray]
 
 
 def _coefficients(spec: IntegrandSpec, ux: np.ndarray, uy: np.ndarray):
-    """Upper-left Hessian block of gamma_bar at (-ux, -uy, 1)."""
+    """Upper-left Hessian block of gamma_bar at (-ux, -uy, 1); slopes too
+    large for floating point give NaN, quietly: the elliptic guard refuses it."""
     p = np.stack([-ux, -uy, np.ones_like(ux)], axis=-1)
-    h = gamma_hessians(spec, p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = gamma_hessians(spec, p)
     return h[..., 0, 0], h[..., 0, 1], h[..., 1, 1]
 
 
@@ -197,17 +200,11 @@ class _Stencil:
         return spla.splu(mat, permc_spec="MMD_AT_PLUS_A")
 
 
-def _correct(u: np.ndarray, lu, r: np.ndarray, omega: float) -> np.ndarray:
-    """``u - omega * A^{-1} r`` on interior nodes; edge nodes are kept."""
-    out = u.copy()
-    inner = r[1:-1, 1:-1]
-    out[1:-1, 1:-1] -= omega * lu.solve(inner.ravel()).reshape(inner.shape)
-    return out
-
-
 def _attempt(u, r, lu, omega, problem):
-    """Trial iterate from ``u`` with residual ``r``, its residual and sup norm."""
-    trial = _correct(u, lu, r, omega)
+    """The trial iterate u - omega * A^{-1} r (edge nodes kept) from ``u``
+    with residual ``r``, and the trial's residual and its sup norm."""
+    trial, inner = u.copy(), r[1:-1, 1:-1]
+    trial[1:-1, 1:-1] -= omega * lu.solve(inner.ravel()).reshape(inner.shape)
     trial_r = residual(trial, problem)
     return trial, trial_r, float(np.max(np.abs(trial_r)))
 
@@ -260,7 +257,7 @@ def solve(problem: GraphProblem, u0: np.ndarray | None = None) -> GraphSolution:
     best iterate comes back with its ``status`` so the caller can still
     inspect it.
     """
-    stencil = _Stencil(problem)
+    stencil = None
     if u0 is None:
         u = harmonic_extension(problem)
     else:
@@ -285,6 +282,7 @@ def solve(problem: GraphProblem, u0: np.ndarray | None = None) -> GraphSolution:
             if not (step[2] <= LAG_CONTRACTION * res or step[2] <= problem.tol):
                 step = None
         if step is None:
+            stencil = stencil or _Stencil(problem)
             lu = stencil.factor_at(u)
             while omega >= MIN_DAMPING:
                 step = _attempt(u, r, lu, omega, problem)

@@ -4,9 +4,10 @@ Builds a fixture, gates it on vanishing anisotropic mean curvature, runs the
 spectral and Gauss-map pipelines, and evaluates the full list of named
 checks with explicit tolerances.  Every artifact of a run lives in one
 :class:`RunContext`, computed on first use and shared by the checks and by
-the ``spectrum``/``gauss``/``bounds`` command-line views.  Reports are plain
-dictionaries with a fixed key order so identical configurations serialize
-to identical bytes.
+the ``spectrum``/``gauss``/``bounds`` command-line views; a caller that
+builds or alters the context itself hands it to :func:`verify_bounds`.
+Reports are plain dictionaries with a fixed key order so identical
+configurations serialize to identical bytes.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ from .integrand import (
     anisotropy_constants,
     gamma_gradients,
     parse_integrand,
+    sym2,
+    sym2x2_eigenvalues,
     tangent_frame,
     wulff_mesh,
 )
@@ -79,6 +82,7 @@ REQUIRED_CHECKS = (
 )
 
 DEFAULT_AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+TANGENCY_STEP = 1e-6  # finite-difference step of the Wulff-map differential
 
 
 @dataclass
@@ -264,7 +268,7 @@ def _graph_heights(patch: SurfacePatch):
     }
 
 
-def tangency_check(spec: IntegrandSpec, count: int, seed: int, step: float = 1e-6) -> float:
+def tangency_check(spec: IntegrandSpec, count: int, seed: int) -> float:
     """Worst normal component of a finite-difference Wulff-map differential."""
     rng = np.random.default_rng(seed)
     nus = rng.standard_normal((count, 3))
@@ -273,9 +277,9 @@ def tangency_check(spec: IntegrandSpec, count: int, seed: int, step: float = 1e-
     ang = rng.uniform(0, 2 * np.pi, count)[:, None]
     tang = np.cos(ang) * e1 + np.sin(ang) * e2
     base = gamma_gradients(spec, nus)
-    moved = nus + step * tang
+    moved = nus + TANGENCY_STEP * tang
     moved /= np.linalg.norm(moved, axis=1, keepdims=True)
-    diff = (gamma_gradients(spec, moved) - base) / step
+    diff = (gamma_gradients(spec, moved) - base) / TANGENCY_STEP
     return float(np.max(np.abs(np.einsum("ni,ni->n", diff, nus))))
 
 
@@ -327,8 +331,7 @@ class RunContext:
     def spectral(self) -> SpectralReport:
         return morse_index_exhaustion(
             self.patch, self.spec, self.domains, k=self.config.eig_count,
-            field=self.field, axes=tuple(tuple(a) for a in self.config.axes),
-            disc=self.disc,
+            axes=tuple(tuple(a) for a in self.config.axes), disc=self.disc,
         )
 
     @cached_property
@@ -375,16 +378,16 @@ class RunContext:
         return out
 
 
-def verify_bounds(config: ExperimentConfig, _flip_potential_sign: bool = False) -> dict:
-    """Evaluate every registered check over one run context.
+def verify_bounds(run: ExperimentConfig | RunContext) -> dict:
+    """Evaluate every registered check over one run context: a fresh one
+    for a configuration, or the caller's own, whose artifacts are used as
+    they stand.
 
     Sub-operation failures become degenerate flags on the affected checks;
     the pipeline always produces a complete report.
     """
-    ctx = RunContext(config)
-    patch, spec, fld = ctx.patch, ctx.spec, ctx.field
-    if _flip_potential_sign:  # before any artifact reads the field
-        fld.aniso_pairing = -fld.aniso_pairing
+    ctx = run if isinstance(run, RunContext) else RunContext(run)
+    config, patch, spec, fld = ctx.config, ctx.patch, ctx.spec, ctx.field
     consts = ctx.consts
     gate = accept_candidate(patch, spec, config.minimal_accept, fld=fld)
     spectral, cmp_counts, degs = ctx.spectral, ctx.comparison_counts, ctx.degs
@@ -426,15 +429,12 @@ def verify_bounds(config: ExperimentConfig, _flip_potential_sign: bool = False) 
                    "skipped: chart is not a height graph")
         )
     else:
-        w2 = 1.0 + jets["ux"] ** 2 + jets["uy"] ** 2
+        ux, uy = jets["ux"], jets["uy"]
+        w2 = 1.0 + ux**2 + uy**2
         lo, hi = 1.0 / w2, np.ones_like(w2)
-        # inverse metric eigenvalues in closed form
-        E = 1 + jets["ux"] ** 2
-        G = 1 + jets["uy"] ** 2
-        F = jets["ux"] * jets["uy"]
-        tr, det = (E + G) / (E * G - F * F), 1.0 / (E * G - F * F)
-        disc = np.sqrt(np.maximum(0.0, (0.5 * tr) ** 2 - det))
-        emin, emax = 0.5 * tr - disc, 0.5 * tr + disc
+        # the inverse of the metric [[1 + ux^2, ux uy], [ux uy, 1 + uy^2]]
+        eig = sym2x2_eigenvalues(sym2(1 + uy**2, -ux * uy, 1 + ux**2) / w2[..., None, None])
+        emin, emax = eig[..., 0], eig[..., 1]
         m_ok = bool(
             np.all(emin >= lo - 1e-10) and np.all(emax <= hi + 1e-10)
         )
@@ -444,7 +444,7 @@ def verify_bounds(config: ExperimentConfig, _flip_potential_sign: bool = False) 
                    "inverse metric eigenvalues within the slope bounds")
         )
         hess2 = jets["uxx"] ** 2 + 2 * jets["uxy"] ** 2 + jets["uyy"] ** 2
-        a2 = fld.kappa1**2 + fld.kappa2**2
+        a2 = fld.abs_a_squared()
         ref = np.maximum(a2, 1e-300)
         lo_ok = np.all(hess2 / w2**3 <= a2 * (1 + 1e-8) + 1e-300)
         hi_ok = np.all(a2 <= hess2 / w2 * (1 + 1e-8) + 1e-300)
@@ -638,7 +638,8 @@ def report_json(report: dict) -> str:
 
 
 def selftest(grid: int = 64) -> dict:
-    """No-false-pass guard: flipping the potential sign must break checks."""
+    """No-false-pass guard: flipping the sign of the curvature pairing (the
+    Jacobi potential) on a context of its own must break checks."""
     config = ExperimentConfig(
         surface="catenoid:2",
         grid=grid,
@@ -647,7 +648,9 @@ def selftest(grid: int = 64) -> dict:
                  [0.0, float(2 * np.pi), -2.0, 2.0]],
     )
     honest = verify_bounds(config)
-    corrupted = verify_bounds(config, _flip_potential_sign=True)
+    ctx = RunContext(config)
+    ctx.field.aniso_pairing = -ctx.field.aniso_pairing  # before any artifact reads it
+    corrupted = verify_bounds(ctx)
     newly_failed = [
         c["name"]
         for c in corrupted["checks"]

@@ -53,7 +53,6 @@ class AnisotropyConstants:
     Lambda_gamma: float
     c_gamma: float
     c_prime_gamma: float
-    sample_count: int
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +276,6 @@ def anisotropy_constants(
         Lambda_gamma=Lam,
         c_gamma=c_gamma,
         c_prime_gamma=2.0 * c_gamma / lam**2,
-        sample_count=sample_count,
     )
 
 

@@ -36,14 +36,9 @@ def grid_faces(nu: int, nv: int, periodic_u: bool) -> np.ndarray:
     triangles; pointwise consistency of lumped-mass residuals depends on
     that uniform valence.
     """
-    faces = []
-    ext = nu if periodic_u else nu - 1
-    for i in range(ext):
-        inext = (i + 1) % nu
-        for j in range(nv - 1):
-            a = i * nv + j
-            b = inext * nv + j
-            c = inext * nv + j + 1
-            d = i * nv + j + 1
-            faces += [(a, b, c), (a, c, d)]
-    return np.array(faces, dtype=np.int64)
+    i = np.arange(nu if periodic_u else nu - 1, dtype=np.int64)[:, None]
+    j = np.arange(nv - 1, dtype=np.int64)[None, :]
+    a, d = i * nv + j, i * nv + j + 1
+    b, c = (i + 1) % nu * nv + j, (i + 1) % nu * nv + j + 1
+    # cell (i, j) gives the triangles (a, b, c) and (a, c, d), cells in C order
+    return np.stack([np.stack([a, b, c], -1), np.stack([a, c, d], -1)], -2).reshape(-1, 3)

@@ -56,14 +56,12 @@ for _i in range(3):
 
 @dataclass
 class JacobiDiscretization:
-    patch: SurfacePatch
-    spec: IntegrandSpec
     stiffness: sp.csr_matrix   # int <A_grad u, grad v>
     potential: sp.csr_matrix   # int pairing * u v
     mass: sp.csr_matrix        # int u v
     dirichlet_mask: np.ndarray  # True on patch-boundary nodes
     lumped_mass: np.ndarray
-    field: CurvatureField
+    field: CurvatureField      # the curvature data and, as field.patch, the chart
 
     @property
     def node_count(self) -> int:
@@ -169,8 +167,6 @@ def assemble(
     potential = build(local_p)
     mass = build(local_m)
     return JacobiDiscretization(
-        patch=patch,
-        spec=spec,
         stiffness=stiffness,
         potential=potential,
         mass=mass,
@@ -189,7 +185,7 @@ def interior_indices(
     Nodes on or outside the sub-rectangle boundary are constrained, so nested
     rectangles give nested free sets on the shared grid.
     """
-    patch = disc.patch
+    patch = disc.field.patch
     keep = ~disc.dirichlet_mask
     if domain is not None:
         u0, u1, v0, v1 = domain
@@ -357,11 +353,11 @@ def morse_index_exhaustion(
     spec: IntegrandSpec,
     domains: list[tuple[float, float, float, float]],
     k: int = DEFAULT_EIG_COUNT,
-    field: CurvatureField | None = None,
     axes: tuple = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
     disc: JacobiDiscretization | None = None,
 ) -> SpectralReport:
-    """Negative-eigenvalue counts over nested Dirichlet domains.
+    """Negative-eigenvalue counts over nested Dirichlet domains, on ``disc``
+    when given and otherwise on a fresh assembly of the patch.
 
     The stabilized index is reported only when the last two domains agree;
     nothing is extrapolated beyond the computed exhaustion.
@@ -369,7 +365,7 @@ def morse_index_exhaustion(
     if len(domains) < 3:
         raise ValueError("need at least 3 nested domains")
     if disc is None:
-        disc = assemble(patch, spec, field=field)
+        disc = assemble(patch, spec)
     eigenvalues = [dirichlet_eigs(disc, k, domain=tuple(dom))[0] for dom in domains]
     counts = [negative_count(vals) for vals in eigenvalues]
     if any(b < a for a, b in zip(counts, counts[1:])):
@@ -453,7 +449,4 @@ def jacobi_field_residual(
         relative = 0.0 if rho_norm == 0.0 else float("inf")
     else:
         relative = rho_norm / phi_norm
-    return {
-        "linf_residual": float(np.max(np.abs(rho))),
-        "relative_residual": relative,
-    }
+    return {"relative_residual": relative}

@@ -9,7 +9,7 @@ Gauss-map analysis -- works off the node arrays stored here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -157,13 +157,12 @@ def grid_d1(arr: np.ndarray, h: float, axis: int, periodic: bool) -> np.ndarray:
 
 @dataclass
 class CurvatureField:
-    """Per-node anisotropic curvature data in a right-handed tangent frame."""
+    """Per-node anisotropic curvature data in the right-handed tangent frame
+    e1 = X_u / |X_u|, e2 = normal x e1."""
 
     patch: SurfacePatch
     spec: IntegrandSpec
     normal: np.ndarray        # (nu, nv, 3)
-    e1: np.ndarray            # frame legs, (nu, nv, 3)
-    e2: np.ndarray
     shape_op: np.ndarray      # (nu, nv, 2, 2), symmetric
     kappa1: np.ndarray        # principal curvatures, kappa1 <= kappa2
     kappa2: np.ndarray
@@ -242,8 +241,6 @@ def curvature_field(patch: SurfacePatch, spec: IntegrandSpec) -> CurvatureField:
         patch=patch,
         spec=spec,
         normal=normal,
-        e1=e1,
-        e2=e2,
         shape_op=shape_op,
         kappa1=kappa1,
         kappa2=kappa2,
@@ -285,15 +282,12 @@ def first_variation_check(
         raise BoundaryNotFixed(f"variation reaches {worst:.3e} on the boundary")
 
     fld = curvature_field(patch, spec)
-    wu, wv = patch.param_weights()
 
     def energy_of(points: np.ndarray) -> float:
-        xu = grid_d1(points, patch.hu, 0, patch.periodic_u)
-        xv = grid_d1(points, patch.hv, 1, False)
-        raw = np.cross(xu, xv)
-        jac = np.linalg.norm(raw, axis=-1)
-        nrm = patch.orientation * raw / jac[..., None]
-        return float(np.sum(gamma_values(spec, nrm) * jac * wu[:, None] * wv[None, :]))
+        """Energy of the moved chart, its tangents by finite differences."""
+        return anisotropic_energy(replace(
+            patch, du=grid_d1(points, patch.hu, 0, patch.periodic_u),
+            dv=grid_d1(points, patch.hv, 1, False)), spec)
 
     offset = dt * u_field[..., None] * fld.normal
     numeric = (energy_of(patch.position + offset) - energy_of(patch.position - offset)) / (

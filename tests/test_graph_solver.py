@@ -235,6 +235,24 @@ class TestSolve:
         with pytest.raises(EllipticityLoss):
             gs.solve(bad, u0=bad.node_coords()[0])
 
+    def test_stencil_built_only_to_factor(self, monkeypatch):
+        built = []
+
+        class Counted(gs._Stencil):
+            def __init__(self, problem):
+                built.append(problem)
+                super().__init__(problem)
+
+        monkeypatch.setattr(gs, "_Stencil", Counted)
+        # the harmonic seed is exact for linear data: nothing is factored
+        sol = gs.solve(square_problem(E112, bc=gs.bc_linear(0.3, -0.7, 0.2)))
+        assert sol.converged and sol.iterations == 0
+        assert built == []
+        # a solve that steps builds its pattern once, however often it factors
+        sol = gs.solve(gs.GraphProblem((1.2, 2.0, -0.4, 0.4), (33, 33), gs.bc_catenoid(), E112))
+        assert sol.converged and sol.iterations > 1
+        assert len(built) == 1
+
     def test_seed_within_tol_and_no_steps_is_converged(self):
         sol = gs.solve(square_problem(C1, max_iter=0))
         assert (sol.converged, sol.status, sol.iterations) == (True, "converged", 0)
@@ -282,9 +300,11 @@ class TestSolve:
 
     def test_overflowing_heights_lose_ellipticity(self):
         # finite heights whose slopes overflow the coefficients to NaN
-        prob = square_problem(C1, n=9, bc=gs.bc_linear(1e200, 0.0, 0.0))
-        with np.errstate(all="ignore"), pytest.raises(EllipticityLoss):
-            gs.solve(prob)
+        # (quietly: RuntimeWarnings are errors under this suite's settings)
+        for spec in (C1, SH):
+            prob = square_problem(spec, n=9, bc=gs.bc_linear(1e200, 0.0, 0.0))
+            with pytest.raises(EllipticityLoss):
+                gs.solve(prob)
 
     def test_grid_floor(self):
         with pytest.raises(ValueError):

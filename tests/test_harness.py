@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import sys
@@ -134,6 +135,18 @@ class TestVerifyBounds:
         a = json.dumps(verify_bounds(config))
         b = json.dumps(verify_bounds(config))
         assert a == b
+
+    def test_inertia_count_agreement_can_fail(self):
+        # a potential negated after the eigensolve reaches the inertia count
+        # and not the eigenvalue count the report already holds
+        ctx = RunContext(ExperimentConfig(surface="catenoid:2", grid=48))
+        ctx.spectral
+        ctx.disc = dataclasses.replace(ctx.disc, potential=-ctx.disc.potential)
+        rep = verify_bounds(ctx)
+        assert rep["failed_checks"] == ["inertia_count_agreement"]
+        (check,) = [c for c in rep["checks"] if c["name"] == "inertia_count_agreement"]
+        assert check["rhs"] == rep["spectral"]["morse_index"] == [1, 1, 1]
+        assert check["lhs"] == [0, 0, 0]
 
     def test_selftest_flips_checks(self):
         result = selftest(grid=48)
@@ -375,6 +388,17 @@ class TestCli:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: InvalidSpec: ")
 
+    @pytest.mark.parametrize("slope", ["1e200", "1e300"])
+    def test_huge_slope_exits_2_without_warning(self, capsys, slope):
+        # finite heights whose slopes overflow the coefficients: refused,
+        # with the error line as the only output on stderr
+        argv = ["solve-graph", "--integrand", "const:1", "--domain", "0,1,0,1",
+                "--grid", "9", "--bc", f"linear:{slope},0,0"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: EllipticityLoss: ")
+        assert err.count("\n") == 1
+
     def test_integrand_error_is_reported(self, tmp_path):
         rc = main(
             ["wulff", "--integrand", "sh:2,0,9", "--out", str(tmp_path / "x.obj")]
@@ -399,6 +423,8 @@ class TestBenchmarkEntryPoints:
             "patch", "spec", "axis", fld="fld", critical_points=[])
         inspect.signature(spx.morse_index_exhaustion).bind("patch", "spec", "domains")
         inspect.signature(accept_candidate).bind("patch", "spec")
+        inspect.signature(verify_bounds).bind("config")
+        inspect.signature(harness.report_json).bind("report")
 
 
 class TestRunContext:

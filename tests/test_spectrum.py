@@ -46,6 +46,26 @@ def flat_laplace_reference(patch):
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
+def grid_faces_loop(nu, nv, periodic_u):
+    """Cell-by-cell triangulation, the order the assembly is summed in."""
+    faces = []
+    for i in range(nu if periodic_u else nu - 1):
+        inext = (i + 1) % nu
+        for j in range(nv - 1):
+            a, b = i * nv + j, inext * nv + j
+            c, d = inext * nv + j + 1, i * nv + j + 1
+            faces += [(a, b, c), (a, c, d)]
+    return np.array(faces, dtype=np.int64)
+
+
+@pytest.mark.parametrize("nu,nv", [(2, 2), (3, 5), (7, 4), (48, 48)])
+@pytest.mark.parametrize("periodic_u", [False, True])
+def test_grid_faces_match_cell_loop(nu, nv, periodic_u):
+    faces = grid_faces(nu, nv, periodic_u)
+    assert faces.dtype == np.int64
+    assert np.array_equal(faces, grid_faces_loop(nu, nv, periodic_u))
+
+
 class TestAssembly:
     def test_plane_stiffness_is_flat_laplacian(self):
         patch = sf.fixture("plane", grid=(24, 24))

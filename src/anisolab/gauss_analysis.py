@@ -18,7 +18,7 @@ import scipy.sparse as sp
 from scipy.sparse import csgraph
 
 from .errors import AmbiguousWinding, GrazingCircle, NonDiscreteCriticalSet
-from .integrand import WulffMesh, tangent_frame
+from .integrand import WulffMesh, tangent_frame, unit_vector
 from .surface import CurvatureField, SurfacePatch, bilinear, grid_d1
 
 MAX_CLUSTER_DIAMETER = 5  # node spacings; larger clusters are not "isolated"
@@ -74,10 +74,11 @@ def _components(mask: np.ndarray, periodic_u: bool) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 def critical_set(fld: CurvatureField) -> list[CriticalPoint]:
-    """Isolated flat-point clusters of an accepted patch, one point each.
+    """Isolated flat points of an accepted patch, with their branch orders.
 
     Clusters wider than a few node spacings mean the patch is planar or
-    flat along a curve; that is an error, not an empty answer.
+    flat along a curve; that is an error, not an empty answer, and so is a
+    cluster with no regular annulus inside the patch (:func:`branch_order`).
     """
     patch = fld.patch
     K = fld.k_sigma
@@ -100,16 +101,13 @@ def critical_set(fld: CurvatureField) -> list[CriticalPoint]:
             raise NonDiscreteCriticalSet(
                 f"flat cluster spans {max(du, dv)} node spacings; not isolated"
             )
-        uc = us[0] + float(iu.mean()) * patch.hu
+        uc = float(us[0]) + float(iu.mean()) * patch.hu
         vc = float(vs[jv].mean())
         radius = 0.5 * max(du * patch.hu, dv * patch.hv) + 2.0 * max(patch.hu, patch.hv)
         radius = _certify_radius(patch, K, tol, (uc, vc), radius)
-        nu_vec = patch.normal_at(np.array([[uc, vc]]))[0]
-        points.append(
-            CriticalPoint(
-                location=(uc, vc), nu=nu_vec, branch_order=0, detection_radius=radius
-            )
-        )
+        point = CriticalPoint((uc, vc), patch.normal_at(np.array([[uc, vc]]))[0], 0, radius)
+        point.branch_order = branch_order(patch, point)
+        points.append(point)
     return points
 
 
@@ -152,7 +150,7 @@ def branch_order(patch: SurfacePatch, point: CriticalPoint, samples: int = 64) -
     if not (v0 + r <= vc <= v1 - r) or (
         not patch.periodic_u and not (u0 + r <= uc <= u1 - r)
     ):
-        raise ValueError("no regular annulus inside the patch around the point")
+        raise NonDiscreteCriticalSet(f"no regular annulus inside the patch around {point.location}")
     e1, e2 = tangent_frame(point.nu)
     for n in (samples, 2 * samples):
         theta = np.linspace(0, 2 * np.pi, n, endpoint=False)
@@ -204,23 +202,21 @@ def pseudograph_extract(
     spec,
     axis,
     genus: int = 0,
-    fld: CurvatureField | None = None,
     *,
+    fld: CurvatureField,
     critical_points: list[CriticalPoint],
 ) -> Pseudograph:
-    """Trace the zero set of the normal component along a fixed axis.
+    """Trace the zero set of ``fld.normal @ unit_vector(axis)``, ``fld``
+    being the curvature field of ``patch`` (``spec`` is not read).
 
     Sign changes on grid edges are interpolated linearly and joined cell by
-    cell into polylines.  The caller's flat points (with their branch
-    orders) that sit inside the nodal band become graph vertices; vertex-free
-    closed loops receive one artificial vertex and open boundary arcs two,
-    so the Euler count is well-defined.  ``fld``, when given, supplies the
-    patch normals.
+    cell into polylines.  The flat points of ``critical_points``, as
+    :func:`critical_set` returns them, that sit inside the nodal band
+    become vertices; vertex-free closed loops receive one artificial vertex
+    and open boundary arcs two, so the Euler count is well-defined.
     """
-    axis = np.asarray(axis, dtype=np.float64)
-    axis = axis / np.linalg.norm(axis)
-    normals = fld.normal if fld is not None else patch.normals()[0]
-    phi = normals @ axis
+    axis = unit_vector(axis)
+    phi = fld.normal @ axis
     scale = float(np.max(np.abs(phi)))
     gu = grid_d1(phi, patch.hu, 0, patch.periodic_u)
     gv = grid_d1(phi, patch.hv, 1, False)
@@ -395,19 +391,11 @@ def euler_inequality_check(pg: Pseudograph) -> dict:
     An empty pseudograph carries no obstruction; it is reported with the
     degenerate flag and its complement count as vacuous slack.
     """
-    if pg.degenerate:
-        return {
-            "v": pg.v_count,
-            "e": pg.e_count,
-            "N": pg.n_components_complement,
-            "slack": pg.n_components_complement,
-            "degenerate": True,
-        }
     slack = (pg.v_count - pg.e_count + pg.n_components_complement) - (2 - 2 * pg.genus)
     return {
         "v": pg.v_count,
         "e": pg.e_count,
         "N": pg.n_components_complement,
-        "slack": int(slack),
-        "degenerate": False,
+        "slack": pg.n_components_complement if pg.degenerate else int(slack),
+        "degenerate": pg.degenerate,
     }

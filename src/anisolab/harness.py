@@ -27,7 +27,6 @@ from .errors import GrazingCircle, InvalidSpec, NonDiscreteCriticalSet
 from .gauss_analysis import (
     CriticalPoint,
     Pseudograph,
-    branch_order,
     critical_set,
     degrees,
     euler_inequality_check,
@@ -352,12 +351,9 @@ class RunContext:
     def critical(self) -> tuple[list[CriticalPoint], NonDiscreteCriticalSet | None]:
         """Flat points with their branch orders, or the reason there are none."""
         try:
-            points = critical_set(self.field)
+            return critical_set(self.field), None
         except NonDiscreteCriticalSet as exc:
             return [], exc.with_traceback(None)  # see pseudographs
-        for p in points:
-            p.branch_order = branch_order(self.patch, p)
-        return points, None
 
     @cached_property
     def pseudographs(self) -> dict[str, Pseudograph | GrazingCircle]:

@@ -91,6 +91,18 @@ def tangent_frame(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e1, e2
 
 
+def unit_vector(v) -> np.ndarray:
+    """``v / |v|`` for a nonzero vector, rescaled first by the power of two
+    that brings its largest entry into [0.5, 1).  That step is exact, so
+    |v|^2 cannot overflow or underflow, and the result is bit for bit the
+    plain quotient wherever that was finite."""
+    v = np.asarray(v, dtype=np.float64)
+    if not np.any(v):
+        raise ZeroVector("cannot normalize the zero vector")
+    v = np.ldexp(v, -np.frexp(np.max(np.abs(v)))[1])
+    return v / np.linalg.norm(v)
+
+
 def _require_unit(nu: np.ndarray) -> np.ndarray:
     nu = np.asarray(nu, dtype=np.float64)
     if nu.shape != (3,):

@@ -35,7 +35,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import SolverFailure
-from .integrand import IntegrandSpec, gamma_hessians, restrict2, sym2
+from .integrand import IntegrandSpec, gamma_hessians, restrict2, sym2, unit_vector
 from .objio import grid_faces
 from .surface import CurvatureField, SurfacePatch, curvature_field
 
@@ -374,7 +374,7 @@ def morse_index_exhaustion(
         )
     stabilized = counts[-1] if counts[-1] == counts[-2] else None
     residuals = {
-        _axis_name(a): jacobi_field_residual(patch, spec, a, disc=disc)["relative_residual"]
+        _axis_name(a): jacobi_field_residual(disc, a)["relative_residual"]
         for a in axes
     }
     return SpectralReport(
@@ -422,23 +422,15 @@ def comparison_operator_counts(
     ]
 
 
-def jacobi_field_residual(
-    patch: SurfacePatch,
-    spec: IntegrandSpec,
-    axis,
-    disc: JacobiDiscretization | None = None,
-) -> dict[str, float]:
-    """Weak residual of the translation Jacobi field for a fixed direction.
+def jacobi_field_residual(disc: JacobiDiscretization, axis) -> dict[str, float]:
+    """Weak residual on ``disc`` of the translation Jacobi field
+    ``<nu, unit_vector(axis)>``.
 
     The normal component of a translation solves the second-variation
     equation exactly, so the mass-normalized residual on interior nodes
     measures pure discretization error and must shrink at second order.
     """
-    axis = np.asarray(axis, dtype=np.float64)
-    axis = axis / np.linalg.norm(axis)
-    if disc is None:
-        disc = assemble(patch, spec)
-    phi = disc.field.normal.reshape(-1, 3) @ axis
+    phi = disc.field.normal.reshape(-1, 3) @ unit_vector(axis)
     r = disc.operator @ phi
     idx = np.flatnonzero(~disc.dirichlet_mask)
     rho = r[idx] / disc.lumped_mass[idx]

@@ -37,6 +37,13 @@ def higher_order_enneper_jets(k: int):
     return jets
 
 
+def near_corner_enneper():
+    """The (1, z^2) chart on [-0.01, 1]^2 at grid 101: its flat point sits
+    about one node spacing inside two edges of the patch."""
+    return sf.from_jet("enneper_order_2", higher_order_enneper_jets(2),
+                       (-0.01, 1.0, -0.01, 1.0), (101, 101))
+
+
 def higher_order_enneper(k: int, grid: int = 97, radius: float = 1.0):
     # odd grids place a node exactly on the flat point at the origin
     return sf.from_jet(

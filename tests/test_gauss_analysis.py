@@ -8,7 +8,7 @@ from anisolab import gauss_analysis as ga, integrand as ig, surface as sf
 from anisolab.cli import main
 from anisolab.errors import AmbiguousWinding, GrazingCircle, NonDiscreteCriticalSet
 
-from conftest import higher_order_enneper, higher_order_enneper_jets
+from conftest import higher_order_enneper, higher_order_enneper_jets, near_corner_enneper
 
 C1 = ig.constant(1.0)
 TWO_PI = 2 * np.pi
@@ -47,6 +47,17 @@ class TestCriticalSet:
         assert pts[0].location == pytest.approx((0.0, 0.0), abs=1e-12)
         # the certifying annulus really is regular
         assert pts[0].detection_radius > 0
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_points_carry_branch_orders(self, k):
+        f = sf.curvature_field(higher_order_enneper(k, grid=97), C1)
+        assert [p.branch_order for p in ga.critical_set(f)] == [k - 1]
+
+    def test_point_without_annulus_not_discrete(self):
+        # one node spacing from two edges: no regular circle fits around it
+        f = sf.curvature_field(near_corner_enneper(), C1)
+        with pytest.raises(NonDiscreteCriticalSet, match="no regular annulus"):
+            ga.critical_set(f)
 
 
 class TestBranchOrder:
@@ -230,7 +241,8 @@ class TestPseudograph:
 
     def test_plane_constant_axis_empty(self):
         patch = sf.fixture("plane", grid=(32, 32))
-        pg = ga.pseudograph_extract(patch, C1, E3, critical_points=[])
+        pg = ga.pseudograph_extract(
+            patch, C1, E3, fld=sf.curvature_field(patch, C1), critical_points=[])
         assert pg.degenerate and len(pg.edges) == 0
         euler = ga.euler_inequality_check(pg)
         assert euler == {"v": 0, "e": 0, "N": 1, "slack": 1, "degenerate": True}
@@ -238,14 +250,13 @@ class TestPseudograph:
     def test_plane_tangent_axis_grazes(self):
         patch = sf.fixture("plane", grid=(32, 32))
         with pytest.raises(GrazingCircle):
-            ga.pseudograph_extract(patch, C1, E1, critical_points=[])
+            ga.pseudograph_extract(
+                patch, C1, E1, fld=sf.curvature_field(patch, C1), critical_points=[])
 
     def test_branched_chart_vertex_on_nodal_set(self):
         patch = higher_order_enneper(2, grid=97)
         f = sf.curvature_field(patch, C1)
-        pts = ga.critical_set(f)
-        for p in pts:
-            p.branch_order = ga.branch_order(patch, p)
+        pts = ga.critical_set(f)  # with their branch orders
         pg = ga.pseudograph_extract(patch, C1, E1, fld=f, critical_points=pts)
         assert len(pg.vertices) == 1
         assert ga.euler_inequality_check(pg)["slack"] >= 0

@@ -20,7 +20,7 @@ from anisolab.harness import (
     selftest,
     verify_bounds,
 )
-from conftest import higher_order_enneper
+from conftest import higher_order_enneper, near_corner_enneper
 
 C1 = ig.constant(1.0)
 TWO_PI = 2 * np.pi
@@ -147,6 +147,20 @@ class TestVerifyBounds:
         (check,) = [c for c in rep["checks"] if c["name"] == "inertia_count_agreement"]
         assert check["rhs"] == rep["spectral"]["morse_index"] == [1, 1, 1]
         assert check["lhs"] == [0, 0, 0]
+
+    def test_flat_point_without_annulus_still_reports(self):
+        # a flat point too near the edge for branch_order is a degenerate
+        # critical set, not an exception out of the verdict
+        ctx = RunContext(ExperimentConfig())
+        ctx.patch = near_corner_enneper()
+        rep = verify_bounds(ctx)
+        assert [c["name"] for c in rep["checks"]] == list(REQUIRED_CHECKS)
+        assert rep["gauss"]["critical_degenerate"] is True
+        assert rep["gauss"]["branch_points"] == []
+        (check,) = [c for c in rep["checks"] if c["name"] == "branched_cover_euler_count"]
+        assert check["passed"] is None
+        assert check["note"] == "skipped: flat critical structure (planar diagnostic)"
+        assert "no regular annulus" in str(ctx.critical[1])
 
     def test_selftest_flips_checks(self):
         result = selftest(grid=48)
@@ -399,6 +413,20 @@ class TestCli:
         assert err.startswith("error: EllipticityLoss: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("axis,plain", [("1e-320,0,0", "1,0,0"),
+                                            ("1e308,1e308,0", "1,1,0")])
+    def test_gauss_axis_scale_does_not_matter(self, tmp_path, capsys, axis, plain):
+        # an axis whose squared norm under- or overflows names the same
+        # direction: the same bytes, and nothing on stderr
+        outs = []
+        for ax in (axis, plain):
+            out = tmp_path / f"{len(outs)}.json"
+            assert main(["gauss", "--surface", "catenoid:2", "--integrand", "const:1",
+                         "--grid", "24", "--axis", ax, "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        assert capsys.readouterr().err == ""
+
     def test_integrand_error_is_reported(self, tmp_path):
         rc = main(
             ["wulff", "--integrand", "sh:2,0,9", "--out", str(tmp_path / "x.obj")]
@@ -425,6 +453,11 @@ class TestBenchmarkEntryPoints:
         inspect.signature(accept_candidate).bind("patch", "spec")
         inspect.signature(verify_bounds).bind("config")
         inspect.signature(harness.report_json).bind("report")
+        inspect.signature(ga.critical_set).bind("fld")
+        inspect.signature(ga.branch_order).bind("patch", "point")
+        inspect.signature(ga.euler_inequality_check).bind("pg")
+        inspect.signature(ga.index_lower_bound).bind("pg")
+        inspect.signature(ga.degrees).bind("fld", "wulff")
 
 
 class TestRunContext:

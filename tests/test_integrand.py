@@ -156,6 +156,27 @@ class TestTangentAlgebra:
         assert np.max(np.abs(eigs - np.linalg.eigvalsh(mats))) <= 1e-12
 
 
+class TestUnitVector:
+    def test_plain_quotient_bit_for_bit(self, rng):
+        scales = 10.0 ** rng.integers(-100, 100, (200, 1))
+        for v in rng.standard_normal((200, 3)) * scales:
+            assert np.array_equal(ig.unit_vector(v), v / np.linalg.norm(v))
+
+    @pytest.mark.parametrize("exponent", [-1000, 1000, 1023])
+    def test_squared_norm_out_of_range(self, exponent):
+        # |v|^2 under- or overflows, yet the direction is the one v names
+        for v in ([1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.6, 0.0, 0.8]):
+            assert np.array_equal(ig.unit_vector(np.ldexp(v, exponent)), ig.unit_vector(v))
+
+    def test_subnormal_entries(self):
+        assert np.array_equal(ig.unit_vector([1e-320, 0.0, 0.0]), [1.0, 0.0, 0.0])
+        assert np.array_equal(ig.unit_vector([0.0, -5e-324, 0.0]), [0.0, -1.0, 0.0])
+
+    def test_zero_vector_refused(self):
+        with pytest.raises(ZeroVector):
+            ig.unit_vector([0.0, 0.0, 0.0])
+
+
 class TestCahnHoffman:
     def test_constant_is_identity(self, rng):
         for nu in unit_samples(rng, 5):

@@ -381,17 +381,26 @@ class TestShiftInvert:
 
 class TestJacobiFieldResidual:
     def test_plane_normal_axis_zero(self):
-        patch = sf.fixture("plane", grid=(32, 32))
-        out = spx.jacobi_field_residual(patch, C1, (0, 0, 1.0))
+        disc = spx.assemble(sf.fixture("plane", grid=(32, 32)), C1)
+        out = spx.jacobi_field_residual(disc, (0, 0, 1.0))
         assert out["relative_residual"] < 1e-12
-        out_t = spx.jacobi_field_residual(patch, C1, (1.0, 0, 0))
+        out_t = spx.jacobi_field_residual(disc, (1.0, 0, 0))
         assert out_t["relative_residual"] == 0.0
+
+    @pytest.mark.parametrize("axis,plain", [((1e-320, 0, 0), (1.0, 0, 0)),
+                                            ((1e308, 1e308, 0), (1.0, 1.0, 0))])
+    def test_axis_scale_does_not_matter(self, axis, plain):
+        # |axis|^2 underflows to zero or overflows to infinity
+        disc = spx.assemble(sf.fixture("catenoid", grid=(32, 32), v_extent=2.0), C1)
+        out = spx.jacobi_field_residual(disc, axis)["relative_residual"]
+        assert out == spx.jacobi_field_residual(disc, plain)["relative_residual"]
+        assert np.isfinite(out)
 
     def test_catenoid_second_order_decay(self):
         rels = []
         for n in (64, 128):
             patch = sf.fixture("catenoid", grid=(n, n), v_extent=2.0)
-            out = spx.jacobi_field_residual(patch, C1, (0, 0, 1.0))
+            out = spx.jacobi_field_residual(spx.assemble(patch, C1), (0, 0, 1.0))
             rels.append(out["relative_residual"])
         assert rels[1] < 1e-3
         assert rels[0] / rels[1] >= 3.0

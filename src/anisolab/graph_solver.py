@@ -173,20 +173,17 @@ class _Stencil:
         self.problem = problem
         nxi, nyi = problem.shape[0] - 2, problem.shape[1] - 2
         self.n = nxi * nyi
-        node = np.arange(self.n).reshape(nxi, nyi)
-        ii, jj = np.indices((nxi, nyi))
-        rows, cols, take = [], [], []
-        for k, (di, dj) in enumerate(_OFFSETS):
-            ni, nj = ii + di, jj + dj
-            inner = (ni >= 0) & (ni < nxi) & (nj >= 0) & (nj < nyi)
-            rows.append(node[inner])
-            cols.append(ni[inner] * nyi + nj[inner])
-            take.append(k * self.n + node[inner])
-        rows, cols, take = (np.concatenate(a) for a in (rows, cols, take))
-        order = np.lexsort((rows, cols))
-        self._take = take[order]
-        self._indices = rows[order]
-        self._indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=self.n))))
+        # column node c holds the rows c - (di * nyi + dj), which ascend when
+        # the offsets are taken in descending order: the (n, 9) mask is CSC order
+        ks = sorted(range(len(_OFFSETS)), key=_OFFSETS.__getitem__, reverse=True)
+        di, dj = np.array([_OFFSETS[k] for k in ks]).T
+        ri, rj = np.arange(nxi)[:, None] - di, np.arange(nyi)[:, None] - dj
+        inner = ((ri >= 0) & (ri < nxi))[:, None] & ((rj >= 0) & (rj < nyi))
+        inner = inner.reshape(self.n, len(ks))
+        rows = np.arange(self.n)[:, None] - (di * nyi + dj)
+        self._indices = rows[inner]
+        self._take = (np.array(ks) * self.n + rows)[inner]
+        self._indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(inner, axis=1))))
 
     def factor_at(self, u: np.ndarray):
         """LU of the operator with coefficients frozen at the iterate ``u``."""

@@ -43,6 +43,10 @@ class IntegrandSpec:
     family: str
     params: tuple[float, ...]
 
+    def __post_init__(self):
+        if not all(math.isfinite(p * p) for p in self.params):
+            raise InvalidSpec(f"parameters {self.params} or their squares are not finite")
+
     def __str__(self) -> str:
         return format_integrand(self)
 
@@ -153,35 +157,41 @@ def gamma_hessians(spec: IntegrandSpec, points: np.ndarray) -> np.ndarray:
 
     Degree-1 homogeneity puts the radial direction in the kernel; the
     tangential block is the curvature tensor of the integrand.
+
+    The result is entry-major, a view of a (3, 3, ...) buffer: the trailing
+    axes are not contiguous, each entry plane ``h[..., a, b]`` is.  Each upper
+    entry is computed once and mirrored; values equal the broadcast formula bit for bit.
     """
     x = np.asarray(points, dtype=np.float64)
-    r = np.linalg.norm(x, axis=-1)[..., None, None]
-    eye = np.broadcast_to(np.eye(3), x.shape[:-1] + (3, 3))
-    outer_xx = x[..., :, None] * x[..., None, :]
-    if spec.family == "constant":
-        return spec.params[0] * (eye / r - outer_xx / r**3)
+    buf = np.empty((3, 3) + x.shape[:-1])
+    # r: the norm gamma_bar divides by, 0-d for one point so its powers are ufuncs
     if spec.family == "ellipsoid":
         q = np.square(np.asarray(spec.params))
-        qx = x * q
-        val = np.sqrt(np.einsum("...i,...i->...", x, qx))[..., None, None]
-        outer_q = qx[..., :, None] * qx[..., None, :]
-        return np.diag(q) / val - outer_q / val**3
-    l, m, eps = spec.params
-    poly, grad, hess = solid_harmonic_jet(int(l), int(m))
-    pval = poly.eval(x)[..., None, None]
-    g = np.stack([gp.eval(x) for gp in grad], axis=-1)
-    h = np.stack(
-        [np.stack([hess[a][b].eval(x) for b in range(3)], axis=-1) for a in range(3)],
-        axis=-2,
-    )
-    outer_xg = x[..., :, None] * g[..., None, :]
-    base = eye / r - outer_xx / r**3
-    extra = (
-        (1.0 - l) * (-l - 1.0) * r ** (-l - 3.0) * pval * outer_xx
-        + (1.0 - l) * r ** (-l - 1.0) * (outer_xg + np.swapaxes(outer_xg, -1, -2) + pval * eye)
-        + r ** (1.0 - l) * h
-    )
-    return base + eps * extra
+        qx, qd = x * q, np.diag(q)
+        r = np.asarray(np.sqrt(np.einsum("...i,...i->...", x, qx)))
+    else:  # summed in np.linalg.norm's order, without its slow reduce over 3 entries
+        r = np.asarray(np.sqrt(x[..., 0] ** 2 + x[..., 1] ** 2 + x[..., 2] ** 2))
+    r3 = r**3
+    if spec.family == "spherical_harmonic":
+        l, m, eps = spec.params
+        poly, grad, hess = solid_harmonic_jet(int(l), int(m))
+        pval, g = poly.eval(x), [gp.eval(x) for gp in grad]
+        c2 = (1.0 - l) * (-l - 1.0) * r ** (-l - 3.0) * pval
+        c1, c0 = (1.0 - l) * r ** (-l - 1.0), r ** (1.0 - l)
+    for a, b in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
+        d = float(a == b)
+        if spec.family == "ellipsoid":
+            buf[a, b] = qd[a, b] / r - qx[..., a] * qx[..., b] / r3
+        else:
+            xx = x[..., a] * x[..., b]
+            buf[a, b] = d / r - xx / r3
+        if spec.family == "constant":
+            buf[a, b] *= spec.params[0]
+        elif spec.family == "spherical_harmonic":
+            extra = c1 * (x[..., a] * g[b] + x[..., b] * g[a] + pval * d)
+            buf[a, b] += eps * (c2 * xx + extra + c0 * hess[a][b].eval(x))
+        buf[b, a] = buf[a, b]
+    return np.moveaxis(buf, (0, 1), (-2, -1))
 
 
 def tangential_curvature_tensor(
@@ -277,7 +287,7 @@ def anisotropy_constants(
     eigs = sym2x2_eigenvalues(A)
     lam = float(np.min(eigs))
     Lam = float(np.max(eigs))
-    if lam <= 1e-10:
+    if not lam > 1e-10:
         raise NonConvexIntegrand(
             f"minimum tangential eigenvalue {lam:.3e} is not positive"
         )
@@ -298,13 +308,13 @@ def anisotropy_constants(
 def _validate(spec: IntegrandSpec) -> IntegrandSpec:
     sample = fibonacci_sphere(VALIDATION_SAMPLES)
     vals = gamma_values(spec, sample)
-    if np.min(vals) <= 0.0:
+    if not np.min(vals) > 0.0:
         raise NonConvexIntegrand(
             f"gamma takes non-positive value {np.min(vals):.3e} on the validation sample"
         )
     A, _, _ = tangential_curvature_tensor(spec, sample)
     min_eig = float(np.min(sym2x2_eigenvalues(A)))
-    if min_eig < CONVEXITY_MARGIN:
+    if not min_eig >= CONVEXITY_MARGIN:
         raise NonConvexIntegrand(
             f"sampled convexity margin violated: min tangential eigenvalue "
             f"{min_eig:.3e} < {CONVEXITY_MARGIN}"
@@ -313,15 +323,17 @@ def _validate(spec: IntegrandSpec) -> IntegrandSpec:
 
 
 def constant(c: float) -> IntegrandSpec:
+    spec = IntegrandSpec("constant", (float(c),))
     if not c > 0.0:
         raise NonConvexIntegrand("constant integrand needs c > 0")
-    return _validate(IntegrandSpec("constant", (float(c),)))
+    return _validate(spec)
 
 
 def ellipsoid(a: float, b: float, c: float) -> IntegrandSpec:
+    spec = IntegrandSpec("ellipsoid", (float(a), float(b), float(c)))
     if min(a, b, c) <= 0.0:
         raise NonConvexIntegrand("ellipsoid semi-axes must be positive")
-    return _validate(IntegrandSpec("ellipsoid", (float(a), float(b), float(c))))
+    return _validate(spec)
 
 
 @lru_cache(maxsize=None)
@@ -356,14 +368,13 @@ def spherical_harmonic(l: int, m: int, eps: float) -> IntegrandSpec:
         )
     if abs(m) > l:
         raise ValueError("harmonic order must satisfy |m| <= l")
+    spec = IntegrandSpec("spherical_harmonic", (float(l), float(m), float(eps)))
     cap = _harmonic_eps_cap(l, m)
-    if abs(eps) > cap:
+    if not abs(eps) <= cap:
         raise NonConvexIntegrand(
             f"|eps| = {abs(eps):.4g} exceeds the convexity cap {cap:.4g} for (l={l}, m={m})"
         )
-    return _validate(
-        IntegrandSpec("spherical_harmonic", (float(l), float(m), float(eps)))
-    )
+    return _validate(spec)
 
 
 def parse_integrand(text: str) -> IntegrandSpec:
@@ -462,6 +473,6 @@ def wulff_mesh(spec: IntegrandSpec, refinement: int) -> WulffMesh:
     # outward orientation: face normal must point away from the origin,
     # which is interior to the Wulff body since gamma > 0
     centroid = tri.mean(axis=1)
-    if np.min(np.einsum("ij,ij->i", cross, centroid)) <= 0.0:
+    if not np.min(np.einsum("ij,ij->i", cross, centroid)) > 0.0:
         raise NonConvexIntegrand("Wulff mesh orientation check failed")
     return WulffMesh(vertices=verts, source_normals=normals, faces=faces, area=area)

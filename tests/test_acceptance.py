@@ -7,6 +7,7 @@ catenoid with its analytic value tanh(V) and the Enneper chart at radius 1.3
 with independent adaptive quadrature (0.676 * 4pi), each to 1%.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -22,7 +23,7 @@ from anisolab import (
     spectrum as spx,
     surface as sf,
 )
-from anisolab.harness import ExperimentConfig, tangency_check, verify_bounds
+from anisolab.harness import ExperimentConfig, report_json, tangency_check, verify_bounds
 
 C1 = ig.constant(1.0)
 C2 = ig.constant(2.0)
@@ -115,6 +116,18 @@ def bounds_reports():
         )
     )
     return reports
+
+
+def test_criterion_11_report_bytes_pinned(bounds_reports):
+    # sha256 of report_json for each configuration of the fixture
+    digests = {
+        "catenoid": "8e019f17dcd8225636643cec466c309423de034f9b5f3a7a6d7efa8665780b9c",
+        "enneper": "f2dd13c55faf07df5088a311a1da047c6c87ecb093defda3954ecbbd4827fbe3",
+        "sheared": "810f1d5cd7b23067e75fa60367a2243c2a9d1bdb971014b4882ebddb2248360d",
+    }
+    for name, report in bounds_reports.items():
+        text = report_json(report)
+        assert hashlib.sha256(text.encode()).hexdigest() == digests[name], name
 
 
 def test_criterion_01_cahn_hoffman_tangency():

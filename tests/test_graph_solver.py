@@ -1,3 +1,6 @@
+import hashlib
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -116,6 +119,38 @@ class TestHarmonicSeed:
         assert np.max(np.abs(seed - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
+def lexsort_stencil(shape):
+    """CSC arrays (take, indices, indptr) of the interior 9-point operator
+    on a grid of ``shape`` nodes, by a lexsort of its entries: the oracle
+    for ``_Stencil``'s sort-free construction."""
+    nxi, nyi = shape[0] - 2, shape[1] - 2
+    n = nxi * nyi
+    node = np.arange(n).reshape(nxi, nyi)
+    ii, jj = np.indices((nxi, nyi))
+    rows, cols, take = [], [], []
+    for k, (di, dj) in enumerate(gs._OFFSETS):
+        ni, nj = ii + di, jj + dj
+        inner = (ni >= 0) & (ni < nxi) & (nj >= 0) & (nj < nyi)
+        rows.append(node[inner])
+        cols.append(ni[inner] * nyi + nj[inner])
+        take.append(k * n + node[inner])
+    rows, cols, take = (np.concatenate(a) for a in (rows, cols, take))
+    order = np.lexsort((rows, cols))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n))))
+    return take[order], rows[order], indptr
+
+
+class TestStencil:
+    # the stencil reads only the problem's shape, so grids below the
+    # solver's 8x8 floor can be checked too
+    @pytest.mark.parametrize("shape", [(5, 7), (7, 5), (65, 65), (129, 129)])
+    def test_matches_lexsort_construction(self, shape):
+        st = gs._Stencil(SimpleNamespace(shape=shape))
+        for got, want in zip((st._take, st._indices, st._indptr), lexsort_stencil(shape)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+
 class TestSolve:
     def test_linear_data_converges_without_a_step(self):
         # the harmonic seed is exact for linear data: no Picard step is taken
@@ -186,6 +221,16 @@ class TestSolve:
         assert sol.status == "max_iter"
         assert sol.iterations == 1
         assert np.isfinite(sol.residual_linf)
+
+    @pytest.mark.parametrize("spec, digest, iterations", [
+        (C1, "5e7426b31a651ca8dea782bb5d2618d7c47008daf4d12429ce1e3fc36e48e099", 20),
+        (E112, "2636e0af839f3bbf472bd353da38eeecb6b080dcdb72eac6c1d934aec85a51eb", 8),
+    ])
+    def test_catenoid_solution_bytes_pinned(self, spec, digest, iterations):
+        sol = gs.solve(gs.GraphProblem(domain=(1.2, 2.0, -0.4, 0.4), shape=(65, 65),
+                                       boundary=gs.bc_catenoid(), spec=spec))
+        assert (sol.status, sol.iterations) == ("converged", iterations)
+        assert hashlib.sha256(sol.u.tobytes()).hexdigest() == digest
 
     def test_catenoid_grid_257_converges_on_reused_factor(self, monkeypatch):
         # at this grid the residual floor of a full re-solve sat above the

@@ -402,6 +402,25 @@ class TestCli:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: InvalidSpec: ")
 
+    @pytest.mark.parametrize("argv", [
+        ["wulff", "--integrand", "const:inf"],
+        ["wulff", "--integrand", "ellipsoid:nan,1,1"],
+        ["wulff", "--integrand", "ellipsoid:inf,1,1"],
+        ["wulff", "--integrand", "ellipsoid:1e200,1,1"],
+        ["wulff", "--integrand", "sh:2,0,nan"],
+        ["bounds", "--integrand", "ellipsoid:nan,1,1"],
+    ], ids=lambda argv: f"{argv[0]}-{argv[2]}")
+    def test_non_finite_integrand_exits_2(self, tmp_path, capsys, argv):
+        # these printed "area nan" with exit 0, or failed in the eigensolve
+        out = tmp_path / "w.obj"
+        if argv[0] == "wulff":
+            argv = argv + ["--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidSpec: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("slope", ["1e200", "1e300"])
     def test_huge_slope_exits_2_without_warning(self, capsys, slope):
         # finite heights whose slopes overflow the coefficients: refused,

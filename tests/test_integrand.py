@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from anisolab import integrand as ig
-from anisolab.errors import NonConvexIntegrand, NonUnitNormal, ZeroVector
+from anisolab.errors import InvalidSpec, NonConvexIntegrand, NonUnitNormal, ZeroVector
+from anisolab.harmonics import solid_harmonic_jet
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -128,6 +129,101 @@ class TestHessianAGamma:
         nus = unit_samples(rng, 50)
         e1, e2 = ig.tangent_frame(nus)
         assert np.allclose(np.cross(e1, e2), nus, atol=1e-12)
+
+
+def broadcast_hessians(spec, points):
+    """The Hessian of gamma_bar by (..., 3, 3) broadcasting: the oracle for
+    the entry-major ``gamma_hessians``."""
+    x = np.asarray(points, dtype=np.float64)
+    r = np.linalg.norm(x, axis=-1)[..., None, None]
+    eye = np.broadcast_to(np.eye(3), x.shape[:-1] + (3, 3))
+    outer_xx = x[..., :, None] * x[..., None, :]
+    if spec.family == "constant":
+        return spec.params[0] * (eye / r - outer_xx / r**3)
+    if spec.family == "ellipsoid":
+        q = np.square(np.asarray(spec.params))
+        qx = x * q
+        val = np.sqrt(np.einsum("...i,...i->...", x, qx))[..., None, None]
+        outer_q = qx[..., :, None] * qx[..., None, :]
+        return np.diag(q) / val - outer_q / val**3
+    l, m, eps = spec.params
+    poly, grad, hess = solid_harmonic_jet(int(l), int(m))
+    pval = poly.eval(x)[..., None, None]
+    g = np.stack([gp.eval(x) for gp in grad], axis=-1)
+    h = np.stack(
+        [np.stack([hess[a][b].eval(x) for b in range(3)], axis=-1) for a in range(3)],
+        axis=-2,
+    )
+    outer_xg = x[..., :, None] * g[..., None, :]
+    base = eye / r - outer_xx / r**3
+    extra = (
+        (1.0 - l) * (-l - 1.0) * r ** (-l - 3.0) * pval * outer_xx
+        + (1.0 - l) * r ** (-l - 1.0) * (outer_xg + np.swapaxes(outer_xg, -1, -2) + pval * eye)
+        + r ** (1.0 - l) * h
+    )
+    return base + eps * extra
+
+
+def oracle_specs():
+    specs = [ig.constant(1.0), ig.constant(2.5), ig.ellipsoid(1, 1, 2), ig.ellipsoid(0.7, 1.3, 0.9)]
+    for l in range(1, ig.MAX_HARMONIC_DEGREE + 1):
+        specs += [ig.spherical_harmonic(l, m, 0.02) for m in range(-l, l + 1)]
+    return specs
+
+
+def oracle_inputs():
+    rng = np.random.default_rng(13)
+    pts = rng.standard_normal((60, 3))
+    zeros = pts.copy()
+    zeros[::3, 0] = 0.0
+    zeros[1::3, 1] = 0.0
+    zeros[::4, 2] = 0.0
+    zeros[5, :2] = -0.0
+    odd = np.array([[np.nan, 1, 1], [np.inf, 0, 1], [0, 0, 0], [-np.inf, np.inf, 1],
+                    [1, 2, np.nan], [0, 0, -0.0]])
+    return {
+        "random": pts, "zero_components": zeros, "scaled_up": pts * 1e150,
+        "scaled_down": pts * 1e-150, "nan_inf_zero_rows": odd,
+        "two_batch_axes": pts.reshape(6, 10, 3), "column_major": np.asfortranarray(pts),
+    }
+
+
+class TestHessianLayout:
+    @pytest.mark.parametrize("kind", list(oracle_inputs()))
+    def test_bitwise_equal_to_broadcast_formula(self, kind):
+        x = oracle_inputs()[kind]
+        for spec in oracle_specs():
+            with np.errstate(all="ignore"):
+                want, got = broadcast_hessians(spec, x), ig.gamma_hessians(spec, x)
+            assert got.shape == x.shape[:-1] + (3, 3)
+            assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
+                                  want.view(np.uint64)), (str(spec), kind)
+
+    def test_single_points_bitwise_equal(self):
+        # one point is the (3,) input: numpy scalar and array powers can
+        # round differently, so every row is checked on its own
+        rows = np.concatenate([oracle_inputs()[k] for k in ("random", "nan_inf_zero_rows")])
+        for spec in oracle_specs():
+            for x in rows:
+                with np.errstate(all="ignore"):
+                    want, got = broadcast_hessians(spec, x), ig.gamma_hessians(spec, x)
+                assert got.shape == (3, 3)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (str(spec), x)
+
+    def test_entry_planes_contiguous(self, rng):
+        h = ig.gamma_hessians(ig.ellipsoid(1, 1, 2), rng.standard_normal((4, 5, 3)))
+        for a in range(3):
+            for b in range(3):
+                assert h[..., a, b].flags.c_contiguous
+
+    def test_restrict2_independent_of_layout(self, rng):
+        for shape in ((50, 3), (6, 7, 3), (3,)):
+            x, y, nu = rng.standard_normal((3,) + shape)
+            for spec in oracle_specs():
+                h = ig.gamma_hessians(spec, nu)
+                got = ig.restrict2(h, x, y)
+                want = ig.restrict2(np.ascontiguousarray(h), x, y)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), str(spec)
 
 
 class TestTangentAlgebra:
@@ -283,6 +379,24 @@ class TestValidation:
         for text in ("const:2", "ellipsoid:1,1,2", "sh:3,1,0.05"):
             spec = ig.parse_integrand(text)
             assert ig.parse_integrand(ig.format_integrand(spec)) == spec
+
+    @pytest.mark.parametrize("factory, params", [
+        (ig.constant, (math.inf,)),
+        (ig.constant, (math.nan,)),
+        (ig.ellipsoid, (math.nan, 1, 1)),
+        (ig.ellipsoid, (1, math.nan, 1)),
+        (ig.ellipsoid, (math.inf, 1, 1)),
+        (ig.ellipsoid, (1e200, 1, 1)),  # finite, but its square overflows
+        (ig.spherical_harmonic, (2, 0, math.nan)),
+    ])
+    def test_rejects_non_finite_parameters(self, factory, params):
+        with pytest.raises(InvalidSpec):
+            factory(*params)
+
+    def test_zero_extra_normal_refused(self):
+        # a zero row normalizes to NaN, which must not pass as NaN constants
+        with np.errstate(invalid="ignore"), pytest.raises(NonConvexIntegrand):
+            ig.anisotropy_constants(ig.constant(1.0), extra_normals=np.zeros((1, 3)))
 
     def test_parse_rejects_unknown(self):
         with pytest.raises(ValueError):

@@ -59,9 +59,6 @@ class MonomialPoly:
             out += term
         return out
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
 
 def _mul(a: dict, b: dict) -> dict:
     out: dict[tuple[int, int, int], Fraction] = {}

@@ -234,17 +234,11 @@ def _check(name, passed, lhs, rhs, tolerance, note=""):
     return {
         "name": name,
         "passed": passed,
-        "lhs": _jsonable(lhs),
-        "rhs": _jsonable(rhs),
-        "tolerance": _jsonable(tolerance),
+        "lhs": lhs,
+        "rhs": rhs,
+        "tolerance": tolerance,
         "note": note,
     }
-
-
-def _jsonable(x):
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    return x
 
 
 def _graph_heights(patch: SurfacePatch):
@@ -324,7 +318,7 @@ class RunContext:
 
     @cached_property
     def disc_cmp(self) -> JacobiDiscretization:
-        return comparison_assembly(self.patch, self.spec, self.field, self.consts.lambda_gamma)
+        return comparison_assembly(self.field, self.consts.lambda_gamma)
 
     @cached_property
     def spectral(self) -> SpectralReport:
@@ -610,7 +604,7 @@ def verify_bounds(run: ExperimentConfig | RunContext) -> dict:
         "spectral": spectral.to_dict(),
         "comparison_counts": cmp_counts,
         "gauss": {
-            "degrees": {k: _jsonable(v) for k, v in degs.items()},
+            "degrees": dict(degs),
             "branch_points": [
                 {
                     "location": [float(p.location[0]), float(p.location[1])],

@@ -281,7 +281,10 @@ def anisotropy_constants(
     normals = fibonacci_sphere(sample_count)
     if extra_normals is not None:
         extra = np.asarray(extra_normals, dtype=np.float64).reshape(-1, 3)
-        extra = extra / np.linalg.norm(extra, axis=-1, keepdims=True)
+        norms = np.linalg.norm(extra, axis=-1, keepdims=True)
+        if np.any(norms == 0.0):
+            raise ZeroVector("extra_normals has a row too close to zero to normalize")
+        extra = extra / norms
         normals = np.concatenate([normals, extra], axis=0)
     A, _, _ = tangential_curvature_tensor(spec, normals)
     eigs = sym2x2_eigenvalues(A)

@@ -198,6 +198,12 @@ def interior_indices(
     return np.flatnonzero(keep)
 
 
+def _pencil(disc: JacobiDiscretization, domain):
+    """Free node indices of ``domain``, with the operator and mass restricted to them."""
+    idx = interior_indices(disc, domain)
+    return idx, disc.operator[idx][:, idx].tocsc(), disc.mass[idx][:, idx].tocsc()
+
+
 def dirichlet_eigs(
     disc: JacobiDiscretization,
     k: int,
@@ -214,15 +220,12 @@ def dirichlet_eigs(
     """
     if k < 1:
         raise ValueError("need k >= 1")
-    idx = interior_indices(disc, domain)
+    idx, op, mass = _pencil(disc, domain)
     n = len(idx)
     if n == 0:
         raise SolverFailure("Dirichlet domain contains no free nodes")
-    if k > n:
-        k = n
-    op = disc.operator[idx][:, idx].tocsc()
-    mass = disc.mass.tocsr()[idx][:, idx].tocsc()
-    qmax = float(np.max(disc.potential.diagonal()[idx] / disc.mass.diagonal()[idx]))
+    k = min(k, n)
+    qmax = float(np.max(disc.potential.diagonal()[idx] / mass.diagonal()))
     sigma = -max(qmax, 0.0) - 1.0
     opinv = None
 
@@ -233,7 +236,7 @@ def dirichlet_eigs(
         try:
             if dense:
                 vals, vecs = sla.eigh(op.toarray(), mass.toarray())
-                vals, vecs = vals[: min(k, n)], vecs[:, : min(k, n)]
+                vals, vecs = vals[:k], vecs[:, :k]
             else:
                 rng = np.random.default_rng(0)
                 vals, vecs = spla.eigsh(
@@ -272,13 +275,10 @@ def inertia(
     The count is that of the negative pivots of P (A + shift M) P^T = L D L^T
     (:func:`_symmetric_factor`), or None when that factor is not trusted.
     """
-    idx = interior_indices(disc, domain)
+    idx, op, mass = _pencil(disc, domain)
     if len(idx) == 0:
         return None
-    a = disc.operator[idx][:, idx]
-    if shift:
-        a = a + shift * disc.mass[idx][:, idx]
-    return _symmetric_factor(a.tocsc())[1]
+    return _symmetric_factor(op + shift * mass if shift else op)[1]
 
 
 def _symmetric_factor(a: sp.csc_matrix):
@@ -338,12 +338,12 @@ def guarded_negative_count(
     eigenvalue lies in [-delta, 0) and both counts are equal; otherwise the
     eigensolve decides.
     """
-    idx = interior_indices(disc, domain)
-    below_zero = inertia(disc, domain)
+    idx, op, mass = _pencil(disc, domain)
+    below_zero = _symmetric_factor(op)[1] if len(idx) else None
     if below_zero is not None:
-        row_sum = np.asarray(abs(disc.operator[idx][:, idx]).sum(axis=1)).reshape(-1)
+        row_sum = np.asarray(abs(op).sum(axis=1)).reshape(-1)
         delta = ZERO_EIG_REL * 5.0 * float(np.max(row_sum / disc.lumped_mass[idx]))
-        if below_zero == inertia(disc, domain, shift=delta):
+        if below_zero == _symmetric_factor(op + delta * mass)[1]:
             return below_zero
     return negative_count(dirichlet_eigs(disc, k, domain=domain)[0])
 
@@ -390,14 +390,13 @@ def _axis_name(axis) -> str:
     return "axis_" + ",".join(f"{c:g}" for c in axis)
 
 
-def comparison_assembly(
-    patch: SurfacePatch, spec: IntegrandSpec, field: CurvatureField, lambda_gamma: float
-) -> JacobiDiscretization:
+def comparison_assembly(field: CurvatureField, lambda_gamma: float) -> JacobiDiscretization:
     """The scalar comparison operator: identity diffusion and the curvature
     potential (2 / lambda_gamma^2)(-K_gamma), lambda_gamma being the
     smallest weight eigenvalue."""
     weight = (2.0 / lambda_gamma**2) * (-field.k_gamma)
-    return assemble(patch, spec, field=field, potential_weight=weight, isotropic_diffusion=True)
+    return assemble(field.patch, field.spec, field=field, potential_weight=weight,
+                    isotropic_diffusion=True)
 
 
 def comparison_operator_counts(

@@ -88,8 +88,11 @@ class SurfacePatch:
 
     def normals(self) -> tuple[np.ndarray, np.ndarray]:
         """Unit normal field and the immersion Jacobian |X_u x X_v|."""
-        raw = np.cross(self.du, self.dv)
-        jac = np.linalg.norm(raw, axis=-1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            raw = np.cross(self.du, self.dv)
+            jac = np.linalg.norm(raw, axis=-1)
+        if not np.all(np.isfinite(jac)):
+            raise DegenerateImmersion("|X_u x X_v| is not finite at some node")
         if np.min(jac) <= IMMERSION_TOL:
             raise DegenerateImmersion(
                 f"|X_u x X_v| = {np.min(jac):.3e} at some node; not an immersion"
@@ -138,17 +141,12 @@ def grid_d1(arr: np.ndarray, h: float, axis: int, periodic: bool) -> np.ndarray:
     """Second-order first derivative along a grid axis.
 
     Central differences inside, one-sided 3-point stencils at non-periodic
-    edges, wrap-around on periodic axes.
+    edges (``np.gradient``), wrap-around on periodic axes.
     """
-    a = np.moveaxis(np.asarray(arr, dtype=np.float64), axis, 0)
-    out = np.empty_like(a)
+    a = np.asarray(arr, dtype=np.float64)
     if periodic:
-        out[:] = (np.roll(a, -1, axis=0) - np.roll(a, 1, axis=0)) / (2 * h)
-    else:
-        out[1:-1] = (a[2:] - a[:-2]) / (2 * h)
-        out[0] = (-3 * a[0] + 4 * a[1] - a[2]) / (2 * h)
-        out[-1] = (3 * a[-1] - 4 * a[-2] + a[-3]) / (2 * h)
-    return np.moveaxis(out, 0, axis)
+        return (np.roll(a, -1, axis=axis) - np.roll(a, 1, axis=axis)) / (2 * h)
+    return np.gradient(a, h, axis=axis, edge_order=2)
 
 
 # ---------------------------------------------------------------------------
@@ -403,9 +401,8 @@ def fixture(name: str, grid=96, **params) -> SurfacePatch:
             raise ValueError("plane lu and lv must be finite and positive")
         return _build("plane", _plane_jets, (0.0, lu, 0.0, lv), shape, False, 1)
     if name == "sphere":
-        cap = float(params.pop("cap", 0.02))
         _no_extra(params)
-        domain = (0.0, 2 * np.pi, cap, np.pi - cap)
+        domain = (0.0, 2 * np.pi, 0.02, np.pi - 0.02)  # a cap of 0.02 off each pole
         return _build("sphere", _sphere_jets, domain, shape, True, -1)
     if name == "catenoid":
         V = float(params.pop("v_extent", 2.0))
@@ -425,8 +422,12 @@ def fixture(name: str, grid=96, **params) -> SurfacePatch:
         _no_extra(params)
         if M.shape != (3, 3):
             raise ValueError("shear must be a 3x3 matrix")
-        if abs(np.linalg.det(M)) < 1e-8:
-            raise SingularShear(f"|det M| = {abs(np.linalg.det(M)):.3e}")
+        if not np.all(np.isfinite(M)):
+            raise ValueError("shear entries must be finite")
+        with np.errstate(over="ignore"):  # an overflowing chart is refused by normals()
+            det = abs(np.linalg.det(M))
+        if det < 1e-8:
+            raise SingularShear(f"|det M| = {det:.3e}")
         if not 0.0 < V <= 4.0:
             raise ValueError("catenoid v_extent must lie in (0, 4]")
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import inspect
 import json
 import sys
@@ -342,6 +343,7 @@ class TestCli:
         "config_tolerance_string", "wulff_refine_above_cap", "config_wulff_refinement_above_cap",
         "graph_domain_flat", "graph_domain_nan", "graph_domain_reversed", "graph_bc_nan",
         "graph_tol_nan", "graph_max_iter_negative", "plane_zero_width", "graph_bc_overflow",
+        "shear_nan", "shear_inf", "shear_overflow", "shear_det_overflow",
     ])
     def test_bad_input_exits_2(self, tmp_path, capsys, case):
         cfg = tmp_path / "cfg.json"
@@ -398,9 +400,25 @@ class TestCli:
             "bc_file_without_bc": graph[:-1] + [str(cfg), "--domain", "0,1,0,1"],
             "solution_missing_keys": ["bounds", "--surface", str(cfg)],
             "solution_bad_json": ["bounds", "--surface", str(cfg)],
+            # these failed with a traceback, printed sup|H_gamma| = nan with
+            # exit 0, blamed the integrand for the NaN shear, or warned
+            "shear_nan": ["bounds", "--surface", "sheared_catenoid:nan,0,0,0,1,0,0,0,1;2",
+                          "--grid", "24"],
+            "shear_inf": ["curvature", "--surface", "sheared_catenoid:1,0,0,0,1,0,0,0,inf;2",
+                          "--integrand", "const:1", "--grid", "24",
+                          "--out", str(tmp_path / "c.json")],
+            "shear_overflow": gauss[:2] + ["sheared_catenoid:1,0,0,0,1,0,0,0,1e300;2"]
+            + gauss[3:-1] + ["24"],
+            "shear_det_overflow": gauss[:2] + ["sheared_catenoid:1e200,0,0,0,1e200,0,0,0,1e200"]
+            + gauss[3:],
         }.get(case, ["bounds", "--config", str(cfg)])  # the config_* cases
         assert main(argv) == 2
-        assert capsys.readouterr().err.startswith("error: InvalidSpec: ")
+        err = capsys.readouterr().err
+        # |X_u x X_v| overflows on every node of a finite chart
+        kind = ("DegenerateImmersion" if case in ("shear_overflow", "shear_det_overflow")
+                else "InvalidSpec")
+        assert err.startswith(f"error: {kind}: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
         ["wulff", "--integrand", "const:inf"],
@@ -464,6 +482,14 @@ class TestBenchmarkEntryPoints:
     def test_traced_argument_names(self, fn, names):
         assert set(names) <= set(inspect.signature(fn).parameters)
 
+    def test_dirichlet_eigs_returns_free_nodes_third(self):
+        # the tracer reads len(dirichlet_eigs(...)[2]) as the free-node count
+        disc = spx.assemble(sf.fixture("catenoid", grid=24), C1)
+        dom = (0.0, TWO_PI, -1.0, 1.0)
+        out = spx.dirichlet_eigs(disc, 4, domain=dom)
+        assert isinstance(out, tuple) and len(out) == 3
+        np.testing.assert_array_equal(out[2], spx.interior_indices(disc, dom))
+
     def test_workload_calls_bind(self):
         # bind raises TypeError when a workload's call no longer fits
         inspect.signature(ga.pseudograph_extract).bind(
@@ -477,6 +503,22 @@ class TestBenchmarkEntryPoints:
         inspect.signature(ga.euler_inequality_check).bind("pg")
         inspect.signature(ga.index_lower_bound).bind("pg")
         inspect.signature(ga.degrees).bind("fld", "wulff")
+
+
+class TestPinnedBytes:
+    """Output bytes that refactors of the spectral counts must keep."""
+
+    def test_spectrum_view_bytes(self, tmp_path):
+        # prints the guarded comparison counts next to the exhaustion
+        out = tmp_path / "s.json"
+        assert main(["spectrum", "--surface", "catenoid:2", "--integrand", "const:1",
+                     "--grid", "64", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "7772055826afa1b8191c35d9344143239c37a6e47cbfb9d9b995b6d6854cde66")
+
+    def test_selftest_bytes(self):
+        assert hashlib.sha256(json.dumps(selftest(64)).encode()).hexdigest() == (
+            "a1dbdc5e74e0773ff20c4ca1e21bc18256b77306676e82357d98223055f620da")
 
 
 class TestRunContext:

@@ -394,8 +394,8 @@ class TestValidation:
             factory(*params)
 
     def test_zero_extra_normal_refused(self):
-        # a zero row normalizes to NaN, which must not pass as NaN constants
-        with np.errstate(invalid="ignore"), pytest.raises(NonConvexIntegrand):
+        # a zero row is refused before the normalization divides by zero
+        with pytest.raises(ZeroVector):
             ig.anisotropy_constants(ig.constant(1.0), extra_normals=np.zeros((1, 3)))
 
     def test_parse_rejects_unknown(self):

@@ -336,12 +336,28 @@ class TestInertia:
         )
         fld = sf.curvature_field(patch, E112)
         consts = ig.anisotropy_constants(E112, extra_normals=fld.normal.reshape(-1, 3))
-        disc = spx.comparison_assembly(patch, E112, fld, consts.lambda_gamma)
+        disc = spx.comparison_assembly(fld, consts.lambda_gamma)
         vals = spx.dirichlet_eigs(disc, 12, domain=(0, TWO_PI, -2.5, 2.5))[0]
         assert len(vals) > 12
         assert spx.negative_count(vals) > 12
         # every widening of the window reuses the one shift-invert factor
         assert len(factorizations) == 1
+
+
+class TestComparisonAssembly:
+    def test_matches_weighted_isotropic_assembly(self):
+        patch = sf.fixture(
+            "sheared_catenoid", grid=(32, 24), shear=np.diag([1.0, 1.0, 2.0]), v_extent=2.0
+        )
+        fld = sf.curvature_field(patch, E112)
+        lam = ig.anisotropy_constants(E112, extra_normals=fld.normal.reshape(-1, 3)).lambda_gamma
+        got = spx.comparison_assembly(fld, lam)
+        ref = spx.assemble(patch, E112, field=fld, potential_weight=(2.0 / lam**2) * (-fld.k_gamma),
+                           isotropic_diffusion=True)
+        for name in ("stiffness", "potential", "mass"):
+            a, b = getattr(got, name), getattr(ref, name)
+            for part in ("data", "indices", "indptr"):
+                np.testing.assert_array_equal(getattr(a, part), getattr(b, part), err_msg=name)
 
 
 class TestShiftInvert:

@@ -156,6 +156,40 @@ class TestFirstVariation:
             sf.first_variation_check(p, C1, np.zeros(p.shape), 1e-7)
 
 
+def stencil_d1(a, h, axis, periodic):
+    """The explicit 3-point stencils grid_d1 must reproduce."""
+    a = np.moveaxis(a, axis, 0)
+    out = np.empty_like(a)
+    if periodic:
+        out[:] = (np.roll(a, -1, axis=0) - np.roll(a, 1, axis=0)) / (2 * h)
+    else:
+        out[1:-1] = (a[2:] - a[:-2]) / (2 * h)
+        out[0] = (-3 * a[0] + 4 * a[1] - a[2]) / (2 * h)
+        out[-1] = (3 * a[-1] - 4 * a[-2] + a[-3]) / (2 * h)
+    return np.moveaxis(out, 0, axis)
+
+
+class TestGridD1:
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_matches_stencils(self, axis, periodic):
+        a = np.random.default_rng(5).standard_normal((17, 13, 3))
+        h = 0.037
+        got, ref = sf.grid_d1(a, h, axis, periodic), stencil_d1(a, h, axis, periodic)
+        inner = [slice(None)] * 3
+        inner[axis] = slice(1, -1)
+        # bit for bit off the edges; the one-sided edge rows round differently
+        np.testing.assert_array_equal(got[tuple(inner)], ref[tuple(inner)])
+        if periodic:
+            np.testing.assert_array_equal(got, ref)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.max(np.abs(a)) / h)
+
+    def test_exact_on_quadratics(self):
+        x = np.linspace(-1.0, 2.0, 7)
+        np.testing.assert_allclose(sf.grid_d1(x**2 - 3 * x, x[1] - x[0], 0, False),
+                                   2 * x - 3, rtol=0, atol=1e-13)
+
+
 class TestMinimalSurfaceInvariants:
     def accepted_fields(self):
         out = [

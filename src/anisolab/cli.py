@@ -222,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("wulff", help="mesh the Wulff shape of an integrand")
     p.add_argument("--integrand", required=True)
-    p.add_argument("--refine", type=int, default=4)
+    p.add_argument("--refine", type=int, default=ExperimentConfig.wulff_refinement)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_wulff)
 
@@ -231,44 +231,44 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", required=True, help="x0,x1,y0,y1")
     p.add_argument("--grid", type=int, default=129)
     p.add_argument("--bc", required=True, help="zero|linear:a,b,c|sine:amp|catenoid|file.json")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=200)
+    p.add_argument("--tol", type=float, default=GraphProblem.tol)
+    p.add_argument("--max-iter", type=int, default=GraphProblem.max_iter)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_solve_graph)
 
     p = sub.add_parser("curvature", help="export curvature fields of a surface")
     p.add_argument("--surface", required=True)
     p.add_argument("--integrand", required=True)
-    p.add_argument("--grid", type=int, default=96)
+    p.add_argument("--grid", type=int, default=ExperimentConfig.grid)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_curvature)
 
     p = sub.add_parser("spectrum", help="Jacobi spectra over an exhaustion")
     p.add_argument("--surface", required=True, help="fixture spec or solution.json")
     p.add_argument("--integrand", required=True)
-    p.add_argument("--grid", type=int, default=96)
+    p.add_argument("--grid", type=int, default=ExperimentConfig.grid)
     p.add_argument("--domains", default=None, help="u0,u1,v0,v1;... (default: nested)")
-    p.add_argument("--k", type=int, default=12)
+    p.add_argument("--k", type=int, default=ExperimentConfig.eig_count)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("gauss", help="Gauss-map degrees and nodal pseudograph")
     p.add_argument("--surface", required=True)
     p.add_argument("--integrand", required=True)
-    p.add_argument("--grid", type=int, default=96)
+    p.add_argument("--grid", type=int, default=ExperimentConfig.grid)
     p.add_argument("--axis", default="0,0,1")
-    p.add_argument("--genus", type=int, default=0)
+    p.add_argument("--genus", type=int, default=ExperimentConfig.genus)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gauss)
 
     p = sub.add_parser("bounds", help="full verdict report with all checks")
     p.add_argument("--config", default=None, help="JSON config file")
-    p.add_argument("--surface", default="catenoid:2")
-    p.add_argument("--integrand", default="const:1")
-    p.add_argument("--grid", type=int, default=96)
+    p.add_argument("--surface", default=ExperimentConfig.surface)
+    p.add_argument("--integrand", default=ExperimentConfig.integrand)
+    p.add_argument("--grid", type=int, default=ExperimentConfig.grid)
     p.add_argument("--domains", default=None)
-    p.add_argument("--genus", type=int, default=0)
-    p.add_argument("--seed", type=int, default=1234)
+    p.add_argument("--genus", type=int, default=ExperimentConfig.genus)
+    p.add_argument("--seed", type=int, default=ExperimentConfig.seed)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bounds)
 

@@ -81,20 +81,10 @@ def _r2_power(k: int) -> dict:
 def _sector(m: int) -> dict:
     """Re (x + iy)^m for m >= 0, Im (x + iy)^|m| for m < 0."""
     am = abs(m)
-    out: dict[tuple[int, int, int], Fraction] = {}
-    for j in range(am + 1):
-        # i^j contributes to real part for even j, imaginary for odd j
-        if m >= 0 and j % 2 == 0:
-            sign = -1 if (j // 2) % 2 else 1
-            key = (am - j, j, 0)
-            out[key] = out.get(key, Fraction(0)) + sign * math.comb(am, j)
-        elif m < 0 and j % 2 == 1:
-            sign = -1 if ((j - 1) // 2) % 2 else 1
-            key = (am - j, j, 0)
-            out[key] = out.get(key, Fraction(0)) + sign * math.comb(am, j)
-    if not out:  # m == 0
-        out = {(0, 0, 0): Fraction(1)}
-    return out
+    # in sum_j C(|m|, j) x^(|m|-j) (iy)^j, i^j is real for even j and imaginary
+    # for odd j, with sign (-1)^(j // 2) either way
+    return {(am - j, j, 0): Fraction((-1) ** (j // 2) * math.comb(am, j))
+            for j in range(am + 1) if j % 2 == (m < 0)}
 
 
 @lru_cache(maxsize=None)

@@ -49,6 +49,8 @@ from .integrand import (
     wulff_mesh,
 )
 from .spectrum import (
+    DEFAULT_AXES,
+    DEFAULT_EIG_COUNT,
     ZERO_EIG_REL,
     JacobiDiscretization,
     SpectralReport,
@@ -58,7 +60,7 @@ from .spectrum import (
     inertia,
     morse_index_exhaustion,
 )
-from .surface import CurvatureField, SurfacePatch, curvature_field, fixture
+from .surface import FIXTURE_PARAMS, CurvatureField, SurfacePatch, curvature_field, fixture
 
 # Fixed registry of verification points every verdict report must cover.
 REQUIRED_CHECKS = (
@@ -80,7 +82,6 @@ REQUIRED_CHECKS = (
     "aniso_degree_sandwich",
 )
 
-DEFAULT_AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 TANGENCY_STEP = 1e-6  # finite-difference step of the Wulff-map differential
 
 
@@ -91,19 +92,18 @@ class ExperimentConfig:
     grid: int = 96
     domains: list | None = None          # exhaustion rectangles (u0,u1,v0,v1)
     axes: list = field(default_factory=lambda: [list(a) for a in DEFAULT_AXES])
-    genus: int = 0
-    euler_char: int = 2
+    genus: int = 0                       # of the compactified surface, chi = 2 - 2 genus
     seed: int = 1234
     minimal_accept: float = 1e-3
     jacobi_residual_tol: float = 5e-3
     wulff_refinement: int = 4
-    eig_count: int = 12
+    eig_count: int = DEFAULT_EIG_COUNT
 
     def __post_init__(self):
         if not (isinstance(self.surface, str) and isinstance(self.integrand, str)):
             raise InvalidSpec("surface and integrand must be strings")
         for name, low in (("grid", 3), ("eig_count", 1), ("genus", 0), ("seed", 0),
-                          ("wulff_refinement", 0), ("euler_char", -math.inf)):
+                          ("wulff_refinement", 0)):
             value = getattr(self, name)
             if not (isinstance(value, Integral) and not isinstance(value, bool) and value >= low):
                 raise InvalidSpec(f"{name} must be an integer >= {low}, got {value!r}")
@@ -142,11 +142,6 @@ def _numbers(values, count: int) -> bool:
                     and math.isfinite(v) for v in values))
 
 
-# fixture parameters in the order the surface grammar lists them
-_FIXTURE_PARAMS = {"plane": ("lu", "lv"), "sphere": (), "catenoid": ("v_extent",),
-                  "enneper": ("radius",)}
-
-
 def parse_surface(text: str, grid, integrand: str | None = None) -> SurfacePatch:
     """Surface grammar: plane[:lu,lv] | sphere | catenoid:V | enneper:R |
     sheared_catenoid:m11,...,m33;V (nine row-major shear entries) | the path
@@ -170,20 +165,20 @@ def parse_surface(text: str, grid, integrand: str | None = None) -> SurfacePatch
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise InvalidSpec(f"cannot read solution {text!r}: {exc!r}") from exc
     head, _, tail = text.strip().partition(":")
+    if head not in FIXTURE_PARAMS:
+        raise InvalidSpec(f"cannot parse surface spec {text!r}")
+    given = {}
     try:
-        if head == "sheared_catenoid":
-            entries, _, vpart = tail.partition(";")
-            m = np.array([float(t) for t in entries.split(",")]).reshape(3, 3)
-            return fixture(head, grid=grid, shear=m, v_extent=float(vpart) if vpart else 2.0)
-        if head in _FIXTURE_PARAMS:
-            names = _FIXTURE_PARAMS[head]
-            values = [float(t) for t in tail.split(",")] if tail else []
-            if len(values) not in (0, len(names)):
-                raise ValueError(f"{head} takes {len(names)} parameters")
-            return fixture(head, grid=grid, **dict(zip(names, values)))
+        if head == "sheared_catenoid":  # the nine shear entries come first, then ";V"
+            entries, _, tail = tail.partition(";")
+            given["shear"] = np.array([float(t) for t in entries.split(",")]).reshape(3, 3)
+        names = [name for name in FIXTURE_PARAMS[head] if name not in given]
+        values = [float(t) for t in tail.split(",")] if tail else []
+        if len(values) not in (0, len(names)):
+            raise ValueError(f"{head} takes {len(names)} parameters")
+        return fixture(head, grid=grid, **given, **dict(zip(names, values)))
     except ValueError as exc:
         raise InvalidSpec(f"cannot parse surface spec {text!r}: {exc}") from exc
-    raise InvalidSpec(f"cannot parse surface spec {text!r}")
 
 
 def default_exhaustion(patch: SurfacePatch) -> list[tuple[float, float, float, float]]:
@@ -209,7 +204,7 @@ def default_exhaustion(patch: SurfacePatch) -> list[tuple[float, float, float, f
 def accept_candidate(
     patch: SurfacePatch,
     spec: IntegrandSpec,
-    minimal_accept: float = 1e-3,
+    minimal_accept: float = ExperimentConfig.minimal_accept,
     fld: CurvatureField | None = None,
 ) -> dict:
     """Gate on the measured anisotropic mean curvature, nothing else.
@@ -509,7 +504,7 @@ def verify_bounds(run: ExperimentConfig | RunContext) -> dict:
                    "skipped: flat critical structure (planar diagnostic)")
         )
     else:
-        defect = riemann_hurwitz_check(config.euler_char, degs["deg_nu"], branch_points)
+        defect = riemann_hurwitz_check(2 - 2 * config.genus, degs["deg_nu"], branch_points)
         checks.append(
             _check("branched_cover_euler_count", bool(defect == 0.0), defect, 0.0, 0,
                    "Euler count of the compactified branched cover")

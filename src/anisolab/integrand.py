@@ -433,33 +433,28 @@ def icosphere(refinement: int) -> tuple[np.ndarray, np.ndarray]:
         dtype=np.float64,
     )
     verts /= np.linalg.norm(verts, axis=1, keepdims=True)
-    faces = [
+    faces = np.array([
         (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
         (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
         (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
         (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
-    ]
-    verts = [tuple(v) for v in verts]
+    ], dtype=np.int64)
     for _ in range(refinement):
-        cache: dict[tuple[int, int], int] = {}
-        new_faces = []
-
-        def midpoint(i, j):
-            key = (min(i, j), max(i, j))
-            if key not in cache:
-                p = np.array(verts[i]) + np.array(verts[j])
-                p /= np.linalg.norm(p)
-                verts.append(tuple(p))
-                cache[key] = len(verts) - 1
-            return cache[key]
-
-        for a, b, c in faces:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
-        faces = new_faces
-    v = np.array(verts, dtype=np.float64)
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    return v, np.array(faces, dtype=np.int64)
+        # the edges ab, bc, ca of every face; new midpoints are numbered in
+        # the order their edges are first met
+        edges = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+        _, first, inverse = np.unique(np.sort(edges, axis=1), axis=0,
+                                      return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        mid = verts[edges[first[order]]].sum(axis=1)
+        # row dot products, rounded as the 1-D np.linalg.norm of each row
+        mid /= np.sqrt(mid[:, None, :] @ mid[:, :, None])[:, 0]
+        ab, bc, ca = (len(verts) + np.argsort(order)[inverse.reshape(-1)]).reshape(-1, 3).T
+        a, b, c = faces.T
+        faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
+        verts = np.concatenate([verts, mid])
+    verts /= np.linalg.norm(verts, axis=1, keepdims=True)
+    return verts, faces
 
 
 def wulff_mesh(spec: IntegrandSpec, refinement: int) -> WulffMesh:

@@ -34,13 +34,14 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import SolverFailure
+from .errors import InvalidSpec, SolverFailure
 from .integrand import IntegrandSpec, gamma_hessians, restrict2, sym2, unit_vector
 from .objio import grid_faces
 from .surface import CurvatureField, SurfacePatch, curvature_field
 
 ZERO_EIG_REL = 1e-8
 DEFAULT_EIG_COUNT = 12
+DEFAULT_AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))  # translation fields
 DENSE_CUTOFF = 400
 SHIFT_TRIES = 8  # factorizations spent looking for a shift below the spectrum
 
@@ -353,17 +354,23 @@ def morse_index_exhaustion(
     spec: IntegrandSpec,
     domains: list[tuple[float, float, float, float]],
     k: int = DEFAULT_EIG_COUNT,
-    axes: tuple = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
+    axes: tuple = DEFAULT_AXES,
     disc: JacobiDiscretization | None = None,
 ) -> SpectralReport:
     """Negative-eigenvalue counts over nested Dirichlet domains, on ``disc``
     when given and otherwise on a fresh assembly of the patch.
 
     The stabilized index is reported only when the last two domains agree;
-    nothing is extrapolated beyond the computed exhaustion.
+    nothing is extrapolated beyond the computed exhaustion, and a list in
+    which a domain repeats or leaves out part of the one before it is refused.
     """
     if len(domains) < 3:
         raise ValueError("need at least 3 nested domains")
+    for a, b in zip(domains, domains[1:]):
+        inside = b[0] <= a[0] and a[1] <= b[1] and b[2] <= a[2] and a[3] <= b[3]
+        if not inside or list(a) == list(b):
+            raise InvalidSpec(f"each domain must contain the one before it and differ "
+                              f"from it, got {list(a)} then {list(b)}")
     if disc is None:
         disc = assemble(patch, spec)
     eigenvalues = [dirichlet_eigs(disc, k, domain=tuple(dom))[0] for dom in domains]

@@ -384,42 +384,41 @@ def _enneper_jets(U, V):
     return {"x": x, "xu": xu, "xv": xv, "xuu": xuu, "xuv": xuv, "xvv": xvv}
 
 
+# every fixture's parameters with their defaults, in the order of the surface grammar
+FIXTURE_PARAMS = {"plane": {"lu": 1.0, "lv": 1.0}, "sphere": {}, "catenoid": {"v_extent": 2.0},
+                  "enneper": {"radius": 0.75},
+                  "sheared_catenoid": {"shear": np.eye(3), "v_extent": 2.0}}
+
+
 def fixture(name: str, grid=96, **params) -> SurfacePatch:
     """Build a registered fixture patch on the given grid.
 
-    Fixtures: plane, sphere, catenoid(v_extent), enneper(radius),
-    sheared_catenoid(shear, v_extent).  The sheared catenoid is only a
-    candidate critical surface; acceptance is decided downstream from its
-    measured anisotropic mean curvature.
+    The fixtures and their parameters are those of ``FIXTURE_PARAMS``.  The
+    sheared catenoid is only a candidate critical surface; acceptance is
+    decided downstream from its measured anisotropic mean curvature.
     """
     shape = _as_shape(grid)
+    if name not in FIXTURE_PARAMS:
+        raise UnknownFixture(f"no fixture named {name!r}")
+    unknown = sorted(set(params) - set(FIXTURE_PARAMS[name]))
+    if unknown:
+        raise ValueError(f"unknown fixture parameters: {unknown}")
+    p = {**FIXTURE_PARAMS[name], **params}
     if name == "plane":
-        lu = float(params.pop("lu", 1.0))
-        lv = float(params.pop("lv", 1.0))
-        _no_extra(params)
+        lu, lv = float(p["lu"]), float(p["lv"])
         if not (0.0 < lu < np.inf and 0.0 < lv < np.inf):
             raise ValueError("plane lu and lv must be finite and positive")
         return _build("plane", _plane_jets, (0.0, lu, 0.0, lv), shape, False, 1)
     if name == "sphere":
-        _no_extra(params)
         domain = (0.0, 2 * np.pi, 0.02, np.pi - 0.02)  # a cap of 0.02 off each pole
         return _build("sphere", _sphere_jets, domain, shape, True, -1)
-    if name == "catenoid":
-        V = float(params.pop("v_extent", 2.0))
-        _no_extra(params)
-        if not 0.0 < V <= 4.0:
-            raise ValueError("catenoid v_extent must lie in (0, 4]")
-        return _build("catenoid", _catenoid_jets, (0.0, 2 * np.pi, -V, V), shape, True, 1)
     if name == "enneper":
-        R = float(params.pop("radius", 0.75))
-        _no_extra(params)
+        R = float(p["radius"])
         if not 0.0 < R <= 1.5:
             raise ValueError("enneper radius must lie in (0, 1.5]")
         return _build("enneper", _enneper_jets, (-R, R, -R, R), shape, False, 1)
     if name == "sheared_catenoid":
-        M = np.asarray(params.pop("shear", np.eye(3)), dtype=np.float64)
-        V = float(params.pop("v_extent", 2.0))
-        _no_extra(params)
+        M = np.array(p["shear"], dtype=np.float64)
         if M.shape != (3, 3):
             raise ValueError("shear must be a 3x3 matrix")
         if not np.all(np.isfinite(M)):
@@ -428,23 +427,17 @@ def fixture(name: str, grid=96, **params) -> SurfacePatch:
             det = abs(np.linalg.det(M))
         if det < 1e-8:
             raise SingularShear(f"|det M| = {det:.3e}")
-        if not 0.0 < V <= 4.0:
-            raise ValueError("catenoid v_extent must lie in (0, 4]")
+    V = float(p["v_extent"])
+    if not 0.0 < V <= 4.0:
+        raise ValueError("catenoid v_extent must lie in (0, 4]")
+    if name == "catenoid":
+        return _build("catenoid", _catenoid_jets, (0.0, 2 * np.pi, -V, V), shape, True, 1)
 
-        def jets(U, Vv, _M=M):
-            base = _catenoid_jets(U, Vv)
-            return {k: np.einsum("ab,...b->...a", _M, arr) for k, arr in base.items()}
+    def jets(U, Vv, _M=M):
+        base = _catenoid_jets(U, Vv)
+        return {k: np.einsum("ab,...b->...a", _M, arr) for k, arr in base.items()}
 
-        patch = _build(
-            "sheared_catenoid", jets, (0.0, 2 * np.pi, -V, V), shape, True, 1
-        )
-        return patch
-    raise UnknownFixture(f"no fixture named {name!r}")
-
-
-def _no_extra(params: dict) -> None:
-    if params:
-        raise ValueError(f"unknown fixture parameters: {sorted(params)}")
+    return _build("sheared_catenoid", jets, (0.0, 2 * np.pi, -V, V), shape, True, 1)
 
 
 def from_jet(

@@ -121,9 +121,9 @@ def bounds_reports():
 def test_criterion_11_report_bytes_pinned(bounds_reports):
     # sha256 of report_json for each configuration of the fixture
     digests = {
-        "catenoid": "8e019f17dcd8225636643cec466c309423de034f9b5f3a7a6d7efa8665780b9c",
-        "enneper": "f2dd13c55faf07df5088a311a1da047c6c87ecb093defda3954ecbbd4827fbe3",
-        "sheared": "810f1d5cd7b23067e75fa60367a2243c2a9d1bdb971014b4882ebddb2248360d",
+        "catenoid": "567b3baee05ac37e9d041febaf268c6321d27d441a9ba1c242d7bf0c975e5dac",
+        "enneper": "f34263e197dcd63260313b54e10d6b962491eb8a526842899fbcc353ecec7e2e",
+        "sheared": "773b3c53ba1447e749cef373ca3ada839f24b8470726c8dc248f806cf0deb37d",
     }
     for name, report in bounds_reports.items():
         text = report_json(report)

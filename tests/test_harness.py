@@ -8,7 +8,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from anisolab import gauss_analysis as ga, harness, integrand as ig, spectrum as spx, surface as sf
+from anisolab import cli, gauss_analysis as ga, harness, integrand as ig, spectrum as spx
+from anisolab import surface as sf
 from anisolab.cli import gauss_payload, main
 from anisolab.errors import InvalidSpec
 from anisolab.integrand import MAX_REFINEMENT
@@ -311,6 +312,33 @@ class TestCli:
         assert rc == 0
         assert json.loads(out.read_text())["all_passed"]
 
+    def test_bounds_genus_sets_euler_characteristic(self, tmp_path):
+        # Riemann-Hurwitz on the compactified surface uses chi = 2 - 2 genus;
+        # read as a sphere, the genus-1 run passed every check
+        out = tmp_path / "v.json"
+        assert main(["bounds", "--grid", "48", "--genus", "1", "--out", str(out)]) == 1
+        report = json.loads(out.read_text())
+        assert report["failed_checks"] == ["branched_cover_euler_count"]
+        (check,) = [c for c in report["checks"] if c["name"] == "branched_cover_euler_count"]
+        assert check["lhs"] == -2.0
+
+    @pytest.mark.parametrize("command", ["bounds", "spectrum", "gauss", "curvature"])
+    def test_flag_defaults_are_config_defaults(self, monkeypatch, command):
+        seen = []
+
+        def capture(config):
+            seen.append(config)
+            raise InvalidSpec("captured")
+
+        monkeypatch.setattr(cli, "verify_bounds", capture)
+        monkeypatch.setattr(cli, "RunContext", capture)
+        defaults = ExperimentConfig()
+        required = {"bounds": []}.get(command, [
+            "--surface", defaults.surface, "--integrand", defaults.integrand, "--out", "x"])
+        assert main([command, *required]) == 2
+        axes = {"gauss": [[0.0, 0.0, 1.0]]}.get(command, defaults.axes)  # gauss takes one axis
+        assert seen == [dataclasses.replace(defaults, axes=axes)]
+
     def test_bounds_config_file(self, tmp_path):
         cfg = ExperimentConfig(surface="plane", grid=32)
         path = tmp_path / "cfg.json"
@@ -343,7 +371,8 @@ class TestCli:
         "config_tolerance_string", "wulff_refine_above_cap", "config_wulff_refinement_above_cap",
         "graph_domain_flat", "graph_domain_nan", "graph_domain_reversed", "graph_bc_nan",
         "graph_tol_nan", "graph_max_iter_negative", "plane_zero_width", "graph_bc_overflow",
-        "shear_nan", "shear_inf", "shear_overflow", "shear_det_overflow",
+        "shear_nan", "shear_inf", "shear_overflow", "shear_det_overflow", "config_euler_char",
+        "spectrum_domains_not_nested", "bounds_domain_repeated",
     ])
     def test_bad_input_exits_2(self, tmp_path, capsys, case):
         cfg = tmp_path / "cfg.json"
@@ -357,6 +386,8 @@ class TestCli:
             "config_tolerance_string": json.dumps({"surface": "plane", "minimal_accept": "x"}),
             "config_wulff_refinement_above_cap": json.dumps(
                 {"surface": "plane", "wulff_refinement": MAX_REFINEMENT + 1}),
+            # the Euler characteristic is 2 - 2 genus, not a separate input
+            "config_euler_char": json.dumps({"surface": "plane", "euler_char": 0}),
             "bc_file_names_itself": json.dumps({"bc": str(cfg)}),
             "bc_file_without_bc": json.dumps({"boundary": "zero"}),
             "solution_missing_keys": json.dumps({"integrand": "const:1"}),
@@ -411,6 +442,11 @@ class TestCli:
             + gauss[3:-1] + ["24"],
             "shear_det_overflow": gauss[:2] + ["sheared_catenoid:1e200,0,0,0,1e200,0,0,0,1e200"]
             + gauss[3:],
+            # these exited 0, counting a shrinking domain or one domain twice
+            "spectrum_domains_not_nested": spectrum + [
+                "--grid", "48", "--domains", "0,6.2832,-1,1;0,6.2832,-0.5,0.5;0,6.2832,-2,2"],
+            "bounds_domain_repeated": ["bounds", "--grid", "48", "--domains",
+                                       "0,6.2832,-1,1;0,6.2832,-2,2;0,6.2832,-2,2"],
         }.get(case, ["bounds", "--config", str(cfg)])  # the config_* cases
         assert main(argv) == 2
         err = capsys.readouterr().err

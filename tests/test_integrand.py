@@ -403,7 +403,54 @@ class TestValidation:
             ig.parse_integrand("quartic:1")
 
 
+def icosphere_loop(refinement):
+    """Midpoint subdivision one edge at a time: the oracle of ``icosphere``."""
+    phi = (1.0 + math.sqrt(5.0)) / 2.0
+    verts = np.array(
+        [
+            (-1, phi, 0), (1, phi, 0), (-1, -phi, 0), (1, -phi, 0),
+            (0, -1, phi), (0, 1, phi), (0, -1, -phi), (0, 1, -phi),
+            (phi, 0, -1), (phi, 0, 1), (-phi, 0, -1), (-phi, 0, 1),
+        ],
+        dtype=np.float64,
+    )
+    verts /= np.linalg.norm(verts, axis=1, keepdims=True)
+    faces = [
+        (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
+        (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
+        (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
+        (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
+    ]
+    verts = [tuple(v) for v in verts]
+    for _ in range(refinement):
+        cache, new_faces = {}, []
+
+        def midpoint(i, j):
+            key = (min(i, j), max(i, j))
+            if key not in cache:
+                p = np.array(verts[i]) + np.array(verts[j])
+                p /= np.linalg.norm(p)
+                verts.append(tuple(p))
+                cache[key] = len(verts) - 1
+            return cache[key]
+
+        for a, b, c in faces:
+            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+            new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
+        faces = new_faces
+    v = np.array(verts, dtype=np.float64)
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return v, np.array(faces, dtype=np.int64)
+
+
 class TestWulffMesh:
+    @pytest.mark.parametrize("refinement", range(6))
+    def test_icosphere_matches_edge_loop(self, refinement):
+        verts, faces = ig.icosphere(refinement)
+        want_verts, want_faces = icosphere_loop(refinement)
+        assert verts.tobytes() == want_verts.tobytes()
+        assert faces.dtype == want_faces.dtype and np.array_equal(faces, want_faces)
+
     def test_unit_sphere_area(self):
         mesh = ig.wulff_mesh(ig.constant(1.0), 4)
         assert abs(mesh.area / (4 * math.pi) - 1) < 0.005

@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 from scipy.integrate import dblquad
 
 from anisolab import integrand as ig, spectrum as spx, surface as sf
-from anisolab.errors import SolverFailure
+from anisolab.errors import InvalidSpec, SolverFailure
 from anisolab.harness import ExperimentConfig, RunContext
 from anisolab.objio import grid_faces
 
@@ -153,6 +153,7 @@ class TestDirichletEigs:
         disc = spx.assemble(sf.fixture("plane", grid=(32, 32)), C1)
         with pytest.raises(SolverFailure):
             spx.dirichlet_eigs(disc, 3, domain=(0.4, 0.41, 0.4, 0.41))
+        assert spx.inertia(disc, (0.4, 0.41, 0.4, 0.41)) is None
 
 
 class TestMorseIndex:
@@ -187,6 +188,17 @@ class TestMorseIndex:
             spx.morse_index_exhaustion(
                 sf.fixture("plane", grid=(32, 32)), C1, [(0, 1, 0, 1)] * 2
             )
+
+    @pytest.mark.parametrize("domains", [
+        [(0, TWO_PI, -1, 1), (0, TWO_PI, -0.5, 0.5), (0, TWO_PI, -2, 2)],
+        [(0, TWO_PI, -1, 1), (0, TWO_PI, -2, 2), (0, TWO_PI, -2, 2)],
+        [(1, 2, -1, 1), (1.5, 2.5, -1.5, 1.5), (0, TWO_PI, -2, 2)],
+    ], ids=["shrinks", "repeats", "shifts"])
+    def test_refuses_domains_not_nested(self, domains):
+        # a shrinking or repeated domain made the count sequence meaningless,
+        # and a repeated last one stabilized the index by fiat
+        with pytest.raises(InvalidSpec, match="must contain the one before it"):
+            spx.morse_index_exhaustion(sf.fixture("catenoid", grid=(24, 24)), C1, domains)
 
 
 class TestComparisonOperator:
@@ -304,6 +316,13 @@ class TestInertia:
                 shift = spx.ZERO_EIG_REL * float(np.max(np.abs(vals)))
                 assert spx.inertia(disc, dom, shift=shift) == expected
                 assert spx.guarded_negative_count(disc, spx.DEFAULT_EIG_COUNT, dom) == expected
+
+    @pytest.mark.parametrize("matrix", [[[0, 1], [1, 0]], [[1, 0], [0, 0]],
+                                        [[1, 1], [1, 1 + 1e-10]]],
+                             ids=["pivots_off_diagonal", "singular", "tiny_pivot"])
+    def test_untrusted_factor(self, matrix):
+        # row pivoting, an exactly zero pivot, a pivot below ZERO_EIG_REL of its row
+        assert spx._symmetric_factor(sp.csc_matrix(np.array(matrix, dtype=float))) == (None, None)
 
     def test_guard_falls_back_to_eigensolve(self, monkeypatch):
         # plane with constant potential weight q: eigenvalues mu_i - q, with

@@ -272,6 +272,15 @@ class TestFixtures:
         with pytest.raises(UnknownFixture):
             sf.fixture("helicoid")
 
+    @pytest.mark.parametrize("name", list(sf.FIXTURE_PARAMS))
+    def test_parameters_default_to_table(self, name):
+        default = sf.fixture(name, grid=(8, 8))
+        spelled = sf.fixture(name, grid=(8, 8), **sf.FIXTURE_PARAMS[name])
+        assert np.array_equal(default.position, spelled.position)
+        assert default.domain == spelled.domain
+        with pytest.raises(ValueError, match=r"unknown fixture parameters: \['bogus'\]"):
+            sf.fixture(name, bogus=1.0)
+
     def test_singular_shear(self):
         with pytest.raises(SingularShear):
             sf.fixture("sheared_catenoid", shear=np.zeros((3, 3)))

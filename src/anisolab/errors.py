@@ -46,11 +46,14 @@ class SolverFailure(AnisolabError):
 
 
 class NonDiscreteCriticalSet(AnisolabError):
-    """Flat-point clusters are not isolated (planar patch or bad tolerance)."""
+    """Flat points are not isolated: a planar patch, a flat set reaching the
+    patch boundary or filling a periodic chart's every cell column, or a
+    zero of the traceless curvature it does not wind around."""
 
 
 class AmbiguousWinding(AnisolabError):
-    """Winding-number sampling too coarse even after one refinement."""
+    """Winding-number sampling too coarse even after one refinement, or the
+    Gauss map and the traceless curvature wind differently around a flat point."""
 
 
 class GrazingCircle(AnisolabError):

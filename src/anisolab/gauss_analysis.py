@@ -4,9 +4,8 @@ On a critical-point-free patch the Gauss map is a local diffeomorphism and
 the normal component of any fixed direction has a regular zero set; tracing
 that zero set cell by cell yields an embedded pseudograph whose combinatorics
 feed the index bounds.  Critical points (flat points of the surface) are
-detected as isolated clusters of numerically vanishing Gauss curvature and
-their branching is read off the winding number of the Gauss map around the
-cluster.
+found where the traceless curvature turns on the grid, and their branching
+is its winding, checked against the winding of the Gauss map around them.
 """
 
 from __future__ import annotations
@@ -20,8 +19,6 @@ from scipy.sparse import csgraph
 from .errors import AmbiguousWinding, GrazingCircle, NonDiscreteCriticalSet
 from .integrand import WulffMesh, tangent_frame, unit_vector
 from .surface import CurvatureField, SurfacePatch, bilinear, grid_d1
-
-MAX_CLUSTER_DIAMETER = 5  # node spacings; larger clusters are not "isolated"
 
 
 @dataclass
@@ -51,8 +48,8 @@ class Pseudograph:
 
 
 def _components(mask: np.ndarray, periodic_u: bool) -> list[np.ndarray]:
-    """Connected components (4-adjacency) of a boolean node mask, as sorted
-    flat node indices, ordered by their first node."""
+    """Connected components (4-adjacency) of a boolean node or cell mask, as
+    sorted flat indices, ordered by their first entry."""
     ids = np.arange(mask.size).reshape(mask.shape)
     links = [(ids[:, :-1], ids[:, 1:], mask[:, :-1] & mask[:, 1:]),
              (ids[:-1], ids[1:], mask[:-1] & mask[1:])]
@@ -76,63 +73,66 @@ def _components(mask: np.ndarray, periodic_u: bool) -> list[np.ndarray]:
 def critical_set(fld: CurvatureField) -> list[CriticalPoint]:
     """Isolated flat points of an accepted patch, with their branch orders.
 
-    Clusters wider than a few node spacings mean the patch is planar or
-    flat along a curve; that is an error, not an empty answer, and so is a
-    cluster with no regular annulus inside the patch (:func:`branch_order`).
+    Psi, the complex traceless part of (AS + SA)/2 (A the weight tensor, S
+    the shape operator), vanishes where H_gamma = 0 only at flat points and
+    winds m times around one of branch order m.  Grid edges along which Psi
+    vanishes or turns by pi/2 or more mark their cells; the marked cells
+    grow to disjoint bounding boxes, one flat point each.  An unresolved
+    patch boundary, a box Psi does not wind around, and a Gauss-map winding
+    (:func:`branch_order`) that disagrees are errors, not answers.
     """
-    patch = fld.patch
-    K = fld.k_sigma
-    scale = float(np.max(np.abs(K)))
-    if scale == 0.0:
+    patch, K = fld.patch, fld.k_sigma
+    if not np.any(K):
         raise NonDiscreteCriticalSet("Gauss curvature vanishes identically")
-    tol = 1e-5 * scale
-    mask = np.abs(K) < tol
-    clusters = _components(mask, patch.periodic_u)
-    points: list[CriticalPoint] = []
+    if np.all(K > 0):  # no flat point; Psi vanishes on umbilics such as the sphere's
+        return []
+    a11, a12, a22 = fld.a_tensor[..., 0, 0], fld.a_tensor[..., 0, 1], fld.a_tensor[..., 1, 1]
+    s11, s12, s22 = fld.shape_op[..., 0, 0], fld.shape_op[..., 0, 1], fld.shape_op[..., 1, 1]
+    psi = (a11 * s11 - a22 * s22) + 1j * ((a11 + a22) * s12 + a12 * (s11 + s22))
+    # unresolved edges: Psi turns by pi/2 or more, vanishes at an end, or is NaN
+    bad_u = ~(np.real(np.roll(psi, -1, axis=0) * np.conj(psi)) > 0)  # (i, j) -> (i + 1, j)
+    bad_v = ~(np.real(psi[:, 1:] * np.conj(psi[:, :-1])) > 0)
+    cells = bad_u[:, :-1] | bad_u[:, 1:] | bad_v | np.roll(bad_v, -1, axis=0)
     us, vs = patch.u_samples(), patch.v_samples()
-    nu_, nv_ = patch.shape
-    for nodes in clusters:
-        iu, jv = nodes // nv_, nodes % nv_
-        if patch.periodic_u:
-            iu = _unwrap_indices(iu, nu_)
-        du = (iu.max() - iu.min())
-        dv = (jv.max() - jv.min())
-        if max(du, dv) >= MAX_CLUSTER_DIAMETER:
-            raise NonDiscreteCriticalSet(
-                f"flat cluster spans {max(du, dv)} node spacings; not isolated"
-            )
-        uc = float(us[0]) + float(iu.mean()) * patch.hu
-        vc = float(vs[jv].mean())
-        radius = 0.5 * max(du * patch.hu, dv * patch.hv) + 2.0 * max(patch.hu, patch.hv)
-        radius = _certify_radius(patch, K, tol, (uc, vc), radius)
-        point = CriticalPoint((uc, vc), patch.normal_at(np.array([[uc, vc]]))[0], 0, radius)
-        point.branch_order = branch_order(patch, point)
+    if patch.periodic_u:  # roll a clear cell column to the seam and cut the chart there
+        clear = np.flatnonzero(~cells.any(axis=1))
+        if not len(clear):
+            raise NonDiscreteCriticalSet("flat points in every cell column; not isolated")
+        psi, cells, us = (np.roll(a, -1 - clear[0], axis=0) for a in (psi, cells, us))
+    cells = cells[:-1]  # the column across the seam: off the chart, or the clear one
+    while True:  # grow the marked cells to bounding boxes until these are disjoint
+        boxes, spans = np.zeros_like(cells), []
+        for comp in _components(cells, False):
+            i, j = np.divmod(comp, cells.shape[1])
+            spans.append((i.min(), i.max() + 1, j.min(), j.max() + 1))
+            boxes[i.min():i.max() + 1, j.min():j.max() + 1] = True
+        if np.array_equal(boxes, cells):
+            break
+        cells = boxes
+    points: list[CriticalPoint] = []
+    for i0, i1, j0, j1 in spans:  # node rows i0..i1, columns j0..j1
+        ring = np.concatenate([psi[i0:i1, j0], psi[i1, j0:j1], psi[i1:i0:-1, j1],
+                               psi[i0, j1:j0:-1]])
+        steps = np.roll(ring, -1) * np.conj(ring)
+        if not np.all(steps.real > 0):  # only edges on the patch boundary can be unresolved
+            raise NonDiscreteCriticalSet("the traceless curvature turns on the patch boundary; "
+                                         "no regular annulus around its flat set")
+        order = abs(round(float(np.sum(np.angle(steps))) / (2 * np.pi)))
+        box = np.abs(psi[i0:i1 + 1, j0:j1 + 1])
+        di, dj = np.unravel_index(np.nanargmin(box), box.shape)
+        loc = (float(us[i0 + di]), float(vs[j0 + dj]))
+        if order == 0:
+            raise NonDiscreteCriticalSet(f"the traceless curvature vanishes near {loc} "
+                                         "but does not wind there")
+        # preimages of nu(loc) lie up to twice |loc - zero| away, so twice the farthest corner
+        radius = 2.0 * float(np.hypot(max(di, i1 - i0 - di) * patch.hu,
+                                      max(dj, j1 - j0 - dj) * patch.hv))
+        point = CriticalPoint(loc, patch.normal_at(np.array([loc]))[0], order, radius)
+        if branch_order(patch, point) != order:
+            raise AmbiguousWinding(f"the Gauss map and the traceless curvature wind "
+                                   f"differently around {loc}")
         points.append(point)
     return points
-
-
-def _unwrap_indices(iu: np.ndarray, nu_: int) -> np.ndarray:
-    # cluster node u-indices may straddle the periodic seam
-    iu = iu.copy()
-    if iu.max() - iu.min() > nu_ // 2:
-        iu[iu > nu_ // 2] -= nu_
-    return iu
-
-
-def _certify_radius(patch, K, tol, center, radius) -> float:
-    for _ in range(8):
-        theta = np.linspace(0, 2 * np.pi, 32, endpoint=False)
-        circle = np.stack(
-            [center[0] + radius * np.cos(theta), center[1] + radius * np.sin(theta)],
-            axis=-1,
-        )
-        vals = bilinear(patch, K, circle)
-        if np.min(np.abs(vals)) >= tol:
-            return radius
-        radius *= 1.5
-    raise NonDiscreteCriticalSet(
-        "could not certify an annulus of regular points around a flat cluster"
-    )
 
 
 def branch_order(patch: SurfacePatch, point: CriticalPoint, samples: int = 64) -> int:
@@ -159,7 +159,7 @@ def branch_order(patch: SurfacePatch, point: CriticalPoint, samples: int = 64) -
         ang = np.arctan2(normals @ e2, normals @ e1)
         steps = np.diff(np.concatenate([ang, ang[:1]]))
         steps = (steps + np.pi) % (2 * np.pi) - np.pi
-        if np.max(np.abs(steps)) <= 0.5 * np.pi:
+        if np.max(np.abs(steps)) < 0.5 * np.pi:
             winding = int(round(float(np.sum(steps)) / (2 * np.pi)))
             return abs(winding) - 1
     raise AmbiguousWinding(

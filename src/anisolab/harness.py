@@ -107,6 +107,7 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not (isinstance(value, Integral) and not isinstance(value, bool) and value >= low):
                 raise InvalidSpec(f"{name} must be an integer >= {low}, got {value!r}")
+            setattr(self, name, int(value))  # a numpy integer would not serialize
         if self.wulff_refinement > MAX_REFINEMENT:
             raise InvalidSpec(f"wulff_refinement must be <= {MAX_REFINEMENT}, "
                               f"got {self.wulff_refinement!r}")

@@ -10,6 +10,7 @@ Gauss-map analysis -- works off the node arrays stored here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -304,7 +305,7 @@ def first_variation_check(
 # ---------------------------------------------------------------------------
 
 def _as_shape(grid) -> tuple[int, int]:
-    nu, nv = (grid, grid) if isinstance(grid, int) else map(int, grid)
+    nu, nv = (int(grid), int(grid)) if isinstance(grid, Integral) else map(int, grid)
     if min(nu, nv) < 3:  # the one-sided derivative stencils need three nodes
         raise ValueError(f"need at least 3 nodes per direction, got {nu}x{nv}")
     return (nu, nv)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
-from anisolab import gauss_analysis as ga, integrand as ig, surface as sf
+from anisolab import gauss_analysis as ga, graph_solver as gs, integrand as ig, surface as sf
 from anisolab.cli import main
 from anisolab.errors import AmbiguousWinding, GrazingCircle, NonDiscreteCriticalSet
 
@@ -16,17 +16,46 @@ E3 = (0.0, 0.0, 1.0)
 E1 = (1.0, 0.0, 0.0)
 
 
-def cubic_graph_jets(U, V):
-    """The graph z = x^3 y, whose K = -9x^4 / W^4 vanishes on the line x = 0."""
-    zero, one = np.zeros_like(U), np.ones_like(U)
-    return {
-        "x": np.stack([U, V, U**3 * V], axis=-1),
-        "xu": np.stack([one, zero, 3 * U**2 * V], axis=-1),
-        "xv": np.stack([zero, one, U**3], axis=-1),
-        "xuu": np.stack([zero, zero, 6 * U * V], axis=-1),
-        "xuv": np.stack([zero, zero, 3 * U**2], axis=-1),
-        "xvv": np.stack([zero, zero, zero], axis=-1),
-    }
+def graph_jets(height):
+    """Jets of the graph z = f(x, y), ``height`` giving f and its derivatives
+    (f, f_x, f_y, f_xx, f_xy, f_yy) on the node arrays."""
+
+    def jets(U, V):
+        f, fx, fy, fxx, fxy, fyy = np.broadcast_arrays(*height(U, V))
+        zero, one = np.zeros_like(U), np.ones_like(U)
+        return {
+            "x": np.stack([U, V, f], axis=-1),
+            "xu": np.stack([one, zero, fx], axis=-1),
+            "xv": np.stack([zero, one, fy], axis=-1),
+            "xuu": np.stack([zero, zero, fxx], axis=-1),
+            "xuv": np.stack([zero, zero, fxy], axis=-1),
+            "xvv": np.stack([zero, zero, fyy], axis=-1),
+        }
+
+    return jets
+
+
+# z = x^3 y, whose K = -9x^4 / W^4 vanishes on the line x = 0
+cubic_graph_jets = graph_jets(lambda x, y: (x**3 * y, 3 * x**2 * y, x**3, 6 * x * y, 3 * x**2, 0.0))
+
+
+def flat_circle_jets(c: float):
+    """z = (x^2 + y^2 - c)^3: flat on the circle of radius sqrt(c), where the
+    Hessian vanishes, and umbilic at the origin."""
+
+    def height(x, y):
+        q = x**2 + y**2 - c
+        return (q**3, 6 * x * q**2, 6 * y * q**2, 6 * q**2 + 24 * x**2 * q,
+                24 * x * y * q, 6 * q**2 + 24 * y**2 * q)
+
+    return graph_jets(height)
+
+
+def stretched_enneper_jets(k: int):
+    """The (1, z^k) chart mapped by diag(1, 1, 2): an ellipsoid:1,1,2-minimal
+    surface (affine equivalence) with the same flat point of order k - 1."""
+    base = higher_order_enneper_jets(k)
+    return lambda U, V: {key: arr * np.array([1.0, 1.0, 2.0]) for key, arr in base(U, V).items()}
 
 
 def seam_chart_jets(squeeze: float):
@@ -60,13 +89,6 @@ def seam_chart_jets(squeeze: float):
         }
 
     return jets
-
-
-# known defects of critical_set (ROADMAP item 2), strict: a fix must remove the mark
-OFF_NODE = pytest.mark.xfail(raises=AssertionError, reason="no node of an even grid "
-                             "lies in the |K| < 1e-5 max|K| band, so the point is lost")
-WIDE_CLUSTER = pytest.mark.xfail(raises=NonDiscreteCriticalSet, reason="the flat-cluster "
-                                 "width is counted in node spacings")
 
 
 @pytest.fixture(scope="module")
@@ -106,22 +128,75 @@ class TestCriticalSet:
         f = sf.curvature_field(higher_order_enneper(k, grid=97), C1)
         assert [p.branch_order for p in ga.critical_set(f)] == [k - 1]
 
-    @pytest.mark.parametrize("k, grid", [
-        (2, 65), (2, 129),
-        pytest.param(2, 64, marks=OFF_NODE),
-        pytest.param(2, 96, marks=OFF_NODE),
-        pytest.param(2, 128, marks=OFF_NODE),
-        pytest.param(3, 257, marks=WIDE_CLUSTER),
-    ])
+    @pytest.mark.parametrize("grid", [64, 65, 96, 128, 129, 257])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_branch_point_found_on_any_grid(self, k, grid):
         f = sf.curvature_field(higher_order_enneper(k, grid=grid), C1)
-        assert [p.branch_order for p in ga.critical_set(f)] == [k - 1]
+        points = ga.critical_set(f)
+        assert [p.branch_order for p in points] == [k - 1]
+        # odd grids have a node on the zero; even grids report a node next to it
+        half = 0.0 if grid % 2 else 1.0 / (grid - 1)
+        assert np.abs(points[0].location) == pytest.approx([half, half], abs=1e-12)
+
+    @pytest.mark.parametrize("orientation", [1, -1])
+    @pytest.mark.parametrize("grid", [129, 257])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_stretched_chart_with_its_integrand(self, k, grid, orientation):
+        patch = sf.from_jet("stretched", stretched_enneper_jets(k), (-1.0, 1.0, -1.0, 1.0),
+                            grid, orientation=orientation)
+        (point,) = ga.critical_set(sf.curvature_field(patch, ig.parse_integrand("ellipsoid:1,1,2")))
+        assert point.branch_order == k - 1
+        assert point.location == pytest.approx((0.0, 0.0), abs=1e-12)
+        assert point.nu == pytest.approx([0.0, 0.0, -orientation])
+
+    def test_disagreeing_gauss_winding_fails_loudly(self, monkeypatch):
+        f = sf.curvature_field(higher_order_enneper(3, grid=65), C1)
+        monkeypatch.setattr(ga, "branch_order", lambda patch, point: point.branch_order - 1)
+        with pytest.raises(AmbiguousWinding, match="wind differently"):
+            ga.critical_set(f)
+
+    @pytest.mark.parametrize("integrand", ["const:1", "ellipsoid:1,1,2"])
+    def test_sine_graph_solution_empty(self, integrand):
+        # |K| spans decades over the square; only zeros of the traceless curvature count
+        spec = ig.parse_integrand(integrand)
+        sol = gs.solve(gs.GraphProblem(domain=(0.0, 1.0, 0.0, 1.0), shape=(65, 65),
+                                       boundary=gs.bc_edge_sine(0.2, (0.0, 1.0, 0.0, 1.0)),
+                                       spec=spec))
+        assert ga.critical_set(sf.curvature_field(gs.lift(sol), spec)) == []
+
+    def test_sphere_empty(self):
+        # all umbilic: the traceless curvature vanishes everywhere, and K > 0 at every node
+        assert ga.critical_set(sf.curvature_field(sf.fixture("sphere", grid=64), C1)) == []
 
     @pytest.mark.parametrize("grid", [33, 65])
     def test_flat_line_not_isolated(self, grid):
         patch = sf.from_jet("cubic_graph", cubic_graph_jets, (-1.0, 1.0, -1.0, 1.0), grid)
         with pytest.raises(NonDiscreteCriticalSet,
-                           match=f"flat cluster spans {grid - 1} node spacings"):
+                           match="turns on the patch boundary; no regular annulus"):
+            ga.critical_set(sf.curvature_field(patch, C1))
+
+    @pytest.mark.parametrize("c, grid", [(0.25, 64), (0.25, 65), (0.1, 65)])
+    def test_flat_circle_not_isolated(self, c, grid):
+        patch = sf.from_jet("circle", flat_circle_jets(c), (-1.0, 1.0, -1.0, 1.0), grid)
+        with pytest.raises(NonDiscreteCriticalSet, match="no regular annulus"):
+            ga.critical_set(sf.curvature_field(patch, C1))
+
+    def test_flat_loop_around_periodic_chart_not_isolated(self):
+        # z = sin(u) (v - 1/2)^3 over a periodic u is flat on the closed line v = 1/2
+        jets = graph_jets(lambda u, v: (
+            np.sin(u) * (v - 0.5)**3, np.cos(u) * (v - 0.5)**3, 3 * np.sin(u) * (v - 0.5)**2,
+            -np.sin(u) * (v - 0.5)**3, 3 * np.cos(u) * (v - 0.5)**2, 6 * np.sin(u) * (v - 0.5)))
+        patch = sf.from_jet("seam_line", jets, (0.0, TWO_PI, 0.0, 1.0), 33, periodic_u=True)
+        with pytest.raises(NonDiscreteCriticalSet, match="every cell column"):
+            ga.critical_set(sf.curvature_field(patch, C1))
+
+    def test_unwinding_flat_point_refused(self):
+        # z = (x^4 - y^4)/3 is flat at the origin, but its H != 0 and its traceless
+        # curvature, about 4|z|^2, does not wind there: no branch order to report
+        jets = graph_jets(lambda x, y: ((x**4 - y**4) / 3, 4 * x**3 / 3, -4 * y**3 / 3,
+                                        4 * x**2, 0.0, -4 * y**2))
+        patch = sf.from_jet("quartic", jets, (-1.0, 1.0, -1.0, 1.0), 65)
+        with pytest.raises(NonDiscreteCriticalSet, match="does not wind"):
             ga.critical_set(sf.curvature_field(patch, C1))
 
     @pytest.mark.parametrize("squeeze, grid", [(0.0, 97), (0.0, 129), (0.95, 129), (0.95, 257)])
@@ -174,6 +249,17 @@ class TestBranchOrder:
         with pytest.raises(AmbiguousWinding):
             ga.branch_order(patch, pt, samples=4)
 
+    def test_quarter_turn_steps_are_ambiguous(self):
+        # order 2 around the exact zero: four samples step by a quarter turn each,
+        # which a non-strict bound read as winding 1 (order 0); eight step by 3 pi/4
+        patch = higher_order_enneper(3, grid=97)
+        nu = patch.normal_at(np.array([[0.0, 0.0]]))[0]
+        for radius in np.linspace(0.02, 0.40, 39):
+            pt = ga.CriticalPoint((0.0, 0.0), nu, branch_order=0, detection_radius=radius)
+            with pytest.raises(AmbiguousWinding):
+                ga.branch_order(patch, pt, samples=4)
+            assert ga.branch_order(patch, pt, samples=16) == 2
+
 
 def rotation_to_pole(nu):
     """Rotation taking nu to +e3, so the projection pole -e3 is -nu."""
@@ -194,7 +280,7 @@ def rotated_branch_order(patch, point, samples):
     """Branch order from the winding of the normals rotated so the center
     normal is +e3 and projected stereographically from -e3: the reading
     ``branch_order`` takes in the center's tangent frame, kept as its
-    oracle.  None where the angular steps exceed pi/2 at both samplings."""
+    oracle.  None where the angular steps reach pi/2 at both samplings."""
     rot = rotation_to_pole(point.nu)
     uc, vc = point.location
     r = point.detection_radius
@@ -206,7 +292,7 @@ def rotated_branch_order(patch, point, samples):
         ang = np.arctan2(w[:, 1], w[:, 0])
         steps = np.diff(np.concatenate([ang, ang[:1]]))
         steps = (steps + np.pi) % (2 * np.pi) - np.pi
-        if np.max(np.abs(steps)) <= 0.5 * np.pi:
+        if np.max(np.abs(steps)) < 0.5 * np.pi:
             return abs(int(round(float(np.sum(steps)) / (2 * np.pi)))) - 1
     return None
 

@@ -183,6 +183,13 @@ class TestConfig:
         )
         assert ExperimentConfig.from_json(config.to_json()) == config
 
+    def test_numpy_integers_stored_as_int(self):
+        fields = dict(grid=16, genus=1, seed=3, wulff_refinement=2, eig_count=5)
+        config = ExperimentConfig(surface="plane", **{k: np.int64(v) for k, v in fields.items()})
+        assert config.to_json() == ExperimentConfig(surface="plane", **fields).to_json()
+        assert RunContext(config).patch.shape == (16, 16)
+        assert sf.fixture("plane", grid=np.int32(16)).shape == (16, 16)
+
     def test_parse_surface_grammar(self):
         assert parse_surface("plane", 16).name == "plane"
         assert parse_surface("plane:2,3", 16).domain == (0.0, 2.0, 0.0, 3.0)
@@ -539,6 +546,19 @@ class TestBenchmarkEntryPoints:
         inspect.signature(ga.euler_inequality_check).bind("pg")
         inspect.signature(ga.index_lower_bound).bind("pg")
         inspect.signature(ga.degrees).bind("fld", "wulff")
+
+    @pytest.mark.parametrize("k, lower", [(2, [2, 2, 1]), (3, [3, 3, 1])])
+    def test_branched_gauss_contract(self, k, lower):
+        # the checks of the benchmark's branched/gauss-k{k}@257 on the same chart
+        patch = higher_order_enneper(k, grid=257)
+        fld = sf.curvature_field(patch, C1)
+        (point,) = ga.critical_set(fld)
+        assert np.max(np.abs(point.location)) <= 0.5 * 2.0 / 256
+        assert ga.branch_order(patch, point) == point.branch_order == k - 1
+        pgs = [ga.pseudograph_extract(patch, C1, axis, fld=fld, critical_points=[point])
+               for axis in np.eye(3)]
+        assert [ga.index_lower_bound(pg) for pg in pgs] == lower
+        assert all(ga.euler_inequality_check(pg)["slack"] >= 0 for pg in pgs)
 
 
 class TestPinnedBytes:

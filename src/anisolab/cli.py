@@ -25,7 +25,8 @@ import numpy as np
 from .errors import AnisolabError, GrazingCircle, InvalidSpec
 from .gauss_analysis import CriticalPoint, euler_inequality_check, index_lower_bound
 from .graph_solver import GraphProblem, bc_catenoid, bc_edge_sine, bc_linear, bc_zero, solve
-from .harness import ExperimentConfig, RunContext, report_json, selftest, verify_bounds
+from .harness import (WULFF_REFINEMENT, ExperimentConfig, RunContext, report_json,
+                      selftest, verify_bounds)
 from .integrand import parse_integrand, wulff_mesh
 from .objio import grid_faces, write_obj, write_obj_with_fields
 
@@ -222,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("wulff", help="mesh the Wulff shape of an integrand")
     p.add_argument("--integrand", required=True)
-    p.add_argument("--refine", type=int, default=ExperimentConfig.wulff_refinement)
+    p.add_argument("--refine", type=int, default=WULFF_REFINEMENT)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_wulff)
 

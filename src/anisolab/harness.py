@@ -2,7 +2,13 @@
 
 Builds a fixture, gates it on vanishing anisotropic mean curvature, runs the
 spectral and Gauss-map pipelines, and evaluates the full list of named
-checks with explicit tolerances.  Every artifact of a run lives in one
+checks with explicit tolerances.  The tolerances and the Wulff-mesh level
+are module constants, not configuration.  Each check names the hypotheses
+it needs (a height-graph chart, a stabilized index, isolated flat points,
+a nodal set, a lower bound from some axis, a curved accepted surface of
+genus at most one); a check with an unmet hypothesis is reported with
+``passed``, ``lhs`` and ``rhs`` null and the note ``"skipped: <reason>"``,
+never as passed or failed.  Every artifact of a run lives in one
 :class:`RunContext`, computed on first use and shared by the checks and by
 the ``spectrum``/``gauss``/``bounds`` command-line views; a caller that
 builds or alters the context itself hands it to :func:`verify_bounds`.
@@ -36,7 +42,6 @@ from .gauss_analysis import (
 )
 from .graph_solver import GraphProblem, GraphSolution, bc_zero, lift
 from .integrand import (
-    MAX_REFINEMENT,
     AnisotropyConstants,
     IntegrandSpec,
     WulffMesh,
@@ -83,6 +88,9 @@ REQUIRED_CHECKS = (
 )
 
 TANGENCY_STEP = 1e-6  # finite-difference step of the Wulff-map differential
+MINIMAL_ACCEPT = 1e-3  # largest sup |H_gamma| over the curvature scale of an accepted surface
+JACOBI_RESIDUAL_TOL = 5e-3  # largest relative weak residual of a translation field
+WULFF_REFINEMENT = 4  # icosphere level of the Wulff mesh that normalizes the degrees
 
 
 @dataclass
@@ -94,25 +102,16 @@ class ExperimentConfig:
     axes: list = field(default_factory=lambda: [list(a) for a in DEFAULT_AXES])
     genus: int = 0                       # of the compactified surface, chi = 2 - 2 genus
     seed: int = 1234
-    minimal_accept: float = 1e-3
-    jacobi_residual_tol: float = 5e-3
-    wulff_refinement: int = 4
     eig_count: int = DEFAULT_EIG_COUNT
 
     def __post_init__(self):
         if not (isinstance(self.surface, str) and isinstance(self.integrand, str)):
             raise InvalidSpec("surface and integrand must be strings")
-        for name, low in (("grid", 3), ("eig_count", 1), ("genus", 0), ("seed", 0),
-                          ("wulff_refinement", 0)):
+        for name, low in (("grid", 3), ("eig_count", 1), ("genus", 0), ("seed", 0)):
             value = getattr(self, name)
             if not (isinstance(value, Integral) and not isinstance(value, bool) and value >= low):
                 raise InvalidSpec(f"{name} must be an integer >= {low}, got {value!r}")
             setattr(self, name, int(value))  # a numpy integer would not serialize
-        if self.wulff_refinement > MAX_REFINEMENT:
-            raise InvalidSpec(f"wulff_refinement must be <= {MAX_REFINEMENT}, "
-                              f"got {self.wulff_refinement!r}")
-        if not _numbers([self.minimal_accept, self.jacobi_residual_tol], 2):
-            raise InvalidSpec("minimal_accept and jacobi_residual_tol must be finite numbers")
         if self.domains is not None and not (
                 isinstance(self.domains, (list, tuple)) and len(self.domains) >= 3
                 and all(_numbers(d, 4) for d in self.domains)):
@@ -203,12 +202,10 @@ def default_exhaustion(patch: SurfacePatch) -> list[tuple[float, float, float, f
 
 
 def accept_candidate(
-    patch: SurfacePatch,
-    spec: IntegrandSpec,
-    minimal_accept: float = ExperimentConfig.minimal_accept,
-    fld: CurvatureField | None = None,
+    patch: SurfacePatch, spec: IntegrandSpec, fld: CurvatureField | None = None
 ) -> dict:
-    """Gate on the measured anisotropic mean curvature, nothing else.
+    """Gate on the measured anisotropic mean curvature, nothing else: sup
+    |H_gamma| relative to the curvature scale may not exceed ``MINIMAL_ACCEPT``.
 
     Sheared candidates in particular are never assumed critical by
     construction; they pass or fail right here.
@@ -219,42 +216,34 @@ def accept_candidate(
     scale = fld.curvature_scale()
     rel = sup_h / scale if scale > 0 else sup_h
     return {
-        "accepted": bool(rel <= minimal_accept),
+        "accepted": bool(rel <= MINIMAL_ACCEPT),
         "sup_h_gamma": sup_h,
         "relative": rel,
         "curvature_scale": scale,
     }
 
 
-def _check(name, passed, lhs, rhs, tolerance, note=""):
-    return {
-        "name": name,
-        "passed": passed,
-        "lhs": lhs,
-        "rhs": rhs,
-        "tolerance": tolerance,
-        "note": note,
-    }
-
-
-def _graph_heights(patch: SurfacePatch):
-    """2-jet of the height function when the chart is a graph over (u, v)."""
+def _graph_checks(patch: SurfacePatch, fld: CurvatureField):
+    """(passed, lhs, rhs) of the inverse-metric slope bounds and of the
+    squared-Hessian pinch of the second fundamental form, when the chart is
+    a height graph over (u, v); None when it is not."""
     du, dv = patch.du, patch.dv
-    is_graph = (
-        np.allclose(du[..., 0], 1.0)
-        and np.allclose(du[..., 1], 0.0)
-        and np.allclose(dv[..., 0], 0.0)
-        and np.allclose(dv[..., 1], 1.0)
-    )
-    if not is_graph:
+    if not (np.allclose(du[..., 0], 1.0) and np.allclose(du[..., 1], 0.0)
+            and np.allclose(dv[..., 0], 0.0) and np.allclose(dv[..., 1], 1.0)):
         return None
-    return {
-        "ux": du[..., 2],
-        "uy": dv[..., 2],
-        "uxx": patch.duu[..., 2],
-        "uxy": patch.duv[..., 2],
-        "uyy": patch.dvv[..., 2],
-    }
+    ux, uy = du[..., 2], dv[..., 2]
+    w2 = 1.0 + ux**2 + uy**2
+    lo = 1.0 / w2
+    # the inverse of the metric [[1 + ux^2, ux uy], [ux uy, 1 + uy^2]]
+    eig = sym2x2_eigenvalues(sym2(1 + uy**2, -ux * uy, 1 + ux**2) / w2[..., None, None])
+    emin, emax = eig[..., 0], eig[..., 1]
+    metric_ok = bool(np.all(emin >= lo - 1e-10) and np.all(emax <= 1.0 + 1e-10))
+    hess2 = patch.duu[..., 2] ** 2 + 2 * patch.duv[..., 2] ** 2 + patch.dvv[..., 2] ** 2
+    a2 = fld.abs_a_squared()
+    lo_ok = np.all(hess2 / w2**3 <= a2 * (1 + 1e-8) + 1e-300)
+    hi_ok = np.all(a2 <= hess2 / w2 * (1 + 1e-8) + 1e-300)
+    return ((metric_ok, float(np.min(emin - lo)), 0.0),
+            (bool(lo_ok and hi_ok), float(np.max(hess2 / w2**3 / np.maximum(a2, 1e-300))), 1.0))
 
 
 def tangency_check(spec: IntegrandSpec, count: int, seed: int) -> float:
@@ -331,7 +320,7 @@ class RunContext:
 
     @cached_property
     def wulff(self) -> WulffMesh:
-        return wulff_mesh(self.spec, self.config.wulff_refinement)
+        return wulff_mesh(self.spec, WULFF_REFINEMENT)
 
     @cached_property
     def degs(self) -> dict:
@@ -369,13 +358,15 @@ def verify_bounds(run: ExperimentConfig | RunContext) -> dict:
     for a configuration, or the caller's own, whose artifacts are used as
     they stand.
 
+    Each check names the hypotheses it needs; one whose hypotheses fail is
+    reported as skipped, with the reasons, and is neither passed nor failed.
     Sub-operation failures become degenerate flags on the affected checks;
     the pipeline always produces a complete report.
     """
     ctx = run if isinstance(run, RunContext) else RunContext(run)
     config, patch, spec, fld = ctx.config, ctx.patch, ctx.spec, ctx.field
     consts = ctx.consts
-    gate = accept_candidate(patch, spec, config.minimal_accept, fld=fld)
+    gate = accept_candidate(patch, spec, fld=fld)
     spectral, cmp_counts, degs = ctx.spectral, ctx.comparison_counts, ctx.degs
     branch_points, critical_error = ctx.critical
 
@@ -390,61 +381,53 @@ def verify_bounds(run: ExperimentConfig | RunContext) -> dict:
             # an actual nodal set; an empty graph says nothing
             pseudographs[key]["lower_bound"] = index_lower_bound(pg)
 
-    checks = []
     scale = gate["curvature_scale"]
+    stab = spectral.stabilized_index
+    graph = _graph_checks(patch, fld)
+    # nodal domains beyond the first, per axis with a nodal set
+    courant = [pg["N"] - 1 for pg in pseudographs.values() if not pg["degenerate"]]
+    slacks = [pg["slack"] for pg in pseudographs.values() if "slack" in pg]
+    bounds = [pg["lower_bound"] for pg in pseudographs.values() if "lower_bound" in pg]
+    # every hypothesis a check may need, mapped to the reason it fails (None: it holds)
+    unmet = {
+        "graph": "chart is not a height graph" if graph is None else None,
+        "stabilized": "index not stabilized" if stab is None else None,
+        "isolated": None if critical_error is None else str(critical_error),
+        "nodal": None if courant else "no axis has a nodal set",
+        "bounded": None if bounds else "no axis gives a lower bound",
+        "curved": ("surface is planar" if scale == 0.0
+                   else "surface is not accepted" if not gate["accepted"]
+                   else "genus above one" if config.genus > 1 else None),
+    }
+    checks = []
 
-    checks.append(
-        _check("first_variation_minimality", gate["accepted"], gate["relative"], 0.0,
-               config.minimal_accept, "sup |H_gamma| relative to the curvature scale")
-    )
+    def check(name, needs, tolerance, note, evaluate):
+        """Record one check; ``evaluate()`` gives its (passed, lhs, rhs) and
+        runs only when every hypothesis in ``needs`` holds."""
+        why = [unmet[h] for h in needs if unmet[h] is not None]
+        passed, lhs, rhs = (None, None, None) if why else evaluate()
+        checks.append({"name": name, "passed": passed, "lhs": lhs, "rhs": rhs,
+                       "tolerance": tolerance,
+                       "note": "skipped: " + "; ".join(why) if why else note})
+
+    check("first_variation_minimality", (), MINIMAL_ACCEPT,
+          "sup |H_gamma| relative to the curvature scale",
+          lambda: (gate["accepted"], gate["relative"], 0.0))
 
     k_rel = float(np.max(fld.k_sigma)) / scale**2 if scale > 0 else float(np.max(fld.k_sigma))
-    checks.append(
-        _check("sign_law_gauss_curvature", bool(k_rel <= 1e-6), k_rel, 0.0, 1e-6,
-               "max K relative to squared curvature scale on the accepted surface")
-    )
+    check("sign_law_gauss_curvature", (), 1e-6,
+          "max K relative to squared curvature scale on the accepted surface",
+          lambda: (bool(k_rel <= 1e-6), k_rel, 0.0))
 
-    jets = _graph_heights(patch)
-    if jets is None:
-        checks.append(
-            _check("graph_metric_eigenvalue_bounds", None, None, None, 1e-10,
-                   "skipped: chart is not a height graph")
-        )
-        checks.append(
-            _check("graph_hessian_curvature_estimate", None, None, None, 1e-8,
-                   "skipped: chart is not a height graph")
-        )
-    else:
-        ux, uy = jets["ux"], jets["uy"]
-        w2 = 1.0 + ux**2 + uy**2
-        lo, hi = 1.0 / w2, np.ones_like(w2)
-        # the inverse of the metric [[1 + ux^2, ux uy], [ux uy, 1 + uy^2]]
-        eig = sym2x2_eigenvalues(sym2(1 + uy**2, -ux * uy, 1 + ux**2) / w2[..., None, None])
-        emin, emax = eig[..., 0], eig[..., 1]
-        m_ok = bool(
-            np.all(emin >= lo - 1e-10) and np.all(emax <= hi + 1e-10)
-        )
-        checks.append(
-            _check("graph_metric_eigenvalue_bounds", m_ok,
-                   float(np.min(emin - lo)), 0.0, 1e-10,
-                   "inverse metric eigenvalues within the slope bounds")
-        )
-        hess2 = jets["uxx"] ** 2 + 2 * jets["uxy"] ** 2 + jets["uyy"] ** 2
-        a2 = fld.abs_a_squared()
-        ref = np.maximum(a2, 1e-300)
-        lo_ok = np.all(hess2 / w2**3 <= a2 * (1 + 1e-8) + 1e-300)
-        hi_ok = np.all(a2 <= hess2 / w2 * (1 + 1e-8) + 1e-300)
-        checks.append(
-            _check("graph_hessian_curvature_estimate", bool(lo_ok and hi_ok),
-                   float(np.max(hess2 / w2**3 / ref)), 1.0, 1e-8,
-                   "squared-Hessian pinch of the second fundamental form")
-        )
+    check("graph_metric_eigenvalue_bounds", ("graph",), 1e-10,
+          "inverse metric eigenvalues within the slope bounds", lambda: graph[0])
+    check("graph_hessian_curvature_estimate", ("graph",), 1e-8,
+          "squared-Hessian pinch of the second fundamental form", lambda: graph[1])
 
     tang = tangency_check(spec, 1000, config.seed)
-    checks.append(
-        _check("cahn_hoffman_tangency", bool(tang <= 1e-5), tang, 0.0, 1e-5,
-               "finite-difference Wulff-map differential against the normal")
-    )
+    check("cahn_hoffman_tangency", (), 1e-5,
+          "finite-difference Wulff-map differential against the normal",
+          lambda: (bool(tang <= 1e-5), tang, 0.0))
 
     # pairing sandwich at curvature-carrying minimal nodes, nondimensionalized
     if scale > 0:
@@ -454,10 +437,9 @@ def verify_bounds(run: ExperimentConfig | RunContext) -> dict:
         worst = max(lo_viol, hi_viol)
     else:
         worst = 0.0
-    checks.append(
-        _check("curvature_pairing_sandwich", bool(worst <= 1e-8), worst, 0.0, 1e-8,
-               "pairing between comparison multiples of the anisotropic curvature")
-    )
+    check("curvature_pairing_sandwich", (), 1e-8,
+          "pairing between comparison multiples of the anisotropic curvature",
+          lambda: (bool(worst <= 1e-8), worst, 0.0))
 
     disc, disc_cmp = ctx.disc, ctx.disc_cmp
     rng = np.random.default_rng(config.seed)
@@ -470,90 +452,43 @@ def verify_bounds(run: ExperimentConfig | RunContext) -> dict:
         qg = x @ (disc_cmp.operator @ x)
         worst_q = min(worst_q, (q - consts.lambda_gamma * qg) / (x @ (disc.mass @ x)))
     dominated = all(c["neg_L"] <= c["neg_Lgamma"] for c in cmp_counts)
-    checks.append(
-        _check("quadratic_form_comparison", bool(worst_q >= -1e-9 and dominated),
-               float(worst_q), 0.0, 1e-9,
-               "random-field form comparison and per-domain count domination")
-    )
+    check("quadratic_form_comparison", (), 1e-9,
+          "random-field form comparison and per-domain count domination",
+          lambda: (bool(worst_q >= -1e-9 and dominated), float(worst_q), 0.0))
 
-    stab = spectral.stabilized_index
-    courant_ok, courant_worst = True, 0
-    for key, pg in pseudographs.items():
-        if pg.get("degenerate"):
-            continue
-        courant_worst = max(courant_worst, pg["N"] - 1)
-        if stab is not None and pg["N"] - 1 > stab:
-            courant_ok = False
-    checks.append(
-        _check("courant_nodal_domain_bound",
-               bool(courant_ok) if stab is not None else None,
-               courant_worst, stab, 0,
-               "nodal-domain count of translation fields versus the index")
-    )
+    check("courant_nodal_domain_bound", ("stabilized", "nodal"), 0,
+          "nodal-domain count of translation fields versus the index",
+          lambda: (max(courant) <= stab, max(courant), stab))
 
     worst_res = max(spectral.jacobi_residuals.values()) if spectral.jacobi_residuals else 0.0
-    checks.append(
-        _check("translation_jacobi_fields",
-               bool(worst_res <= config.jacobi_residual_tol),
-               worst_res, 0.0, config.jacobi_residual_tol,
-               "relative weak residual of the translation fields")
-    )
+    check("translation_jacobi_fields", (), JACOBI_RESIDUAL_TOL,
+          "relative weak residual of the translation fields",
+          lambda: (bool(worst_res <= JACOBI_RESIDUAL_TOL), worst_res, 0.0))
 
-    if critical_error is not None:
-        checks.append(
-            _check("branched_cover_euler_count", None, None, None, 0,
-                   "skipped: flat critical structure (planar diagnostic)")
-        )
-    else:
-        defect = riemann_hurwitz_check(2 - 2 * config.genus, degs["deg_nu"], branch_points)
-        checks.append(
-            _check("branched_cover_euler_count", bool(defect == 0.0), defect, 0.0, 0,
-                   "Euler count of the compactified branched cover")
-        )
+    defect = riemann_hurwitz_check(2 - 2 * config.genus, degs["deg_nu"], branch_points)
+    check("branched_cover_euler_count", ("isolated",), 0,
+          "Euler count of the compactified branched cover",
+          lambda: (defect == 0.0, defect, 0.0))
 
-    slacks = [pg["slack"] for pg in pseudographs.values() if "slack" in pg]
-    checks.append(
-        _check("pseudograph_euler_inequality",
-               bool(all(s >= 0 for s in slacks)) if slacks else None,
-               min(slacks) if slacks else None, 0, 0,
-               "vertex-edge-component count against the genus bound")
-    )
+    check("pseudograph_euler_inequality", ("nodal",), 0,
+          "vertex-edge-component count against the genus bound",
+          lambda: (min(slacks) >= 0, min(slacks), 0))
 
-    bounds = [pg["lower_bound"] for pg in pseudographs.values() if "lower_bound" in pg]
-    if stab is None or not bounds:
-        checks.append(
-            _check("index_lower_bound_vs_spectrum", None, bounds, stab, 0,
-                   "skipped: index not stabilized or no usable axis")
-        )
-    else:
-        checks.append(
-            _check("index_lower_bound_vs_spectrum",
-                   bool(max(bounds) <= stab), max(bounds), stab, 0,
-                   "pseudograph lower bound against the stabilized index")
-        )
+    check("index_lower_bound_vs_spectrum", ("stabilized", "bounded"), 0,
+          "pseudograph lower bound against the stabilized index",
+          lambda: (max(bounds) <= stab, max(bounds), stab))
 
-    planar = scale == 0.0
-    if planar or not gate["accepted"] or config.genus > 1:
-        checks.append(
-            _check("low_genus_instability", None, stab, 1, 0,
-                   "skipped: planar, rejected, or genus above one")
-        )
-    else:
-        checks.append(
-            _check("low_genus_instability",
-                   bool(stab is not None and stab >= 1), stab, 1, 0,
-                   "genus 0 or 1 forces at least one unstable direction")
-        )
+    check("low_genus_instability", ("curved", "stabilized"), 0,
+          "genus 0 or 1 forces at least one unstable direction",
+          lambda: (stab >= 1, stab, 1))
 
-    upper_ok = stab is None or all(stab <= c["neg_Lgamma"] for c in cmp_counts[-1:])
-    checks.append(
-        _check("index_upper_bound_chain", bool(upper_ok), stab,
-               cmp_counts[-1]["neg_Lgamma"], 0,
-               "stabilized index dominated by the comparison-operator count")
-    )
+    check("index_upper_bound_chain", ("stabilized",), 0,
+          "stabilized index dominated by the comparison-operator count",
+          lambda: (stab <= cmp_counts[-1]["neg_Lgamma"], stab, cmp_counts[-1]["neg_Lgamma"]))
 
     # shifted by the eigensolver's zero threshold, the inertia counts exactly
-    # the eigenvalues negative_count counts
+    # the eigenvalues negative_count counts; an untrusted factorization
+    # (None) leaves the check unevaluated unless a trusted count disagrees
     by_inertia = [
         inertia(ctx.disc, dom, shift=ZERO_EIG_REL * float(np.max(np.abs(vals))))
         for dom, vals in zip(spectral.domains, spectral.eigenvalues)
@@ -562,20 +497,18 @@ def verify_bounds(run: ExperimentConfig | RunContext) -> dict:
         agree = False
     else:
         agree = None if None in by_inertia else True
-    checks.append(
-        _check("inertia_count_agreement", agree, by_inertia, spectral.morse_index, 0,
-               "symmetric-factorization inertia against the eigenvalue count per domain")
-    )
+    check("inertia_count_agreement", (), 0,
+          "skipped: a factorization was not trusted" if agree is None else
+          "symmetric-factorization inertia against the eigenvalue count per domain",
+          lambda: (agree, by_inertia, spectral.morse_index))
 
     total_k = fld.total_curvature()
     lo_deg = consts.lambda_gamma**2 * total_k / ctx.wulff.area
     hi_deg = consts.Lambda_gamma**2 * total_k / ctx.wulff.area
-    sandwich_ok = lo_deg - 1e-9 <= degs["raw_nu_gamma"] <= hi_deg + 1e-9
-    checks.append(
-        _check("aniso_degree_sandwich", bool(sandwich_ok),
-               degs["raw_nu_gamma"], [lo_deg, hi_deg], 1e-9,
-               "area-normalized anisotropic degree between the weight extremes")
-    )
+    check("aniso_degree_sandwich", (), 1e-9,
+          "area-normalized anisotropic degree between the weight extremes",
+          lambda: (bool(lo_deg - 1e-9 <= degs["raw_nu_gamma"] <= hi_deg + 1e-9),
+                   degs["raw_nu_gamma"], [lo_deg, hi_deg]))
 
     failed = [c["name"] for c in checks if c["passed"] is False]
     report = {

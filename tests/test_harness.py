@@ -26,6 +26,11 @@ from conftest import higher_order_enneper, near_corner_enneper
 
 C1 = ig.constant(1.0)
 TWO_PI = 2 * np.pi
+# an exhaustion whose index does not stabilize: Morse indices [0, 0, 1]
+NOT_STABILIZED = dict(surface="catenoid:3", grid=48,
+                      domains=[[0, TWO_PI, -v, v] for v in (0.5, 0.8, 2.0)])
+INDEX_CHECKS = ("courant_nodal_domain_bound", "index_lower_bound_vs_spectrum",
+                "low_genus_instability", "index_upper_bound_chain")
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +112,51 @@ class TestVerifyBounds:
         for c in catenoid_report["checks"]:
             assert "tolerance" in c and "name" in c and "note" in c
 
+    def test_unstabilized_index_skips_every_index_check(self):
+        # these checks passed, failed or went null without a reason when the
+        # index they read did not stabilize
+        rep = verify_bounds(ExperimentConfig(**NOT_STABILIZED))
+        assert rep["spectral"]["morse_index"] == [0, 0, 1]
+        assert rep["failed_checks"] == []
+        for c in rep["checks"]:
+            if c["name"] in INDEX_CHECKS:
+                assert (c["passed"], c["lhs"], c["rhs"]) == (None, None, None), c["name"]
+                assert c["note"] == "skipped: index not stabilized"
+            assert c["passed"] is None or c["lhs"] is not None, c["name"]
+
+    def test_courant_bound_needs_a_nodal_set(self):
+        # the plane has no nodal set on any axis, so there is nothing to count
+        rep = verify_bounds(ExperimentConfig(surface="plane", grid=32))
+        (check,) = [c for c in rep["checks"] if c["name"] == "courant_nodal_domain_bound"]
+        assert (check["passed"], check["lhs"], check["rhs"]) == (None, None, None)
+        assert check["note"] == "skipped: no axis has a nodal set"
+        assert check["tolerance"] == 0
+
+    @pytest.mark.parametrize("case", ["plane", "not_stabilized", "near_corner_enneper",
+                                      "graph_solution", "inertia_untrusted"])
+    def test_null_verdict_says_why(self, tmp_path, monkeypatch, case):
+        # a check is neither passed nor failed exactly when its note says why
+        ctx = RunContext(ExperimentConfig(surface="plane", grid=32))
+        if case == "not_stabilized":
+            ctx = RunContext(ExperimentConfig(**NOT_STABILIZED))
+        elif case == "near_corner_enneper":
+            ctx = RunContext(ExperimentConfig())
+            ctx.patch = near_corner_enneper()
+        elif case == "graph_solution":
+            sol = tmp_path / "sol.json"
+            assert main(["solve-graph", "--integrand", "const:1", "--domain", "1.2,2,-0.4,0.4",
+                         "--grid", "65", "--bc", "catenoid", "--out", str(sol)]) == 0
+            ctx = RunContext(ExperimentConfig(surface=str(sol), grid=65))
+        elif case == "inertia_untrusted":
+            monkeypatch.setattr(harness, "inertia", lambda *args, **kwargs: None)
+        rep = verify_bounds(ctx)
+        for c in rep["checks"]:
+            assert (c["passed"] is None) == c["note"].startswith("skipped: "), c["name"]
+        if case == "inertia_untrusted":
+            (check,) = [c for c in rep["checks"] if c["name"] == "inertia_count_agreement"]
+            assert check["note"] == "skipped: a factorization was not trusted"
+            assert check["lhs"] == [None] * 3
+
     def test_enneper_passes(self):
         rep = verify_bounds(ExperimentConfig(surface="enneper:1.3", grid=96))
         assert rep["all_passed"]
@@ -161,8 +211,9 @@ class TestVerifyBounds:
         assert rep["gauss"]["branch_points"] == []
         (check,) = [c for c in rep["checks"] if c["name"] == "branched_cover_euler_count"]
         assert check["passed"] is None
-        assert check["note"] == "skipped: flat critical structure (planar diagnostic)"
-        assert "no regular annulus" in str(ctx.critical[1])
+        # the skip names the cause, which is not planarity here
+        assert check["note"] == f"skipped: {ctx.critical[1]}"
+        assert "no regular annulus" in check["note"]
 
     def test_selftest_flips_checks(self):
         result = selftest(grid=48)
@@ -184,7 +235,7 @@ class TestConfig:
         assert ExperimentConfig.from_json(config.to_json()) == config
 
     def test_numpy_integers_stored_as_int(self):
-        fields = dict(grid=16, genus=1, seed=3, wulff_refinement=2, eig_count=5)
+        fields = dict(grid=16, genus=1, seed=3, eig_count=5)
         config = ExperimentConfig(surface="plane", **{k: np.int64(v) for k, v in fields.items()})
         assert config.to_json() == ExperimentConfig(surface="plane", **fields).to_json()
         assert RunContext(config).patch.shape == (16, 16)
@@ -379,7 +430,7 @@ class TestCli:
         "graph_domain_flat", "graph_domain_nan", "graph_domain_reversed", "graph_bc_nan",
         "graph_tol_nan", "graph_max_iter_negative", "plane_zero_width", "graph_bc_overflow",
         "shear_nan", "shear_inf", "shear_overflow", "shear_det_overflow", "config_euler_char",
-        "spectrum_domains_not_nested", "bounds_domain_repeated",
+        "spectrum_domains_not_nested", "bounds_domain_repeated", "config_jacobi_residual_tol",
     ])
     def test_bad_input_exits_2(self, tmp_path, capsys, case):
         cfg = tmp_path / "cfg.json"
@@ -390,9 +441,12 @@ class TestCli:
             "config_axis_zero": json.dumps({"surface": "plane", "axes": [[0, 0, 0]]}),
             "config_no_axes": json.dumps({"surface": "plane", "axes": []}),
             "config_surface_number": json.dumps({"surface": 5}),
+            # the verdict's tolerances and Wulff level are constants, not config keys
             "config_tolerance_string": json.dumps({"surface": "plane", "minimal_accept": "x"}),
             "config_wulff_refinement_above_cap": json.dumps(
                 {"surface": "plane", "wulff_refinement": MAX_REFINEMENT + 1}),
+            "config_jacobi_residual_tol": json.dumps(
+                {"surface": "plane", "jacobi_residual_tol": 1.0}),
             # the Euler characteristic is 2 - 2 genus, not a separate input
             "config_euler_char": json.dumps({"surface": "plane", "euler_char": 0}),
             "bc_file_names_itself": json.dumps({"bc": str(cfg)}),
@@ -462,6 +516,9 @@ class TestCli:
                 else "InvalidSpec")
         assert err.startswith(f"error: {kind}: ")
         assert err.count("\n") == 1
+        if case in ("config_tolerance_string", "config_wulff_refinement_above_cap",
+                    "config_jacobi_residual_tol", "config_euler_char"):
+            assert "unknown config keys" in err
 
     @pytest.mark.parametrize("argv", [
         ["wulff", "--integrand", "const:inf"],

@@ -1,16 +1,18 @@
 """Gauss-map analysis: critical set, branching, degrees, nodal pseudographs.
 
 On a critical-point-free patch the Gauss map is a local diffeomorphism and
-the normal component of any fixed direction has a regular zero set; tracing
-that zero set cell by cell yields an embedded pseudograph whose combinatorics
-feed the index bounds.  Critical points (flat points of the surface) are
-found where the traceless curvature turns on the grid, and their branching
-is its winding, checked against the winding of the Gauss map around them.
+the normal component of any fixed direction has a regular zero set; marching
+squares, with its segments chained by scipy's graph routines, traces it as an
+embedded pseudograph whose combinatorics feed the index bounds.  Critical
+points (flat points of the surface) are found where the traceless curvature
+turns on the grid, and their branching is its winding, checked against the
+winding of the Gauss map around them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,20 +49,22 @@ class Pseudograph:
     degenerate: bool = False
 
 
-def _components(mask: np.ndarray, periodic_u: bool) -> list[np.ndarray]:
-    """Connected components (4-adjacency) of a boolean node or cell mask, as
+def _components(labels: np.ndarray, periodic_u: bool) -> list[np.ndarray]:
+    """Connected components (4-adjacency) of the nonzero entries of a node or
+    cell label array, neighbours joined where their labels are equal, as
     sorted flat indices, ordered by their first entry."""
-    ids = np.arange(mask.size).reshape(mask.shape)
-    links = [(ids[:, :-1], ids[:, 1:], mask[:, :-1] & mask[:, 1:]),
-             (ids[:-1], ids[1:], mask[:-1] & mask[1:])]
+    ids = np.arange(labels.size).reshape(labels.shape)
+    links = [(ids[:, :-1], ids[:, 1:]), (ids[:-1], ids[1:])]
     if periodic_u:  # nodes facing each other across the seam are adjacent
-        links.append((ids[-1], ids[0], mask[-1] & mask[0]))
-    src = np.concatenate([a[m] for a, _, m in links])
-    dst = np.concatenate([b[m] for _, b, m in links])
-    graph = sp.coo_matrix((np.ones(len(src)), (src, dst)), shape=(mask.size, mask.size))
-    labels = csgraph.connected_components(graph, directed=False)[1]
-    idx = np.flatnonzero(mask)
-    keys = labels[idx]
+        links.append((ids[-1], ids[0]))
+    src, dst = (np.concatenate([link[k].ravel() for link in links]) for k in (0, 1))
+    flat = labels.ravel()
+    join = (flat[src] == flat[dst]) & (flat[src] != 0)
+    graph = sp.csr_matrix((np.ones(np.count_nonzero(join)), (src[join], dst[join])),
+                          shape=(labels.size, labels.size))
+    component = csgraph.connected_components(graph, directed=False)[1]
+    idx = np.flatnonzero(labels)
+    keys = component[idx]
     order = np.argsort(keys, kind="stable")
     groups = np.split(idx[order], np.flatnonzero(np.diff(keys[order])) + 1)
     return sorted((g for g in groups if len(g)), key=lambda g: g[0])
@@ -209,8 +213,9 @@ def pseudograph_extract(
     """Trace the zero set of ``fld.normal @ unit_vector(axis)``, ``fld``
     being the curvature field of ``patch`` (``spec`` is not read).
 
-    Sign changes on grid edges are interpolated linearly and joined cell by
-    cell into polylines.  The flat points of ``critical_points``, as
+    Sign changes on grid edges are interpolated linearly and joined into
+    polylines by :func:`_march_zero_set`; the nodal domains are the sign
+    components of the nodes.  The flat points of ``critical_points``, as
     :func:`critical_set` returns them, that sit inside the nodal band
     become vertices; vertex-free closed loops receive one artificial vertex
     and open boundary arcs two, so the Euler count is well-defined.
@@ -232,7 +237,7 @@ def pseudograph_extract(
     phis = phi + 1e-12 * scale
 
     polylines = _march_zero_set(patch, phis)
-    n_comp = _count_sign_components(patch, phis)
+    n_comp = len(_components(np.sign(phis), patch.periodic_u))
 
     vertices = [
         p for p in critical_points if abs(_phi_at(patch, phi, p.location)) <= band_tol
@@ -278,13 +283,18 @@ def _phi_at(patch: SurfacePatch, phi: np.ndarray, loc) -> float:
 
 
 def _march_zero_set(patch: SurfacePatch, phi: np.ndarray):
-    """Marching-squares polylines of the zero level set on the node grid.
+    """Marching-squares polylines of the zero level set on the node grid,
+    as a list of (points, closed).
 
     Edge (i, j) -> (i + 1, j) has id i * nv + j (across the seam for the last
     row of a periodic patch); edge (i, j) -> (i, j + 1) has id
-    n_u + i * (nv - 1) + j, n_u being the number of u-edges.  Crossings are
-    found and interpolated as arrays; only cells with crossing edges are
-    visited one by one, in C order.
+    n_u + i * (nv - 1) + j, n_u being the number of u-edges.  All of it is
+    array work but one graph walk per polyline: each crossed cell, in C
+    order, joins its two crossed edges (in bottom, top, left, right order)
+    by a segment, a saddle cell its four by two, resolved by the center
+    sign.  A crossing touches at most two segments, so each polyline is a
+    connected component of the segment graph, walked from its first
+    segment (a, b): forward from b, then backward from a.
     """
     nu_, nv_ = patch.shape
     us, vs = patch.u_samples(), patch.v_samples()
@@ -305,66 +315,45 @@ def _march_zero_set(patch: SurfacePatch, phi: np.ndarray):
     n_u = cross_u.size
     edge_ids = np.concatenate([np.flatnonzero(cross_u), n_u + np.flatnonzero(cross_v)])
 
-    # per cell: bottom, top, left and right edge
-    sides = (cross_u[:, :-1], cross_u[:, 1:], cross_v[:ncells_u], cross_v[next_row])
-    count = sum(s.astype(np.int8) for s in sides)
-    segments: list[tuple[int, int]] = []
-    for i, j in zip(*(x.tolist() for x in np.nonzero((count == 2) | (count == 4)))):
-        i1 = (i + 1) % nu_
-        bottom, top = i * nv_ + j, i * nv_ + j + 1
-        left, right = n_u + i * (nv_ - 1) + j, n_u + i1 * (nv_ - 1) + j
-        if count[i, j] == 2:
-            ids = [e for e, s in zip((bottom, top, left, right), sides) if s[i, j]]
-            segments.append((ids[0], ids[1]))
-            continue
-        # saddle cell: resolve by the center sign
-        center = 0.25 * (phi[i, j] + phi[i1, j] + phi[i, j + 1] + phi[i1, j + 1])
-        if (center > 0) == (phi[i, j] > 0):
-            segments.append((bottom, right))
-            segments.append((top, left))
-        else:
-            segments.append((bottom, left))
-            segments.append((top, right))
+    # per crossed cell: bottom, top, left and right edge
+    sides = np.stack([cross_u[:, :-1], cross_u[:, 1:], cross_v[:ncells_u], cross_v[next_row]],
+                     axis=-1)
+    count = sides.sum(axis=-1)
+    i, j = np.nonzero((count == 2) | (count == 4))
+    i1 = next_row[i]
+    ids = np.stack([i * nv_ + j, i * nv_ + j + 1,
+                    n_u + i * (nv_ - 1) + j, n_u + i1 * (nv_ - 1) + j], axis=-1)
+    crossed = sides[i, j]
+    # two segments per cell: the crossed edges in side order, padded with -1
+    cells = np.take_along_axis(np.where(crossed, ids, -1),
+                               np.argsort(~crossed, axis=-1, kind="stable"), -1)
+    # saddle cell: resolve by the center sign
+    saddle = count[i, j] == 4
+    center = 0.25 * (phi[i, j] + phi[i1, j] + phi[i, j + 1] + phi[i1, j + 1])
+    near = (center > 0) == (phi[i, j] > 0)
+    bottom, top, left, right = ids.T
+    cells[saddle] = np.stack([bottom, np.where(near, right, left),
+                              top, np.where(near, left, right)], -1)[saddle]
+    segments = cells.reshape(-1, 2)
+    segments = np.searchsorted(edge_ids, segments[segments[:, 0] >= 0])
 
-    by_edge: dict[int, list[int]] = {}
-    for si, (ea, eb) in enumerate(segments):
-        by_edge.setdefault(ea, []).append(si)
-        by_edge.setdefault(eb, []).append(si)
+    n = len(points)
 
-    used = np.zeros(len(segments), dtype=bool)
+    def graph(segs):
+        return sp.csr_matrix((np.ones(len(segs)), segs.T), shape=(n, n))
+
+    label = csgraph.connected_components(graph(segments), directed=False)[1]
+    starts = np.sort(np.unique(label[segments[:, 0]], return_index=True)[1])
+    rest = np.delete(segments, starts, axis=0)  # each polyline cut at its first segment
+    rest = graph(np.concatenate([rest, rest[:, ::-1]]))
+    walk = partial(csgraph.depth_first_order, rest, return_predecessors=False)
     polylines = []
-    for start in range(len(segments)):
-        if used[start]:
-            continue
-        chain = [segments[start][0], segments[start][1]]
-        used[start] = True
-        # extend forward then backward
-        for end in (1, 0):
-            while True:
-                tip = chain[-1] if end == 1 else chain[0]
-                nxt = [s for s in by_edge.get(tip, []) if not used[s]]
-                if not nxt:
-                    break
-                s = nxt[0]
-                used[s] = True
-                ea, eb = segments[s]
-                new = eb if ea == tip else ea
-                if end == 1:
-                    chain.append(new)
-                else:
-                    chain.insert(0, new)
-        closed = len(chain) > 3 and chain[0] == chain[-1]
-        if closed:
-            chain = chain[:-1]
-        pts = points[np.searchsorted(edge_ids, chain)]
-        polylines.append((pts, closed))
+    for a, b in segments[starts]:
+        forward = walk(b)
+        closed = bool(forward[-1] == a)
+        chain = np.r_[a, forward[:-1]] if closed else np.r_[walk(a)[::-1], forward]
+        polylines.append((points[chain], closed))
     return polylines
-
-
-def _count_sign_components(patch: SurfacePatch, phi: np.ndarray) -> int:
-    pos = _components(phi > 0, patch.periodic_u)
-    neg = _components(phi < 0, patch.periodic_u)
-    return len(pos) + len(neg)
 
 
 # ---------------------------------------------------------------------------

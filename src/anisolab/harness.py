@@ -5,13 +5,14 @@ spectral and Gauss-map pipelines, and evaluates the full list of named
 checks with explicit tolerances.  The tolerances and the Wulff-mesh level
 are module constants, not configuration.  Each check names the hypotheses
 it needs (a height-graph chart, a stabilized index, isolated flat points,
-a nodal set, a lower bound from some axis, a curved accepted surface of
-genus at most one); a check with an unmet hypothesis is reported with
-``passed``, ``lhs`` and ``rhs`` null and the note ``"skipped: <reason>"``,
-never as passed or failed.  Every artifact of a run lives in one
-:class:`RunContext`, computed on first use and shared by the checks and by
-the ``spectrum``/``gauss``/``bounds`` command-line views; a caller that
-builds or alters the context itself hands it to :func:`verify_bounds`.
+a nodal set, a surface the gate accepts, a complete surface rather than a
+graph solution, a curved surface of genus at most one); a check with an
+unmet hypothesis is reported with ``passed``, ``lhs`` and ``rhs`` null and
+the note ``"skipped: <reason>"``, never as passed or failed.  Every
+artifact of a run lives in one :class:`RunContext`, computed on first use
+and shared by the checks and by the ``spectrum``/``gauss``/``bounds``
+command-line views; a caller that builds or alters the context itself
+hands it to :func:`verify_bounds`.
 Reports are plain dictionaries with a fixed key order so identical
 configurations serialize to identical bytes.
 """
@@ -384,19 +385,20 @@ def verify_bounds(run: ExperimentConfig | RunContext) -> dict:
     scale = gate["curvature_scale"]
     stab = spectral.stabilized_index
     graph = _graph_checks(patch, fld)
-    # nodal domains beyond the first, per axis with a nodal set
-    courant = [pg["N"] - 1 for pg in pseudographs.values() if not pg["degenerate"]]
-    slacks = [pg["slack"] for pg in pseudographs.values() if "slack" in pg]
-    bounds = [pg["lower_bound"] for pg in pseudographs.values() if "lower_bound" in pg]
+    nodal = [pg for pg in pseudographs.values() if not pg["degenerate"]]
+    courant = [pg["N"] - 1 for pg in nodal]  # nodal domains beyond the first
+    slacks = [pg["slack"] for pg in nodal]
+    bounds = [pg["lower_bound"] for pg in nodal]
     # every hypothesis a check may need, mapped to the reason it fails (None: it holds)
     unmet = {
         "graph": "chart is not a height graph" if graph is None else None,
         "stabilized": "index not stabilized" if stab is None else None,
         "isolated": None if critical_error is None else str(critical_error),
-        "nodal": None if courant else "no axis has a nodal set",
-        "bounded": None if bounds else "no axis gives a lower bound",
+        "nodal": None if nodal else "no axis has a nodal set",
+        "accepted": None if gate["accepted"] else "surface is not accepted",
+        # a lifted graph solution is a bounded patch, not a complete surface
+        "complete": "surface is not complete" if patch.name == "graph_solution" else None,
         "curved": ("surface is planar" if scale == 0.0
-                   else "surface is not accepted" if not gate["accepted"]
                    else "genus above one" if config.genus > 1 else None),
     }
     checks = []
@@ -415,7 +417,7 @@ def verify_bounds(run: ExperimentConfig | RunContext) -> dict:
           lambda: (gate["accepted"], gate["relative"], 0.0))
 
     k_rel = float(np.max(fld.k_sigma)) / scale**2 if scale > 0 else float(np.max(fld.k_sigma))
-    check("sign_law_gauss_curvature", (), 1e-6,
+    check("sign_law_gauss_curvature", ("accepted",), 1e-6,
           "max K relative to squared curvature scale on the accepted surface",
           lambda: (bool(k_rel <= 1e-6), k_rel, 0.0))
 
@@ -437,7 +439,7 @@ def verify_bounds(run: ExperimentConfig | RunContext) -> dict:
         worst = max(lo_viol, hi_viol)
     else:
         worst = 0.0
-    check("curvature_pairing_sandwich", (), 1e-8,
+    check("curvature_pairing_sandwich", ("accepted",), 1e-8,
           "pairing between comparison multiples of the anisotropic curvature",
           lambda: (bool(worst <= 1e-8), worst, 0.0))
 
@@ -452,37 +454,37 @@ def verify_bounds(run: ExperimentConfig | RunContext) -> dict:
         qg = x @ (disc_cmp.operator @ x)
         worst_q = min(worst_q, (q - consts.lambda_gamma * qg) / (x @ (disc.mass @ x)))
     dominated = all(c["neg_L"] <= c["neg_Lgamma"] for c in cmp_counts)
-    check("quadratic_form_comparison", (), 1e-9,
+    check("quadratic_form_comparison", ("accepted",), 1e-9,
           "random-field form comparison and per-domain count domination",
           lambda: (bool(worst_q >= -1e-9 and dominated), float(worst_q), 0.0))
 
-    check("courant_nodal_domain_bound", ("stabilized", "nodal"), 0,
+    check("courant_nodal_domain_bound", ("accepted", "complete", "stabilized", "nodal"), 0,
           "nodal-domain count of translation fields versus the index",
           lambda: (max(courant) <= stab, max(courant), stab))
 
     worst_res = max(spectral.jacobi_residuals.values()) if spectral.jacobi_residuals else 0.0
-    check("translation_jacobi_fields", (), JACOBI_RESIDUAL_TOL,
+    check("translation_jacobi_fields", ("accepted",), JACOBI_RESIDUAL_TOL,
           "relative weak residual of the translation fields",
           lambda: (bool(worst_res <= JACOBI_RESIDUAL_TOL), worst_res, 0.0))
 
     defect = riemann_hurwitz_check(2 - 2 * config.genus, degs["deg_nu"], branch_points)
-    check("branched_cover_euler_count", ("isolated",), 0,
+    check("branched_cover_euler_count", ("accepted", "complete", "isolated"), 0,
           "Euler count of the compactified branched cover",
           lambda: (defect == 0.0, defect, 0.0))
 
-    check("pseudograph_euler_inequality", ("nodal",), 0,
+    check("pseudograph_euler_inequality", ("accepted", "nodal"), 0,
           "vertex-edge-component count against the genus bound",
           lambda: (min(slacks) >= 0, min(slacks), 0))
 
-    check("index_lower_bound_vs_spectrum", ("stabilized", "bounded"), 0,
+    check("index_lower_bound_vs_spectrum", ("accepted", "complete", "stabilized", "nodal"), 0,
           "pseudograph lower bound against the stabilized index",
           lambda: (max(bounds) <= stab, max(bounds), stab))
 
-    check("low_genus_instability", ("curved", "stabilized"), 0,
+    check("low_genus_instability", ("accepted", "complete", "curved", "stabilized"), 0,
           "genus 0 or 1 forces at least one unstable direction",
           lambda: (stab >= 1, stab, 1))
 
-    check("index_upper_bound_chain", ("stabilized",), 0,
+    check("index_upper_bound_chain", ("accepted", "stabilized"), 0,
           "stabilized index dominated by the comparison-operator count",
           lambda: (stab <= cmp_counts[-1]["neg_Lgamma"], stab, cmp_counts[-1]["neg_Lgamma"]))
 

@@ -524,6 +524,23 @@ class TestMarchZeroSet:
         if patch.periodic_u:
             assert any(np.any(pts[:, 0] > patch.u_samples()[-1]) for pts, _ in polylines)
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("fixture", ["catenoid", "plane"])
+    def test_nodal_domains_are_sign_components(self, fixture, seed):
+        # one count over the sign labels is the positive plus the negative
+        # components; nodes planted at exact zero (label 0) join neither
+        patch = sf.fixture(fixture, grid=(19 + seed, 14 + 3 * seed))
+        rng = np.random.default_rng(seed)
+        phi = rng.standard_normal(patch.shape)
+        phi[rng.random(patch.shape) < 0.15] = 0.0
+        assert np.any(phi == 0)
+        joint = ga._components(np.sign(phi), patch.periodic_u)
+        pos = ga._components(phi > 0, patch.periodic_u)
+        neg = ga._components(phi < 0, patch.periodic_u)
+        assert len(joint) == len(pos) + len(neg)
+        by_first = sorted(pos + neg, key=lambda g: g[0])
+        assert all(np.array_equal(g, h) for g, h in zip(joint, by_first))
+
     def test_seam_crossing_closes_loop(self):
         # a disc straddling u = 0 is one closed loop through the seam cells
         patch = sf.fixture("catenoid", grid=(24, 17))

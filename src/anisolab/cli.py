@@ -119,11 +119,16 @@ def cmd_solve_graph(args) -> int:
         "converged": sol.converged,
         "status": sol.status,
         "residual_history": sol.residual_history,
+        "levels": sol.levels,
     }
     _write(args.out, json.dumps(payload))
+    levels = ",".join(
+        "x".join(map(str, lv["grid"])) + f":{lv['status']}:{lv['iterations']}"
+        + (":fell_back" if lv["fell_back"] else "") for lv in sol.levels
+    )
     print(
         f"solve-graph: converged={sol.converged} status={sol.status} "
-        f"iterations={sol.iterations} residual={sol.residual_linf:.3e}",
+        f"iterations={sol.iterations} residual={sol.residual_linf:.3e} levels={levels}",
         file=sys.stderr,
     )
     return 0 if sol.converged else 1

@@ -13,16 +13,35 @@ frozen-coefficient step; in correction form its rounding scales with the
 correction, not with the size of u, so the iteration reaches residuals well
 below eps * max|u| / h^2.
 
-The LU of A (SuperLU with the minimum-degree ordering of A^T + A) is reused
-across steps.  A full step with the lagged factor must shrink the residual
-by LAG_CONTRACTION; if it does not, A is refactored at the current iterate
-and the damping omega is halved until the residual decreases.  If even a
-freshly factored step cannot lower it at omega >= MIN_DAMPING, the solver
-reports "stalled".  The stencil's sparsity pattern is built once per solve,
-at the first factorization; a start already within tolerance builds none.
+Levels.  Without a caller's start, a grid of n = 2m - 1 nodes per axis with
+m >= MIN_COARSE_NODES on both axes is solved after its m-node coarse grid,
+recursively, and starts from the coarse solution refined by the cubic
+midpoint rule, with its own edge data put back (nested iteration, Brandt
+1977).  The coarsest level, and any grid that does not nest, starts from
+the harmonic seed.
 
-The default seed is the harmonic extension of the boundary data: the
-identity-coefficient operator is the 5-point Laplacian on a uniform
+Operator inverse.  On the coarsest level A^{-1} is the LU of A (SuperLU
+with the minimum-degree ordering of A^T + A), reused across steps.  On a
+nested level it is one V-cycle on A frozen at the level's start, which is
+gathered but never factored: JACOBI_SWEEPS damped-Jacobi sweeps before and
+after a coarse correction (full-weighting restriction, bilinear
+prolongation), where the coarse correction applies the inverse the coarser
+level's own loop ended with.  A nested level whose coarse level took no
+step has no such inverse and is factored like the coarsest.  So a solve
+whose V-cycle steps contract factors only its coarsest grid.
+
+Lagging and fallback.  A full step with a lagged inverse must shrink the
+residual by LAG_CONTRACTION.  On the coarsest level a step that does not is
+refactored at the current iterate, and the damping omega is halved until
+the residual decreases.  On a nested level the first V-cycle step that does
+not contract switches that level to the same direct factorization for the
+rest of its steps.  If even a freshly factored step cannot lower the
+residual at omega >= MIN_DAMPING, the level reports "stalled".  The
+stencil's sparsity pattern is built once per level, at its first step; a
+start already within tolerance builds none.
+
+The harmonic seed is the Dirichlet extension of the boundary data with the
+identity-coefficient operator: the 5-point Laplacian on a uniform
 rectangle, which the type-I sine transform diagonalizes, so the seed is
 solved by FFTs and needs no factorization.
 
@@ -32,7 +51,7 @@ Second-order stencils throughout: 3-point for pure second differences,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from numbers import Integral
 from typing import Callable
 
@@ -41,7 +60,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import EllipticityLoss
-from .integrand import IntegrandSpec, gamma_hessians, sym2, sym2x2_eigenvalues
+from .integrand import IntegrandSpec, hessian_entries, sym2, sym2x2_eigenvalues
 from .surface import SurfacePatch
 
 MIN_DAMPING = 2.0**-20
@@ -108,6 +127,10 @@ class GraphSolution:
     # residual at damping >= MIN_DAMPING) or "max_iter"; None when not
     # recorded, as for a solution loaded from JSON
     status: str | None = None
+    # one record per grid level, coarsest first, the last one this grid's:
+    # {"grid": [nx, ny], "iterations", "status", "fell_back"}, where
+    # fell_back says a V-cycle level switched to the direct factorization
+    levels: list[dict] = field(default_factory=list)
 
 
 def _interior_jets(u: np.ndarray, hx: float, hy: float) -> dict[str, np.ndarray]:
@@ -126,8 +149,7 @@ def _coefficients(spec: IntegrandSpec, ux: np.ndarray, uy: np.ndarray):
     large for floating point give NaN, quietly: the elliptic guard refuses it."""
     p = np.stack([-ux, -uy, np.ones_like(ux)], axis=-1)
     with np.errstate(over="ignore", invalid="ignore"):
-        h = gamma_hessians(spec, p)
-    return h[..., 0, 0], h[..., 0, 1], h[..., 1, 1]
+        return hessian_entries(spec, p, ((0, 0), (0, 1), (1, 1)))
 
 
 def _frozen_coefficients(problem: GraphProblem, u: np.ndarray):
@@ -160,6 +182,14 @@ _OFFSETS = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1),
 # by at least this factor; otherwise the operator is refactored.
 LAG_CONTRACTION = 0.5
 
+# A grid of n = 2m - 1 nodes per axis is solved after its m-node coarse grid
+# when m is at least this on both axes; coarser grids are solved directly.
+MIN_COARSE_NODES = 65
+
+# Damped-Jacobi sweeps of a V-cycle before and after its coarse correction.
+JACOBI_SWEEPS = 3
+JACOBI_DAMPING = 0.8
+
 
 class _Stencil:
     """Sparsity pattern of the interior 9-point operator, built once per problem.
@@ -185,23 +215,79 @@ class _Stencil:
         self._take = (np.array(ks) * self.n + rows)[inner]
         self._indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(inner, axis=1))))
 
-    def factor_at(self, u: np.ndarray):
-        """LU of the operator with coefficients frozen at the iterate ``u``."""
+    def matrix_at(self, u: np.ndarray) -> sp.csc_matrix:
+        """The operator with coefficients frozen at the iterate ``u``."""
         c11, c12, c22 = _frozen_coefficients(self.problem, u)
         hx, hy = self.problem.hx, self.problem.hy
         a, b, m = c11 / hx**2, c22 / hy**2, c12 / (2 * hx * hy)
         weights = np.stack([-2 * a - 2 * b, a, a, b, b, m, m, -m, -m]).ravel()
-        mat = sp.csc_matrix(
+        return sp.csc_matrix(
             (weights[self._take], self._indices, self._indptr), shape=(self.n, self.n)
         )
-        return spla.splu(mat, permc_spec="MMD_AT_PLUS_A")
+
+    def factor_at(self, u: np.ndarray):
+        """LU of the operator with coefficients frozen at the iterate ``u``."""
+        return spla.splu(self.matrix_at(u), permc_spec="MMD_AT_PLUS_A")
 
 
-def _attempt(u, r, lu, omega, problem):
+def _restrict(f: np.ndarray) -> np.ndarray:
+    """Full weighting of interior values of a (2m + 1, 2n + 1) grid onto
+    the (m, n) interior nodes of its coarse grid (the odd fine indices)."""
+    for _ in range(2):
+        f = ((f[:-2] + 2 * f[1:-1] + f[2:])[::2] / 4).T
+    return f
+
+
+def _prolong(c: np.ndarray) -> np.ndarray:
+    """Bilinear interpolation of coarse interior values, zero on the coarse
+    edges, to the (2m + 1, 2n + 1) fine interior nodes."""
+    for _ in range(2):
+        pad = np.pad(c, ((1, 1), (0, 0)))
+        fine = np.empty((2 * len(c) + 1, c.shape[1]))
+        fine[0::2], fine[1::2] = 0.5 * (pad[:-1] + pad[1:]), c
+        c = fine.T
+    return c
+
+
+def _refine(u: np.ndarray) -> np.ndarray:
+    """Cubic midpoint refinement of an (m, n) node grid to (2m - 1, 2n - 1):
+    weights (-1, 9, 9, -1)/16 inside and (5, 15, -5, 1)/16 at the ends."""
+    for _ in range(2):
+        fine = np.empty((2 * len(u) - 1, u.shape[1]))
+        fine[0::2] = u
+        fine[3:-3:2] = (9 * (u[1:-2] + u[2:-1]) - (u[:-3] + u[3:])) / 16
+        fine[1] = (5 * u[0] + 15 * u[1] - 5 * u[2] + u[3]) / 16
+        fine[-2] = (5 * u[-1] + 15 * u[-2] - 5 * u[-3] + u[-4]) / 16
+        u = fine.T
+    return u
+
+
+def _v_cycle(mat: sp.csc_matrix, shape: tuple[int, int], coarse: Callable) -> Callable:
+    """One V-cycle as an approximate inverse of the frozen operator ``mat``
+    on interior nodes of ``shape``: damped-Jacobi sweeps before and after a
+    correction by ``coarse``, the coarser level's inverse."""
+    weight = JACOBI_DAMPING / mat.diagonal()
+
+    def smooth(e, r):
+        for _ in range(JACOBI_SWEEPS):
+            e = e + weight * (r - mat @ e)
+        return e
+
+    def apply(r):
+        e = smooth(np.zeros_like(r), r)
+        rc = _restrict((r - mat @ e).reshape(shape))
+        e += _prolong(coarse(rc.ravel()).reshape(rc.shape)).ravel()
+        return smooth(e, r)
+
+    return apply
+
+
+def _attempt(u, r, inverse, omega, problem):
     """The trial iterate u - omega * A^{-1} r (edge nodes kept) from ``u``
-    with residual ``r``, and the trial's residual and its sup norm."""
+    with residual ``r``, A^{-1} applied by ``inverse``, and the trial's
+    residual and its sup norm."""
     trial, inner = u.copy(), r[1:-1, 1:-1]
-    trial[1:-1, 1:-1] -= omega * lu.solve(inner.ravel()).reshape(inner.shape)
+    trial[1:-1, 1:-1] -= omega * inverse(inner.ravel()).reshape(inner.shape)
     trial_r = residual(trial, problem)
     return trial, trial_r, float(np.max(np.abs(trial_r)))
 
@@ -244,17 +330,31 @@ def harmonic_extension(problem: GraphProblem) -> np.ndarray:
 
 
 def solve(problem: GraphProblem, u0: np.ndarray | None = None) -> GraphSolution:
-    """Picard corrections on a lagged factorization, with damping halved on
-    residual increase.
+    """Picard corrections on a lagged operator inverse, with damping halved
+    on residual increase.
 
-    A caller-supplied ``u0`` supplies interior values only; its edge nodes
-    are replaced by the boundary data.  A start already within ``tol``, be
-    it ``u0`` or the harmonic seed, comes back converged after 0 iterations,
+    Without ``u0``, a grid that nests is solved after its coarse grid, from
+    the refined coarse solution and with V-cycle inverses (module docstring);
+    ``levels`` records each grid's solve.  A caller-supplied ``u0`` supplies
+    interior values only; its edge nodes are replaced by the boundary data,
+    and the grid is solved alone.  A start already within ``tol``, be it
+    ``u0`` or the harmonic seed, comes back converged after 0 iterations,
     without a factorization.  Non-convergence is data, not an error: the
     best iterate comes back with its ``status`` so the caller can still
     inspect it.
     """
-    stencil = None
+    return _solve_level(problem, u0)[0]
+
+
+def _solve_level(problem: GraphProblem, u0: np.ndarray | None):
+    """The solution on ``problem``'s grid and the operator inverse its Picard
+    loop ended with (None when it took no step)."""
+    nx, ny = problem.shape
+    coarse_inverse, levels = None, []
+    if u0 is None and nx % 2 and ny % 2 and min(nx, ny) >= 2 * MIN_COARSE_NODES - 1:
+        coarse, coarse_inverse = _solve_level(
+            replace(problem, shape=((nx + 1) // 2, (ny + 1) // 2)), None)
+        u0, levels = _refine(coarse.u), coarse.levels
     if u0 is None:
         u = harmonic_extension(problem)
     else:
@@ -267,22 +367,27 @@ def solve(problem: GraphProblem, u0: np.ndarray | None = None) -> GraphSolution:
     omega = 1.0
     iterations = 0
     status = "max_iter"
-    lu = None
+    stencil = inverse = None
+    fell_back = False
     budget = problem.max_iter
     if res <= problem.tol:
         _frozen_coefficients(problem, u)  # no step, but a non-elliptic problem is refused
         budget = 0
+    if budget and coarse_inverse is not None:
+        stencil = _Stencil(problem)
+        inverse = _v_cycle(stencil.matrix_at(u), (nx - 2, ny - 2), coarse_inverse)
     for it in range(1, budget + 1):
         step = None
-        if lu is not None:
-            step = _attempt(u, r, lu, omega, problem)
+        if inverse is not None:
+            step = _attempt(u, r, inverse, omega, problem)
             if not (step[2] <= LAG_CONTRACTION * res or step[2] <= problem.tol):
                 step = None
         if step is None:
+            fell_back = coarse_inverse is not None
             stencil = stencil or _Stencil(problem)
-            lu = stencil.factor_at(u)
+            inverse = stencil.factor_at(u).solve
             while omega >= MIN_DAMPING:
-                step = _attempt(u, r, lu, omega, problem)
+                step = _attempt(u, r, inverse, omega, problem)
                 if step[2] < res or step[2] <= problem.tol:
                     break
                 step = None
@@ -297,6 +402,8 @@ def solve(problem: GraphProblem, u0: np.ndarray | None = None) -> GraphSolution:
             break
     if res <= problem.tol:  # also a start within tol
         status = "converged"
+    levels = levels + [{"grid": [nx, ny], "iterations": iterations, "status": status,
+                        "fell_back": fell_back}]
     return GraphSolution(
         problem=problem,
         u=u,
@@ -305,7 +412,8 @@ def solve(problem: GraphProblem, u0: np.ndarray | None = None) -> GraphSolution:
         converged=status == "converged",
         residual_history=history,
         status=status,
-    )
+        levels=levels,
+    ), inverse
 
 
 def lift(solution: GraphSolution) -> SurfacePatch:

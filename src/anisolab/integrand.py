@@ -164,6 +164,15 @@ def gamma_hessians(spec: IntegrandSpec, points: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(points, dtype=np.float64)
     buf = np.empty((3, 3) + x.shape[:-1])
+    upper = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+    for (a, b), plane in zip(upper, hessian_entries(spec, x, upper)):
+        buf[a, b] = buf[b, a] = plane
+    return np.moveaxis(buf, (0, 1), (-2, -1))
+
+
+def hessian_entries(spec: IntegrandSpec, x: np.ndarray, entries) -> list[np.ndarray]:
+    """The entry planes h[..., a, b] of ``gamma_hessians(spec, x)`` for each
+    (a, b) in ``entries`` with a <= b, bit for bit, computing no other entry."""
     # r: the norm gamma_bar divides by, 0-d for one point so its powers are ufuncs
     if spec.family == "ellipsoid":
         q = np.square(np.asarray(spec.params))
@@ -175,23 +184,25 @@ def gamma_hessians(spec: IntegrandSpec, points: np.ndarray) -> np.ndarray:
     if spec.family == "spherical_harmonic":
         l, m, eps = spec.params
         poly, grad, hess = solid_harmonic_jet(int(l), int(m))
-        pval, g = poly.eval(x), [gp.eval(x) for gp in grad]
+        axes = {i for entry in entries for i in entry}
+        pval, g = poly.eval(x), {i: grad[i].eval(x) for i in axes}
         c2 = (1.0 - l) * (-l - 1.0) * r ** (-l - 3.0) * pval
         c1, c0 = (1.0 - l) * r ** (-l - 1.0), r ** (1.0 - l)
-    for a, b in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
+    planes = []
+    for a, b in entries:
         d = float(a == b)
         if spec.family == "ellipsoid":
-            buf[a, b] = qd[a, b] / r - qx[..., a] * qx[..., b] / r3
+            h = qd[a, b] / r - qx[..., a] * qx[..., b] / r3
         else:
             xx = x[..., a] * x[..., b]
-            buf[a, b] = d / r - xx / r3
+            h = d / r - xx / r3
         if spec.family == "constant":
-            buf[a, b] *= spec.params[0]
+            h *= spec.params[0]
         elif spec.family == "spherical_harmonic":
             extra = c1 * (x[..., a] * g[b] + x[..., b] * g[a] + pval * d)
-            buf[a, b] += eps * (c2 * xx + extra + c0 * hess[a][b].eval(x))
-        buf[b, a] = buf[a, b]
-    return np.moveaxis(buf, (0, 1), (-2, -1))
+            h += eps * (c2 * xx + extra + c0 * hess[a][b].eval(x))
+        planes.append(h)
+    return planes
 
 
 def tangential_curvature_tensor(

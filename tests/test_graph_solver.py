@@ -13,6 +13,7 @@ from anisolab.integrand import IntegrandSpec, gamma_hessians
 C1 = ig.constant(1.0)
 E112 = ig.ellipsoid(1, 1, 2)
 SH = ig.spherical_harmonic(3, 1, 0.05)
+SH2 = ig.spherical_harmonic(2, 0, 0.05)
 
 
 def square_problem(spec, n=33, bc=None, **kw):
@@ -151,6 +152,24 @@ class TestStencil:
             assert np.array_equal(got, want)
 
 
+class TestGridTransfer:
+    def test_refine_reproduces_cubics(self):
+        # the 4-point midpoint rule is exact on cubics, at the ends too
+        x, y = np.meshgrid(np.linspace(0, 1, 9), np.linspace(-1, 2, 12), indexing="ij")
+        fx, fy = np.meshgrid(np.linspace(0, 1, 17), np.linspace(-1, 2, 23), indexing="ij")
+
+        def cubic(x, y):
+            return 1 - 2 * x + x**3 - 0.5 * x**2 * y + 0.3 * y**3 + x * y
+
+        assert np.max(np.abs(gs._refine(cubic(x, y)) - cubic(fx, fy))) <= 1e-14
+
+    def test_restriction_is_prolongation_transpose_over_four(self, rng):
+        # full weighting and bilinear interpolation are adjoint up to 1/4
+        c, f = rng.standard_normal((7, 4)), rng.standard_normal((15, 9))
+        assert gs._prolong(c).shape == f.shape and gs._restrict(f).shape == c.shape
+        assert np.sum(gs._prolong(c) * f) == pytest.approx(4 * np.sum(c * gs._restrict(f)))
+
+
 class TestSolve:
     def test_linear_data_converges_without_a_step(self):
         # the harmonic seed is exact for linear data: no Picard step is taken
@@ -242,9 +261,9 @@ class TestSolve:
             def __getattr__(self, name):
                 return getattr(spla, name)
 
-            def splu(self, *args, **kwargs):
-                factored.append(1)
-                return spla.splu(*args, **kwargs)
+            def splu(self, mat, *args, **kwargs):
+                factored.append(mat.shape)
+                return spla.splu(mat, *args, **kwargs)
 
         monkeypatch.setattr(gs, "spla", CountingSpla())
         prob = gs.GraphProblem(
@@ -260,6 +279,35 @@ class TestSolve:
         exact = np.arccosh(np.sqrt(X**2 + Y**2))
         assert np.max(np.abs(sol.u - exact)) <= 5e-4
         assert len(factored) == 1
+        # the one factorization is the coarsest level's: 63x63 interior nodes
+        assert factored[0] == (3969, 3969)
+
+    @pytest.mark.parametrize("spec, n", [(C1, 129), (E112, 129), (SH2, 129), (C1, 257)])
+    def test_nested_solve_matches_direct(self, spec, n):
+        # without u0 a nesting grid is solved after its coarse grids, with
+        # V-cycle inverses; the harmonic seed as u0 solves the grid alone
+        prob = gs.GraphProblem(domain=(1.2, 2.0, -0.4, 0.4), shape=(n, n),
+                               boundary=gs.bc_catenoid(), spec=spec)
+        nested = gs.solve(prob)
+        direct = gs.solve(prob, u0=gs.harmonic_extension(prob))
+        assert nested.converged and direct.converged
+        assert np.max(np.abs(nested.u - direct.u)) <= 1e-12
+        grids = [[m, m] for m in (65, 129, 257) if m <= n]
+        assert [lv["grid"] for lv in nested.levels] == grids
+        assert not any(lv["fell_back"] for lv in nested.levels)
+        assert nested.levels[-1]["iterations"] == nested.iterations
+        assert direct.levels == [{"grid": [n, n], "iterations": direct.iterations,
+                                  "status": "converged", "fell_back": False}]
+
+    def test_v_cycle_falls_back_to_factorization(self):
+        # steep edge data: the V-cycle step does not contract by
+        # LAG_CONTRACTION, and the level switches to the direct factorization
+        prob = square_problem(C1, n=129, bc=gs.bc_edge_sine(0.3, (0.0, 1.0, 0.0, 1.0)))
+        nested = gs.solve(prob)
+        direct = gs.solve(prob, u0=gs.harmonic_extension(prob))
+        assert nested.status == direct.status == "converged"
+        assert nested.residual_linf <= prob.tol
+        assert [lv["fell_back"] for lv in nested.levels] == [False, True]
 
     def test_converged_initial_guess_is_not_refactored(self, monkeypatch):
         def refuse(*args, **kwargs):

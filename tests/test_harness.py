@@ -2,8 +2,11 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import os
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -293,7 +296,8 @@ class TestCli:
         pytest.param("sh:2,0,0.05", 65, ["translation_jacobi_fields"], id="sh:2,0,0.05-65"),
         pytest.param("const:1", 129, [], id="const:1-129"),
     ])
-    def test_solve_graph_then_spectrum_roundtrip(self, tmp_path, integrand, grid, failed):
+    def test_solve_graph_then_spectrum_roundtrip(self, tmp_path, capsys, integrand, grid,
+                                                 failed):
         # a graph patch is not complete, so the complete-surface theorems are
         # skipped; the translation residual is coarse at 65 for const:1 and
         # stays above tolerance in the corners for the anisotropic two
@@ -310,6 +314,13 @@ class TestCli:
         assert payload["converged"]
         assert payload["status"] == "converged"
         assert payload["residual_history"][-1] == payload["residual_linf"]
+        # grid 129 is solved after grid 65, each level on record
+        grids = [m for m in (65, 129) if m <= grid]
+        assert [lv["grid"] for lv in payload["levels"]] == [[m, m] for m in grids]
+        assert payload["levels"][-1]["iterations"] == payload["iterations"]
+        named = ",".join(f"{m}x{m}:converged:{lv['iterations']}"
+                         for m, lv in zip(grids, payload["levels"]))
+        assert f"levels={named}\n" in capsys.readouterr().err
         assert len(payload["u"]) == grid * grid
         spec_out = tmp_path / "spec.json"
         rc = main(
@@ -374,9 +385,9 @@ class TestCli:
         assert rc == 0
         assert "status=converged" in capsys.readouterr().err
         payload = json.loads(sol.read_text())
-        old = tmp_path / "old.json"
-        old.write_text(json.dumps(
-            {k: v for k, v in payload.items() if k not in ("status", "residual_history")}))
+        old = tmp_path / "old.json"  # written before status, history and levels existed
+        old.write_text(json.dumps({k: v for k, v in payload.items()
+                                   if k not in ("status", "residual_history", "levels")}))
         new_patch = parse_surface(str(sol), 17, "const:1")
         old_patch = parse_surface(str(old), 17, "const:1")
         assert np.array_equal(old_patch.position, new_patch.position)
@@ -631,6 +642,16 @@ class TestBenchmarkEntryPoints:
         out = spx.dirichlet_eigs(disc, 4, domain=dom)
         assert isinstance(out, tuple) and len(out) == 3
         np.testing.assert_array_equal(out[2], spx.interior_indices(disc, dom))
+
+    def test_import_leaves_slow_scipy_modules_unloaded(self):
+        # every benchmark run pays the import in setup_s: scipy.interpolate
+        # costs about 0.27 s, scipy.fft 60-100 ms
+        code = ("import sys, anisolab; "
+                "print([m for m in ('scipy.interpolate', 'scipy.fft') if m in sys.modules])")
+        src = str(Path(ig.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "[]"
 
     def test_workload_calls_bind(self):
         # bind raises TypeError when a workload's call no longer fits

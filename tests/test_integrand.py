@@ -210,6 +210,18 @@ class TestHessianLayout:
                 assert got.shape == (3, 3)
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (str(spec), x)
 
+    @pytest.mark.parametrize("entries", [((0, 0), (0, 1), (1, 1)), ((2, 2),), ((1, 2), (0, 2))])
+    def test_entry_subset_bitwise_equal(self, entries):
+        # the graph solver asks for three entries only; each plane must be the
+        # one gamma_hessians mirrors from the same helper
+        x = oracle_inputs()["two_batch_axes"]
+        for spec in oracle_specs():
+            planes = ig.hessian_entries(spec, x, entries)
+            h = ig.gamma_hessians(spec, x)
+            for (a, b), plane in zip(entries, planes):
+                assert np.array_equal(plane.view(np.uint64),
+                                      np.ascontiguousarray(h[..., a, b]).view(np.uint64))
+
     def test_entry_planes_contiguous(self, rng):
         h = ig.gamma_hessians(ig.ellipsoid(1, 1, 2), rng.standard_normal((4, 5, 3)))
         for a in range(3):

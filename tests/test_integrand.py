@@ -212,15 +212,14 @@ class TestHessianLayout:
 
     @pytest.mark.parametrize("entries", [((0, 0), (0, 1), (1, 1)), ((2, 2),), ((1, 2), (0, 2))])
     def test_entry_subset_bitwise_equal(self, entries):
-        # the graph solver asks for three entries only; each plane must be the
-        # one gamma_hessians mirrors from the same helper
+        # the graph solver asks for three entries only; computing fewer
+        # entries must not change the bits of the ones computed
         x = oracle_inputs()["two_batch_axes"]
         for spec in oracle_specs():
-            planes = ig.hessian_entries(spec, x, entries)
-            h = ig.gamma_hessians(spec, x)
-            for (a, b), plane in zip(entries, planes):
+            want = broadcast_hessians(spec, x)
+            for (a, b), plane in zip(entries, ig.hessian_entries(spec, x, entries)):
                 assert np.array_equal(plane.view(np.uint64),
-                                      np.ascontiguousarray(h[..., a, b]).view(np.uint64))
+                                      np.ascontiguousarray(want[..., a, b]).view(np.uint64))
 
     def test_entry_planes_contiguous(self, rng):
         h = ig.gamma_hessians(ig.ellipsoid(1, 1, 2), rng.standard_normal((4, 5, 3)))

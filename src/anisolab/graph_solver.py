@@ -13,22 +13,23 @@ frozen-coefficient step; in correction form its rounding scales with the
 correction, not with the size of u, so the iteration reaches residuals well
 below eps * max|u| / h^2.
 
-Levels.  Without a caller's start, a grid of n = 2m - 1 nodes per axis with
-m >= MIN_COARSE_NODES on both axes is solved after its m-node coarse grid,
-recursively, and starts from the coarse solution refined by the cubic
-midpoint rule, with its own edge data put back (nested iteration, Brandt
-1977).  The coarsest level, and any grid that does not nest, starts from
-the harmonic seed.
+Levels.  A grid of n = 2m - 1 nodes per axis with m >= MIN_COARSE_NODES
+on both axes is solved after its m-node coarse grid, recursively, and
+starts from the coarse solution refined by the cubic midpoint rule, with
+its own edge data put back (nested iteration, Brandt 1977).  The coarsest
+level, and any grid that does not nest, starts from the harmonic seed.
 
 Operator inverse.  On the coarsest level A^{-1} is the LU of A (SuperLU
 with the minimum-degree ordering of A^T + A), reused across steps.  On a
 nested level it is one V-cycle on A frozen at the level's start, which is
 gathered but never factored: JACOBI_SWEEPS damped-Jacobi sweeps before and
-after a coarse correction (full-weighting restriction, bilinear
-prolongation), where the coarse correction applies the inverse the coarser
-level's own loop ended with.  A nested level whose coarse level took no
-step has no such inverse and is factored like the coarsest.  So a solve
-whose V-cycle steps contract factors only its coarsest grid.
+after a coarse correction.  The correction injects the residual onto the
+nodes the two grids share, applies the inverse the coarser level's own
+loop ended with, and interpolates the result, zero on the edges, by the
+same cubic midpoint rule that starts the level.  A nested level whose
+coarse level took no step has no such inverse and is factored like the
+coarsest.  So a solve whose V-cycle steps contract factors only its
+coarsest grid.
 
 Lagging and fallback.  A full step with a lagged inverse must shrink the
 residual by LAG_CONTRACTION.  On the coarsest level a step that does not is
@@ -82,6 +83,11 @@ class GraphProblem:
         x0, x1, y0, y1 = self.domain
         if not (np.all(np.isfinite(self.domain)) and x0 < x1 and y0 < y1):
             raise ValueError(f"domain needs finite x0 < x1 and y0 < y1, got {self.domain}")
+        # the stencils divide by h^2 and the harmonic seed scales by (2/h)^2
+        with np.errstate(over="ignore", under="ignore", divide="ignore"):
+            h2 = np.array([self.hx, self.hy]) ** 2
+            if not np.all((h2 > 0) & (h2 < np.inf) & (4 / h2 < np.inf)):
+                raise ValueError(f"node spacings {self.hx:g}, {self.hy:g} square out of range")
         if not (np.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be a finite number > 0, got {self.tol}")
         if not (isinstance(self.max_iter, Integral) and self.max_iter >= 0):
@@ -174,7 +180,7 @@ def residual(u: np.ndarray, problem: GraphProblem) -> np.ndarray:
     return out
 
 
-# Offsets of the 9-point stencil, in the order ``_Stencil.factor_at`` stacks
+# Offsets of the 9-point stencil, in the order ``_Stencil.matrix_at`` stacks
 # their weights.
 _OFFSETS = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1))
 
@@ -225,29 +231,6 @@ class _Stencil:
             (weights[self._take], self._indices, self._indptr), shape=(self.n, self.n)
         )
 
-    def factor_at(self, u: np.ndarray):
-        """LU of the operator with coefficients frozen at the iterate ``u``."""
-        return spla.splu(self.matrix_at(u), permc_spec="MMD_AT_PLUS_A")
-
-
-def _restrict(f: np.ndarray) -> np.ndarray:
-    """Full weighting of interior values of a (2m + 1, 2n + 1) grid onto
-    the (m, n) interior nodes of its coarse grid (the odd fine indices)."""
-    for _ in range(2):
-        f = ((f[:-2] + 2 * f[1:-1] + f[2:])[::2] / 4).T
-    return f
-
-
-def _prolong(c: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation of coarse interior values, zero on the coarse
-    edges, to the (2m + 1, 2n + 1) fine interior nodes."""
-    for _ in range(2):
-        pad = np.pad(c, ((1, 1), (0, 0)))
-        fine = np.empty((2 * len(c) + 1, c.shape[1]))
-        fine[0::2], fine[1::2] = 0.5 * (pad[:-1] + pad[1:]), c
-        c = fine.T
-    return c
-
 
 def _refine(u: np.ndarray) -> np.ndarray:
     """Cubic midpoint refinement of an (m, n) node grid to (2m - 1, 2n - 1):
@@ -265,7 +248,8 @@ def _refine(u: np.ndarray) -> np.ndarray:
 def _v_cycle(mat: sp.csc_matrix, shape: tuple[int, int], coarse: Callable) -> Callable:
     """One V-cycle as an approximate inverse of the frozen operator ``mat``
     on interior nodes of ``shape``: damped-Jacobi sweeps before and after a
-    correction by ``coarse``, the coarser level's inverse."""
+    correction by ``coarse``, the coarser level's inverse, on the residual
+    injected onto the shared nodes and refined back."""
     weight = JACOBI_DAMPING / mat.diagonal()
 
     def smooth(e, r):
@@ -275,8 +259,9 @@ def _v_cycle(mat: sp.csc_matrix, shape: tuple[int, int], coarse: Callable) -> Ca
 
     def apply(r):
         e = smooth(np.zeros_like(r), r)
-        rc = _restrict((r - mat @ e).reshape(shape))
-        e += _prolong(coarse(rc.ravel()).reshape(rc.shape)).ravel()
+        rc = (r - mat @ e).reshape(shape)[1::2, 1::2]
+        ec = np.pad(coarse(rc.ravel()).reshape(rc.shape), 1)
+        e += _refine(ec)[1:-1, 1:-1].ravel()
         return smooth(e, r)
 
     return apply
@@ -329,37 +314,32 @@ def harmonic_extension(problem: GraphProblem) -> np.ndarray:
     return u
 
 
-def solve(problem: GraphProblem, u0: np.ndarray | None = None) -> GraphSolution:
+def solve(problem: GraphProblem) -> GraphSolution:
     """Picard corrections on a lagged operator inverse, with damping halved
     on residual increase.
 
-    Without ``u0``, a grid that nests is solved after its coarse grid, from
-    the refined coarse solution and with V-cycle inverses (module docstring);
-    ``levels`` records each grid's solve.  A caller-supplied ``u0`` supplies
-    interior values only; its edge nodes are replaced by the boundary data,
-    and the grid is solved alone.  A start already within ``tol``, be it
-    ``u0`` or the harmonic seed, comes back converged after 0 iterations,
-    without a factorization.  Non-convergence is data, not an error: the
-    best iterate comes back with its ``status`` so the caller can still
-    inspect it.
+    A grid that nests is solved after its coarse grid, from the refined
+    coarse solution and with V-cycle inverses (module docstring); ``levels``
+    records each grid's solve.  A start already within ``tol`` comes back
+    converged after 0 iterations, without a factorization.  Non-convergence
+    is data, not an error: the best iterate comes back with its ``status``
+    so the caller can still inspect it.
     """
-    return _solve_level(problem, u0)[0]
+    return _solve_level(problem)[0]
 
 
-def _solve_level(problem: GraphProblem, u0: np.ndarray | None):
+def _solve_level(problem: GraphProblem):
     """The solution on ``problem``'s grid and the operator inverse its Picard
     loop ended with (None when it took no step)."""
     nx, ny = problem.shape
     coarse_inverse, levels = None, []
-    if u0 is None and nx % 2 and ny % 2 and min(nx, ny) >= 2 * MIN_COARSE_NODES - 1:
+    if nx % 2 and ny % 2 and min(nx, ny) >= 2 * MIN_COARSE_NODES - 1:
         coarse, coarse_inverse = _solve_level(
-            replace(problem, shape=((nx + 1) // 2, (ny + 1) // 2)), None)
-        u0, levels = _refine(coarse.u), coarse.levels
-    if u0 is None:
-        u = harmonic_extension(problem)
+            replace(problem, shape=((nx + 1) // 2, (ny + 1) // 2)))
+        u, levels = problem.boundary_grid(), coarse.levels
+        u[1:-1, 1:-1] = _refine(coarse.u)[1:-1, 1:-1]
     else:
-        u = problem.boundary_grid()
-        u[1:-1, 1:-1] = np.asarray(u0, dtype=float)[1:-1, 1:-1]
+        u = harmonic_extension(problem)
 
     r = residual(u, problem)
     res = float(np.max(np.abs(r)))
@@ -385,7 +365,7 @@ def _solve_level(problem: GraphProblem, u0: np.ndarray | None):
         if step is None:
             fell_back = coarse_inverse is not None
             stencil = stencil or _Stencil(problem)
-            inverse = stencil.factor_at(u).solve
+            inverse = spla.splu(stencil.matrix_at(u), permc_spec="MMD_AT_PLUS_A").solve
             while omega >= MIN_DAMPING:
                 step = _attempt(u, r, inverse, omega, problem)
                 if step[2] < res or step[2] <= problem.tol:

@@ -163,12 +163,6 @@ class TestGridTransfer:
 
         assert np.max(np.abs(gs._refine(cubic(x, y)) - cubic(fx, fy))) <= 1e-14
 
-    def test_restriction_is_prolongation_transpose_over_four(self, rng):
-        # full weighting and bilinear interpolation are adjoint up to 1/4
-        c, f = rng.standard_normal((7, 4)), rng.standard_normal((15, 9))
-        assert gs._prolong(c).shape == f.shape and gs._restrict(f).shape == c.shape
-        assert np.sum(gs._prolong(c) * f) == pytest.approx(4 * np.sum(c * gs._restrict(f)))
-
 
 class TestSolve:
     def test_linear_data_converges_without_a_step(self):
@@ -283,28 +277,33 @@ class TestSolve:
         assert factored[0] == (3969, 3969)
 
     @pytest.mark.parametrize("spec, n", [(C1, 129), (E112, 129), (SH2, 129), (C1, 257)])
-    def test_nested_solve_matches_direct(self, spec, n):
-        # without u0 a nesting grid is solved after its coarse grids, with
-        # V-cycle inverses; the harmonic seed as u0 solves the grid alone
+    def test_nested_solve_matches_direct(self, monkeypatch, spec, n):
+        # a nesting grid is solved after its coarse grids, with V-cycle
+        # inverses; with no coarse level allowed it is solved alone
         prob = gs.GraphProblem(domain=(1.2, 2.0, -0.4, 0.4), shape=(n, n),
                                boundary=gs.bc_catenoid(), spec=spec)
         nested = gs.solve(prob)
-        direct = gs.solve(prob, u0=gs.harmonic_extension(prob))
+        monkeypatch.setattr(gs, "MIN_COARSE_NODES", n)
+        direct = gs.solve(prob)
         assert nested.converged and direct.converged
         assert np.max(np.abs(nested.u - direct.u)) <= 1e-12
         grids = [[m, m] for m in (65, 129, 257) if m <= n]
         assert [lv["grid"] for lv in nested.levels] == grids
+        steps = {(C1, 129): [20, 13], (E112, 129): [8, 7], (SH2, 129): [18, 12],
+                 (C1, 257): [20, 13, 12]}[spec, n]
+        assert [lv["iterations"] for lv in nested.levels] == steps
         assert not any(lv["fell_back"] for lv in nested.levels)
         assert nested.levels[-1]["iterations"] == nested.iterations
         assert direct.levels == [{"grid": [n, n], "iterations": direct.iterations,
                                   "status": "converged", "fell_back": False}]
 
-    def test_v_cycle_falls_back_to_factorization(self):
+    def test_v_cycle_falls_back_to_factorization(self, monkeypatch):
         # steep edge data: the V-cycle step does not contract by
         # LAG_CONTRACTION, and the level switches to the direct factorization
         prob = square_problem(C1, n=129, bc=gs.bc_edge_sine(0.3, (0.0, 1.0, 0.0, 1.0)))
         nested = gs.solve(prob)
-        direct = gs.solve(prob, u0=gs.harmonic_extension(prob))
+        monkeypatch.setattr(gs, "MIN_COARSE_NODES", 129)
+        direct = gs.solve(prob)
         assert nested.status == direct.status == "converged"
         assert nested.residual_linf <= prob.tol
         assert [lv["fell_back"] for lv in nested.levels] == [False, True]
@@ -317,10 +316,10 @@ class TestSolve:
 
         monkeypatch.setattr(gs, "spla", type("NoSplu", (), {"splu": staticmethod(refuse)})())
         for spec, max_iter in ((C1, 0), (C1, 5), (E112, 5)):
-            # linear functions are exact solutions for every integrand
+            # linear functions are exact solutions for every integrand, and
+            # the harmonic seed reproduces them
             prob = square_problem(spec, bc=gs.bc_linear(0.3, -0.7, 0.2), max_iter=max_iter)
-            X, Y = prob.node_coords()
-            sol = gs.solve(prob, u0=0.3 * X - 0.7 * Y + 0.2)
+            sol = gs.solve(prob)
             assert sol.converged and sol.status == "converged"
             assert sol.iterations == 0 and sol.residual_history == [sol.residual_linf]
             assert sol.residual_linf <= prob.tol
@@ -328,7 +327,7 @@ class TestSolve:
         bad = square_problem(IntegrandSpec("ellipsoid", (1e-7, 1.0, 1.0)),
                              bc=gs.bc_linear(1.0, 0.0, 0.0))
         with pytest.raises(EllipticityLoss):
-            gs.solve(bad, u0=bad.node_coords()[0])
+            gs.solve(bad)
 
     def test_stencil_built_only_to_factor(self, monkeypatch):
         built = []
@@ -367,23 +366,6 @@ class TestSolve:
         assert sol.iterations < prob.max_iter
         hist = sol.residual_history
         assert all(b < a for a, b in zip(hist, hist[1:]))
-
-    def test_initial_guess_edges_take_boundary_data(self):
-        prob = gs.GraphProblem(
-            domain=(1.2, 2.0, -0.4, 0.4),
-            shape=(33, 33),
-            boundary=gs.bc_catenoid(),
-            spec=E112,
-        )
-        u0 = gs.harmonic_extension(prob) + 0.3  # wrong on every edge node
-        sol = gs.solve(prob, u0)
-        assert sol.converged
-        b = prob.boundary_grid()
-        mask = np.ones(prob.shape, dtype=bool)
-        mask[1:-1, 1:-1] = False
-        assert np.array_equal(sol.u[mask], b[mask])
-        # and the interior lands on the solution from the default seed
-        assert np.max(np.abs(sol.u - gs.solve(prob).u)) <= 1e-9
 
     def test_ellipticity_guard(self):
         # a raw near-degenerate quadratic weight sneaks past no validation

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from anisolab import cli, gauss_analysis as ga, harness, integrand as ig, spectrum as spx
-from anisolab import surface as sf
+from anisolab import graph_solver as gs, surface as sf
 from anisolab.cli import gauss_payload, main
 from anisolab.errors import InvalidSpec
 from anisolab.integrand import MAX_REFINEMENT
@@ -471,6 +471,13 @@ class TestCli:
         assert rc == 0
         assert json.loads(sol.read_text())["iterations"] == 0
 
+    @pytest.mark.parametrize("domain", ["0,1e-100,0,1e-100", "0,1e150,0,1"])
+    def test_extreme_spacings_that_square_in_range_solve(self, tmp_path, domain):
+        sol = tmp_path / "sol.json"
+        assert main(["solve-graph", "--integrand", "const:1", "--bc", "zero", "--grid", "9",
+                     "--domain", domain, "--out", str(sol)]) == 0
+        assert json.loads(sol.read_text())["converged"]
+
     @pytest.mark.parametrize("case", [
         "integrand", "config_key", "surface", "domains", "axis_number", "axis_length",
         "axis_zero", "graph_domain_number", "graph_domain_length", "graph_grid",
@@ -484,6 +491,7 @@ class TestCli:
         "graph_tol_nan", "graph_max_iter_negative", "plane_zero_width", "graph_bc_overflow",
         "shear_nan", "shear_inf", "shear_overflow", "shear_det_overflow", "config_euler_char",
         "spectrum_domains_not_nested", "bounds_domain_repeated", "config_jacobi_residual_tol",
+        "graph_spacing_underflow", "graph_spacing_overflow", "solution_spacing_overflow",
     ])
     def test_bad_input_exits_2(self, tmp_path, capsys, case):
         cfg = tmp_path / "cfg.json"
@@ -506,6 +514,9 @@ class TestCli:
             "bc_file_without_bc": json.dumps({"boundary": "zero"}),
             "solution_missing_keys": json.dumps({"integrand": "const:1"}),
             "solution_bad_json": "{",
+            "solution_spacing_overflow": json.dumps(
+                {"integrand": "const:1", "domain": [0, 1e160, 0, 1], "grid": [9, 9],
+                 "u": [0.0] * 81, "residual_linf": 0.0, "iterations": 0, "converged": True}),
         }.get(case, json.dumps({"surface": "plane", "bogus": 1})))
         gauss = ["gauss", "--surface", "plane", "--integrand", "const:1", "--grid", "16"]
         graph = ["solve-graph", "--integrand", "const:1", "--bc", "catenoid"]
@@ -545,6 +556,12 @@ class TestCli:
             "bc_file_without_bc": graph[:-1] + [str(cfg), "--domain", "0,1,0,1"],
             "solution_missing_keys": ["bounds", "--surface", str(cfg)],
             "solution_bad_json": ["bounds", "--surface", str(cfg)],
+            "solution_spacing_overflow": ["bounds", "--surface", str(cfg)],
+            # these raised OverflowError: h^2 underflows to 0, or overflows
+            "graph_spacing_underflow": graph[:-1] + ["zero", "--domain", "0,1e-300,0,1",
+                                                     "--grid", "9"],
+            "graph_spacing_overflow": graph[:-1] + ["zero", "--domain", "0,1e160,0,1",
+                                                    "--grid", "9"],
             # these failed with a traceback, printed sup|H_gamma| = nan with
             # exit 0, blamed the integrand for the NaN shear, or warned
             "shear_nan": ["bounds", "--surface", "sheared_catenoid:nan,0,0,0,1,0,0,0,1;2",
@@ -666,6 +683,10 @@ class TestBenchmarkEntryPoints:
         inspect.signature(ga.euler_inequality_check).bind("pg")
         inspect.signature(ga.index_lower_bound).bind("pg")
         inspect.signature(ga.degrees).bind("fld", "wulff")
+        inspect.signature(gs.GraphProblem).bind(
+            domain="domain", shape="shape", boundary="boundary", spec="spec")
+        inspect.signature(gs.solve).bind("problem")
+        inspect.signature(gs.lift).bind("solution")
 
     @pytest.mark.parametrize("k, lower", [(2, [2, 2, 1]), (3, [3, 3, 1])])
     def test_branched_gauss_contract(self, k, lower):

@@ -490,7 +490,9 @@ def verify_bounds(run: ExperimentConfig | RunContext) -> dict:
 
     # shifted by the eigensolver's zero threshold, the inertia counts exactly
     # the eigenvalues negative_count counts; an untrusted factorization
-    # (None) leaves the check unevaluated unless a trusted count disagrees
+    # (None) leaves the check unevaluated unless a trusted count disagrees.
+    # inertia always factors the sparse pencil, so where the eigenvalues
+    # came one Fourier mode at a time it checks one algorithm by another
     by_inertia = [
         inertia(ctx.disc, dom, shift=ZERO_EIG_REL * float(np.max(np.abs(vals))))
         for dom, vals in zip(spectral.domains, spectral.eigenvalues)

@@ -22,6 +22,19 @@ factorization of A - sigma M as its operator, and the factorization's
 inertia proves sigma below the spectrum before any iteration (Ericsson and
 Ruhe, Math. Comp. 35, 1980).  One factorization serves every widening of
 the eigenvalue window.
+
+On a chart periodic in u whose coefficients do not depend on u (the
+catenoids), the pencil of a domain spanning the period is block-circulant
+in u, every cell being cut the same way.  A discrete Fourier transform in
+u splits it into nu/2 + 1 Hermitian tridiagonal pencils in v, one per
+mode.  There the eigensolve and the guarded count take no factorization:
+counts are Sturm counts of all modes at once (backward stable; Kahan 1966,
+Demmel 1997, 5.3.4), and only the modes holding one of the lowest
+eigenvalues are solved densely.  The path is taken only where the pencil
+provably matches its circulant rebuild (:func:`_mode_pencil`); everywhere
+else, and in the tests as its oracle, the general path runs.
+:func:`inertia` keeps the sparse factorization, so the verdict's
+recount of the Jacobi index checks one algorithm against the other.
 """
 
 from __future__ import annotations
@@ -44,6 +57,7 @@ DEFAULT_EIG_COUNT = 12
 DEFAULT_AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))  # translation fields
 DENSE_CUTOFF = 400
 SHIFT_TRIES = 8  # factorizations spent looking for a shift below the spectrum
+MODE_GAP_REL = 1e-13  # largest pencil entry off its circulant rebuild, relative
 
 # int_T lambda_i lambda_j lambda_k / area: 1/10 on the diagonal triple,
 # 1/30 with one repeated index, 1/60 all distinct
@@ -193,10 +207,16 @@ def interior_indices(
         U, V = np.meshgrid(patch.u_samples(), patch.v_samples(), indexing="ij")
         tol_u, tol_v = 1e-12 * max(1.0, abs(u1 - u0)), 1e-12 * max(1.0, abs(v1 - v0))
         inside = (V > v0 + tol_v) & (V < v1 - tol_v)
-        if not (patch.periodic_u and u0 <= patch.domain[0] and u1 >= patch.domain[1]):
+        if not _spans_period(patch, domain):
             inside &= (U > u0 + tol_u) & (U < u1 - tol_u)
         keep = keep & inside.reshape(-1)
     return np.flatnonzero(keep)
+
+
+def _spans_period(patch: SurfacePatch, domain) -> bool:
+    """True when ``domain`` covers the whole u-period of a periodic chart."""
+    return patch.periodic_u and (
+        domain is None or (domain[0] <= patch.domain[0] and domain[1] >= patch.domain[1]))
 
 
 def _pencil(disc: JacobiDiscretization, domain):
@@ -215,9 +235,14 @@ def dirichlet_eigs(
 
     Sign convention: lambda equals the quadratic form per unit L2 norm, so
     negative eigenvalues are exactly the unstable directions.  Returns
-    (eigenvalues, eigenvectors restricted to free nodes, free node indices).
-    Auto-extends k while the top of the computed window is still negative so
-    an instability count is never truncated.
+    (eigenvalues, eigenvectors restricted to free nodes, free node indices);
+    the eigenvectors are real and mass-orthonormal.  Auto-extends k while
+    the top of the computed window is still negative so an instability
+    count is never truncated.
+
+    A pencil that is block-circulant in u (:func:`_mode_pencil`) is solved
+    one Fourier mode at a time; any other by shift-invert Lanczos, or
+    densely when it is small.
     """
     if k < 1:
         raise ValueError("need k >= 1")
@@ -225,39 +250,208 @@ def dirichlet_eigs(
     n = len(idx)
     if n == 0:
         raise SolverFailure("Dirichlet domain contains no free nodes")
+    modes = _mode_pencil(disc, domain, op, mass)
+    lowest = modes.lowest if modes is not None else _general_lowest(disc, idx, op, mass)
     k = min(k, n)
-    qmax = float(np.max(disc.potential.diagonal()[idx] / mass.diagonal()))
-    sigma = -max(qmax, 0.0) - 1.0
-    opinv = None
-
     while True:
-        dense = k >= n - 1 or n <= DENSE_CUTOFF
-        if not dense and opinv is None:  # sigma stays put, so one factor serves every k
-            sigma, opinv = _shift_below_spectrum(op, mass, sigma)
         try:
-            if dense:
-                vals, vecs = sla.eigh(op.toarray(), mass.toarray())
-                vals, vecs = vals[:k], vecs[:, :k]
-            else:
-                rng = np.random.default_rng(0)
-                vals, vecs = spla.eigsh(
-                    op,
-                    k=k,
-                    M=mass,
-                    sigma=sigma,
-                    which="LM",
-                    v0=rng.standard_normal(n),
-                    tol=0,
-                    OPinv=opinv,
-                )
-                order = np.argsort(vals)
-                vals, vecs = vals[order], vecs[:, order]
+            vals, vecs = lowest(k)
+        except SolverFailure:
+            raise
         except Exception as exc:  # ARPACK and LAPACK failures surface loudly
             raise SolverFailure(f"eigensolve failed: {exc}") from exc
         if not auto_extend or len(vals) >= n or negative_count(vals) < len(vals):
             break
         k = min(2 * k, n)
     return vals, vecs, idx
+
+
+def _general_lowest(disc: JacobiDiscretization, idx, op, mass):
+    """The lowest-k solver of the general path: dense ``eigh`` for small
+    pencils or windows, otherwise ARPACK in shift-invert mode about a shift
+    proved below the spectrum.  The shift stays put, so one factorization
+    serves every k the solver is called with."""
+    n = len(idx)
+    qmax = float(np.max(disc.potential.diagonal()[idx] / mass.diagonal()))
+    sigma, opinv = -max(qmax, 0.0) - 1.0, None
+
+    def lowest(k: int):
+        nonlocal sigma, opinv
+        if k >= n - 1 or n <= DENSE_CUTOFF:
+            vals, vecs = sla.eigh(op.toarray(), mass.toarray())
+            return vals[:k], vecs[:, :k]
+        if opinv is None:
+            sigma, opinv = _shift_below_spectrum(op, mass, sigma)
+        vals, vecs = spla.eigsh(op, k=k, M=mass, sigma=sigma, which="LM",
+                                v0=np.random.default_rng(0).standard_normal(n),
+                                tol=0, OPinv=opinv)
+        order = np.argsort(vals)
+        return vals[order], vecs[:, order]
+    return lowest
+
+
+def _mode_pencil(disc: JacobiDiscretization, domain, op, mass) -> _ModePencil | None:
+    """The Fourier modes in u of the restricted pencil, or None where they do
+    not split it.
+
+    Free nodes come in u-rows of p.  The pencil splits when the chart is
+    periodic in u, ``domain`` spans the period, and operator and mass each
+    equal, within MODE_GAP_REL of their largest entry, the block-circulant
+    rebuild from their first block row: blocks B_d coupling a u-row to the
+    row d = -1, 0, 1 after it (mod nu), tridiagonal in v, B_{-1} = B_1^T.
+    A discrete Fourier transform in u then turns the rebuild into the
+    Hermitian tridiagonal pencils sum_d B_d e^{i d theta}, theta = 2 pi m / nu,
+    of the modes m = 0 .. nu/2 (mode nu - m is the conjugate of mode m).
+    """
+    nu = disc.field.patch.nu_count
+    if not _spans_period(disc.field.patch, domain) or nu < 3 or op.shape[0] % nu:
+        return None
+    op_bands = _circulant_bands(op, nu)
+    mass_bands = _circulant_bands(mass, nu) if op_bands else None
+    return _ModePencil(nu, *op_bands, *mass_bands, solved={}) if mass_bands else None
+
+
+def _circulant_bands(a: sp.csc_matrix, nu: int):
+    """(diagonals, superdiagonals, gap) of the mode matrices of ``a`` on nu
+    u-rows, or None when ``a`` is not within MODE_GAP_REL of its rebuild.
+
+    Entry a[(i, j), (i + d, j + e)] is held as s[i, j, d + 1, e + 1], d mod
+    nu; ``a`` coupling nodes further apart is not split.  The rebuild repeats
+    the blocks B_0 and B_1 of u-row 0 with B_{-1} = B_1^T, and the gap is the
+    infinity norm of ``a`` minus it.  Mode m, theta = 2 pi m / nu, has the
+    real diagonal and the superdiagonal of sum_d B_d e^{i d theta} as column
+    m of arrays (p, modes) and (p - 1, modes); the phases of modes 0 and
+    nu/2 are exactly 1 and -1.
+    """
+    p = a.shape[0] // nu
+    c = a.tocoo()
+    i, j = np.divmod(c.row, p)
+    ic, jc = np.divmod(c.col, p)
+    d, e = (ic - i + 1) % nu, jc - j + 1
+    if np.any(d > 2) or np.any((e < 0) | (e > 2)):
+        return None
+    s = np.zeros((nu, p, 3, 3))
+    s[i, j, d, e] = c.data
+    r = s[0].copy()
+    r[:, 0] = 0.0
+    r[:, 0, 1] = s[0, :, 2, 1]
+    r[1:, 0, 0] = s[0, :-1, 2, 2]
+    r[:-1, 0, 2] = s[0, 1:, 2, 0]
+    gap = np.abs(s - r)
+    if gap.max() > MODE_GAP_REL * np.abs(s).max():
+        return None
+    m = np.arange(nu // 2 + 1)
+    phase = np.exp(2j * np.pi * m / nu)
+    phase[2 * m == nu] = -1.0
+    diag = r[:, 1, 1, None] + 2.0 * phase.real * r[:, 2, 1, None]
+    off = r[:-1, 1, 2, None] + phase * r[:-1, 2, 2, None] + phase.conj() * r[:-1, 0, 2, None]
+    return diag, off, float(gap.sum(axis=(2, 3)).max())
+
+
+@dataclass
+class _ModePencil:
+    """Per-mode tridiagonal bands of a block-circulant pencil
+    (:func:`_mode_pencil`), the infinity norms of operator and mass minus
+    their rebuild, and the modes solved so far."""
+    nu: int
+    diag_a: np.ndarray
+    off_a: np.ndarray
+    gap_a: float
+    diag_m: np.ndarray
+    off_m: np.ndarray
+    gap_m: float
+    solved: dict               # mode -> (eigenvalues, eigenvectors), filled by lowest
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Eigenvalue multiplicity per mode: 0 < m < nu/2 stands for m and nu - m."""
+        m = np.arange(self.diag_a.shape[1])
+        return np.where((m == 0) | (2 * m == self.nu), 1, 2)
+
+    def counts(self, sigma: float) -> np.ndarray:
+        """Per mode, the number of eigenvalues below ``sigma``, or -1 where
+        it is not trusted.
+
+        It is the number of negative pivots of the LDL^H factorization of
+        the mode's tridiagonal A - sigma M (a Sturm count, by Sylvester's
+        law), all modes at once; a pivot is not trusted by the rule of
+        :func:`_symmetric_factor`.
+        """
+        a = self.diag_a - sigma * self.diag_m
+        b = np.abs(self.off_a - sigma * self.off_m)
+        edge = np.zeros((1, a.shape[1]))
+        tiny = ZERO_EIG_REL * np.maximum(
+            np.abs(a), np.maximum(np.vstack([edge, b]), np.vstack([b, edge])))
+        b2 = b * b
+        negative = np.zeros(a.shape[1], dtype=np.int64)
+        trusted = np.ones(a.shape[1], dtype=bool)
+        pivot = a[0]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for j in range(len(a)):
+                if j:
+                    pivot = a[j] - b2[j - 1] / pivot
+                negative += pivot < 0
+                trusted &= np.abs(pivot) > tiny[j]
+        return np.where(trusted, negative, -1)
+
+    def count(self, sigma: float) -> int | None:
+        """Number of eigenvalues below ``sigma``, or None when a mode's count
+        is not trusted."""
+        c = self.counts(sigma)
+        return None if np.any(c < 0) else int(self.weights @ c)
+
+    def lowest(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The k lowest eigenpairs.  A mode is solved densely only while it
+        holds an eigenvalue below the k-th lowest of the modes solved so far
+        (or its count there is not trusted), the mode with the most first."""
+        w, p = self.weights, self.diag_a.shape[0]
+        unsolved = [m for m in range(len(w)) if m not in self.solved]
+        while True:
+            if p * sum(w[m] for m in self.solved) < k:
+                m = unsolved[0]
+            else:
+                vals, keys = self._window(k)
+                c = self.counts(vals[-1])
+                todo = [m for m in unsolved if c[m]]
+                if not todo:
+                    return vals, self._vectors(*keys)
+                m = max(todo, key=c.__getitem__)
+            self._solve(m)
+            unsolved.remove(m)
+
+    def _solve(self, m: int) -> None:
+        # complex for modes 0 and nu/2 as well, whose matrices are real: the
+        # vectors come out real, and no second LAPACK solver is paged in
+        self.solved[m] = sla.eigh(*(
+            np.diag(diag[:, m]) + np.diag(off[:, m], 1) + np.diag(off[:, m].conj(), -1)
+            for diag, off in ((self.diag_a, self.off_a), (self.diag_m, self.off_m))))
+
+    def _window(self, k: int):
+        """The k lowest solved eigenvalues, counted with multiplicity, and
+        their (mode, part, index): part 0 is the real and part 1 the
+        imaginary part of the lifted mode vector."""
+        w = self.weights
+        rows = [(vals, np.full(len(vals), m), np.full(len(vals), part), np.arange(len(vals)))
+                for m, (vals, _) in sorted(self.solved.items()) for part in range(w[m])]
+        vals, mode, part, index = (np.concatenate(col) for col in zip(*rows))
+        order = np.lexsort((index, part, mode, vals))[:k]
+        return vals[order], (mode[order], part[order], index[order])
+
+    def _vectors(self, mode, part, index) -> np.ndarray:
+        """Real, mass-orthonormal eigenvectors on the free nodes: the mode
+        vector y lifted to u-row i as e^{i theta i} y, scaled by sqrt(1/nu)
+        for modes 0 and nu/2 (whose y and lift are real) and by sqrt(2/nu)
+        otherwise."""
+        nu, p, w = self.nu, self.diag_a.shape[0], self.weights
+        out = np.empty((nu * p, len(mode)))
+        rows = np.arange(nu)
+        for m in np.unique(mode):
+            sel = np.flatnonzero(mode == m)
+            y = self.solved[m][1][:, index[sel]]
+            lift = np.exp(2j * np.pi * ((m * rows) % nu) / nu) * np.sqrt(w[m] / nu)
+            z = (lift[:, None, None] * y[None]).reshape(nu * p, -1)
+            out[:, sel] = np.where(part[sel] == 0, z.real, z.imag)
+        return out
 
 
 def negative_count(vals: np.ndarray) -> int:
@@ -275,6 +469,8 @@ def inertia(
 
     The count is that of the negative pivots of P (A + shift M) P^T = L D L^T
     (:func:`_symmetric_factor`), or None when that factor is not trusted.
+    It factors the sparse pencil on every chart, also where
+    :func:`dirichlet_eigs` solves per Fourier mode, so it checks that path.
     """
     idx, op, mass = _pencil(disc, domain)
     if len(idx) == 0:
@@ -333,19 +529,33 @@ def guarded_negative_count(
 
     The eigensolver counts eigenvalues below -ZERO_EIG_REL * max|lambda|.
     With m the lumped mass, the Jacobian-weighted P1 mass dominates m / 5
-    (m / 4 for a constant weight), so 5 max_i sum_j |A_ij| / m_i bounds the
-    spectral radius and delta = ZERO_EIG_REL times that bound is at least
+    (m / 4 for a constant weight), so rho = 5 max_i sum_j |A_ij| / m_i
+    bounds the spectral radius and delta = ZERO_EIG_REL * rho is at least
     the threshold.  When the inertia at shifts 0 and delta agree, no
     eigenvalue lies in [-delta, 0) and both counts are equal; otherwise the
     eigensolve decides.
+
+    A pencil that splits into Fourier modes (:func:`_mode_pencil`) is
+    counted on its rebuild, whose eigenvalues are within (Weyl) eta =
+    (|dA| + rho |dM|) / (min m / 5) of the pencil's, dA and dM the rebuild
+    gaps: Sturm counts below eta and below -delta - eta stand in for the
+    two inertias.
     """
     idx, op, mass = _pencil(disc, domain)
-    below_zero = _symmetric_factor(op)[1] if len(idx) else None
-    if below_zero is not None:
+    if len(idx):
         row_sum = np.asarray(abs(op).sum(axis=1)).reshape(-1)
-        delta = ZERO_EIG_REL * 5.0 * float(np.max(row_sum / disc.lumped_mass[idx]))
-        if below_zero == _symmetric_factor(op + delta * mass)[1]:
-            return below_zero
+        rho = 5.0 * float(np.max(row_sum / disc.lumped_mass[idx]))
+        delta = ZERO_EIG_REL * rho
+        modes = _mode_pencil(disc, domain, op, mass)
+        if modes is None:
+            below = _symmetric_factor(op)[1]
+            if below is not None and below == _symmetric_factor(op + delta * mass)[1]:
+                return below
+        else:
+            eta = (modes.gap_a + rho * modes.gap_m) / (np.min(disc.lumped_mass[idx]) / 5.0)
+            below = modes.count(eta)
+            if below is not None and below == modes.count(-delta - eta):
+                return below
     return negative_count(dirichlet_eigs(disc, k, domain=domain)[0])
 
 

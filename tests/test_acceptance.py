@@ -121,9 +121,9 @@ def bounds_reports():
 def test_criterion_11_report_bytes_pinned(bounds_reports):
     # sha256 of report_json for each configuration of the fixture
     digests = {
-        "catenoid": "f504e481c44fe9eb201875a8ac2614968e9f4aa6ce4b06b0735f87837d5df622",
+        "catenoid": "efd96e42d3c389e3465a7de00075c66dc9ec5b2eac9897c5375009aa53ed49f9",
         "enneper": "9d84193f8135bd5e5347755350696e43c7f052ba6533838924a2258cc9ce648c",
-        "sheared": "cd45deae5c9918d417b61a17e878a6e0005d8a8a2fbed7e6da7e3c3865de5c92",
+        "sheared": "0ff61f0486d88ee6e8783780261f17051858dd2c9444a9deb8c688dfe8e62ff5",
     }
     for name, report in bounds_reports.items():
         text = report_json(report)
@@ -134,9 +134,9 @@ def test_criterion_11_verdict_bytes_without_config_echo(bounds_reports):
     # the same reports without the config echo and its hash: a change to the
     # config fields re-pins the digests above, and this shows nothing else moved
     digests = {
-        "catenoid": "1f7f04096e43738638e06f8e019ebc559b81b96767558a63fd95c37411a83ec9",
+        "catenoid": "0180fcbfb8b78c5707d00ed0e57f699be4f307f70be3adc0114f39b7e6ad967d",
         "enneper": "4d75c610387314740076807e46924ea8d3adfff01aaeebb8eb7db667ca0a5095",
-        "sheared": "65fde0ecf49abb8a6a5e8d45d0d3b0039f25e7c1ebe6e353d73f3e395d519183",
+        "sheared": "05374be3583ffffbb3b6e56e9022ef318742a885ec6e041bbb0a53a869c29bd8",
     }
     for name, report in bounds_reports.items():
         content = {k: v for k, v in report.items() if k not in ("config", "provenance")}

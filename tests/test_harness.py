@@ -711,7 +711,7 @@ class TestPinnedBytes:
         assert main(["spectrum", "--surface", "catenoid:2", "--integrand", "const:1",
                      "--grid", "64", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "7772055826afa1b8191c35d9344143239c37a6e47cbfb9d9b995b6d6854cde66")
+            "f45c9e8ddcfe9a574b82e14e83d7039de77df26b02b44e14211055023ba18138")
 
     def test_selftest_bytes(self):
         assert hashlib.sha256(json.dumps(selftest(64)).encode()).hexdigest() == (

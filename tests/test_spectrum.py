@@ -1,4 +1,5 @@
 import importlib
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -299,10 +300,49 @@ def factorizations(monkeypatch):
     return made
 
 
+@contextmanager
+def general_path():
+    """Declines the per-mode path, so the spectrum module runs its ARPACK and
+    dense solves and its sparse factorizations: the oracle of that path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spx, "_mode_pencil", lambda *args: None)
+        yield
+
+
 def dense_pencil(disc):
     idx = spx.interior_indices(disc)
     a, m = disc.operator[idx][:, idx].toarray(), disc.mass[idx][:, idx].toarray()
     return sla.eigh(a, m, eigvals_only=True)
+
+
+def assert_guard_falls_back(monkeypatch, patch, factorizations=None):
+    """Constant potential weight q on the chart: eigenvalues mu_i - q, with q
+    tuned so that lambda_1 sits halfway into [-delta, 0).  The guard must
+    fall back to one eigensolve; given ``factorizations``, without factoring."""
+    flat = spx.assemble(patch, C1, potential_weight=np.zeros(patch.shape))
+    mu1 = spx.dirichlet_eigs(flat, 1, auto_extend=False)[0][0]
+    idx = spx.interior_indices(flat)
+    row_sum = np.asarray(abs(flat.operator[idx][:, idx]).sum(axis=1)).reshape(-1)
+    delta = spx.ZERO_EIG_REL * 5.0 * np.max(row_sum / flat.lumped_mass[idx])
+    disc = spx.assemble(patch, C1, potential_weight=np.full(patch.shape, mu1 + delta / 2))
+    assert spx.inertia(disc) == 1
+    assert spx.inertia(disc, shift=delta) == 0
+
+    calls = []
+    original = spx.dirichlet_eigs
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spx, "dirichlet_eigs", counted)
+    if factorizations is not None:
+        factorizations.clear()
+    count = spx.guarded_negative_count(disc, spx.DEFAULT_EIG_COUNT)
+    if factorizations is not None:
+        assert factorizations == []
+    assert len(calls) == 1
+    assert count == spx.negative_count(original(disc, spx.DEFAULT_EIG_COUNT)[0]) == 1
 
 
 class TestInertia:
@@ -325,29 +365,7 @@ class TestInertia:
         assert spx._symmetric_factor(sp.csc_matrix(np.array(matrix, dtype=float))) == (None, None)
 
     def test_guard_falls_back_to_eigensolve(self, monkeypatch):
-        # plane with constant potential weight q: eigenvalues mu_i - q, with
-        # q tuned so that lambda_1 sits halfway into [-delta, 0)
-        patch = sf.fixture("plane", grid=(32, 32))
-        flat = spx.assemble(patch, C1, potential_weight=np.zeros(patch.shape))
-        mu1 = spx.dirichlet_eigs(flat, 1, auto_extend=False)[0][0]
-        idx = spx.interior_indices(flat)
-        row_sum = np.asarray(abs(flat.operator[idx][:, idx]).sum(axis=1)).reshape(-1)
-        delta = spx.ZERO_EIG_REL * 5.0 * np.max(row_sum / flat.lumped_mass[idx])
-        disc = spx.assemble(patch, C1, potential_weight=np.full(patch.shape, mu1 + delta / 2))
-        assert spx.inertia(disc) == 1
-        assert spx.inertia(disc, shift=delta) == 0
-
-        calls = []
-        original = spx.dirichlet_eigs
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(spx, "dirichlet_eigs", counted)
-        count = spx.guarded_negative_count(disc, spx.DEFAULT_EIG_COUNT)
-        assert len(calls) == 1
-        assert count == spx.negative_count(original(disc, spx.DEFAULT_EIG_COUNT)[0]) == 1
+        assert_guard_falls_back(monkeypatch, sf.fixture("plane", grid=(32, 32)))
 
     def test_dirichlet_eigs_extends_past_window(self, factorizations):
         patch = sf.fixture(
@@ -356,7 +374,8 @@ class TestInertia:
         fld = sf.curvature_field(patch, E112)
         consts = ig.anisotropy_constants(E112, extra_normals=fld.normal.reshape(-1, 3))
         disc = spx.comparison_assembly(fld, consts.lambda_gamma)
-        vals = spx.dirichlet_eigs(disc, 12, domain=(0, TWO_PI, -2.5, 2.5))[0]
+        with general_path():
+            vals = spx.dirichlet_eigs(disc, 12, domain=(0, TWO_PI, -2.5, 2.5))[0]
         assert len(vals) > 12
         assert spx.negative_count(vals) > 12
         # every widening of the window reuses the one shift-invert factor
@@ -384,7 +403,8 @@ class TestShiftInvert:
         patch = sf.fixture("catenoid", grid=(24, 22), v_extent=2.0)
         disc = spx.assemble(patch, C1)
         assert len(spx.interior_indices(disc)) == 480 > spx.DENSE_CUTOFF
-        vals = spx.dirichlet_eigs(disc, 8)[0]
+        with general_path():
+            vals = spx.dirichlet_eigs(disc, 8)[0]
         ref = dense_pencil(disc)[:8]
         assert ref[0] < 0 < ref[1]
         np.testing.assert_allclose(vals, ref, rtol=1e-10, atol=1e-10 * np.max(np.abs(ref)))
@@ -412,6 +432,135 @@ class TestShiftInvert:
         monkeypatch.setattr(spx, "_symmetric_factor", lambda a: (None, None))
         with pytest.raises(SolverFailure, match="no shift below the spectrum"):
             spx.dirichlet_eigs(disc, 4)
+
+
+def eigs_and_count(disc, dom, k=spx.DEFAULT_EIG_COUNT):
+    """Eigenvalues and guarded count of one Dirichlet domain."""
+    return spx.dirichlet_eigs(disc, k, domain=dom)[0], spx.guarded_negative_count(disc, k, dom)
+
+
+def block_circulant(nu, b0, b1):
+    """The symmetric matrix with blocks b0 on the block diagonal, b1 to the
+    next u-row and b1^T to the one before it, mod nu."""
+    shift = sp.csr_matrix(np.roll(np.eye(nu), 1, axis=1))
+    a = (sp.kron(sp.eye(nu), b0) + sp.kron(shift, b1) + sp.kron(shift.T, b1.T)).tocsc()
+    a.eliminate_zeros()  # kron stores whole blocks; an assembled pencil holds no zeros
+    return a
+
+
+def identity_mass_modes(a, nu):
+    """The modes of ``a`` with the identity as mass."""
+    diag, off, gap = spx._circulant_bands(a, nu)
+    return spx._ModePencil(nu, diag, off, gap, np.ones_like(diag), np.zeros_like(off), 0.0,
+                           solved={})
+
+
+def random_blocks(rng, p):
+    """A symmetric tridiagonal b0 and a full tridiagonal b1."""
+    up = rng.standard_normal(p - 1)
+    b0 = np.diag(rng.standard_normal(p)) + np.diag(up, 1) + np.diag(up, -1)
+    b1 = sum(np.diag(rng.standard_normal(p - abs(d)), d) for d in (-1, 0, 1))
+    return sp.csr_matrix(b0), sp.csr_matrix(b1)
+
+
+class TestModeBands:
+    """The Fourier split of a block-circulant matrix against its dense spectrum,
+    with every stencil entry present (the grid's triangulation leaves one out)."""
+
+    @pytest.mark.parametrize("nu", [5, 6])
+    def test_modes_hold_the_spectrum(self, rng, nu):
+        p = 4
+        a = block_circulant(nu, *random_blocks(rng, p))
+        modes = identity_mass_modes(a, nu)
+        diag, off = modes.diag_a, modes.off_a
+        assert modes.gap_a < 1e-15 * abs(a).max()
+        vals = [np.linalg.eigvalsh(np.diag(diag[:, m]) + np.diag(off[:, m], 1)
+                                   + np.diag(off[:, m].conj(), -1)) for m in range(diag.shape[1])]
+        ref = np.linalg.eigvalsh(a.toarray())
+        got = np.sort(np.concatenate([np.tile(v, w) for v, w in zip(vals, modes.weights)]))
+        np.testing.assert_allclose(got, ref, atol=1e-12 * np.max(np.abs(ref)))
+        for sigma in (ref[3] - 1e-3, 0.0, ref[-2] + 1e-3):
+            assert modes.count(sigma) == np.sum(ref < sigma)
+        k = 7
+        low, vecs = modes.lowest(k)
+        np.testing.assert_allclose(low, ref[:k], atol=1e-12 * np.max(np.abs(ref)))
+        np.testing.assert_allclose(vecs.T @ vecs, np.eye(k), atol=1e-12)
+        assert np.max(np.abs(a @ vecs - vecs * low)) < 1e-12 * np.max(np.abs(ref))
+
+    def test_zero_pivot_is_not_trusted(self, rng):
+        nu, p = 6, 4
+        modes = identity_mass_modes(block_circulant(nu, *random_blocks(rng, p)), nu)
+        sigma = modes.diag_a[0, 2]  # the first pivot of mode 2 is exactly zero
+        counts = modes.counts(sigma)
+        assert counts[2] == -1 and np.all(np.delete(counts, 2) >= 0)
+        assert modes.count(sigma) is None
+
+    @pytest.mark.parametrize("change", ["perturbed_row", "distance_two"])
+    def test_declines_what_is_not_circulant(self, rng, change):
+        nu, p = 6, 4
+        a = block_circulant(nu, *random_blocks(rng, p)).tolil()
+        if change == "perturbed_row":
+            a[p + 1, p + 1] += 1e-10
+        else:
+            a[0, 2] = a[2, 0] = 1.0
+        assert spx._circulant_bands(a.tocsc(), nu) is None
+
+
+class TestModePath:
+    """The per-mode path against the general path it stands in for."""
+
+    def test_eigenvectors_mass_orthonormal(self, factorizations):
+        disc = RunContext(ExperimentConfig(surface="catenoid:3", grid=48)).disc
+        dom = (0, TWO_PI, -2, 2)
+        vals, vecs, idx = spx.dirichlet_eigs(disc, spx.DEFAULT_EIG_COUNT, domain=dom)
+        assert factorizations == []
+        assert vecs.dtype == np.float64 and vecs.shape == (len(idx), len(vals))
+        a, m = disc.operator[idx][:, idx], disc.mass[idx][:, idx]
+        scale = np.max(np.abs(vals))
+        assert np.max(np.abs(a @ vecs - (m @ vecs) * vals)) < 1e-10 * scale
+        np.testing.assert_allclose(vecs.T @ m @ vecs, np.eye(len(vals)), atol=1e-12)
+        again = spx.dirichlet_eigs(disc, spx.DEFAULT_EIG_COUNT, domain=dom)
+        assert np.array_equal(vals, again[0]) and np.array_equal(vecs, again[1])
+
+    @pytest.mark.parametrize("config", [CRITERION_11[0], CRITERION_11[2]],
+                             ids=["catenoid", "sheared"])
+    def test_matches_general_path(self, config, factorizations):
+        ctx = RunContext(config)
+        windows = []
+        for disc in (ctx.disc, ctx.disc_cmp):
+            for dom in ctx.domains:
+                vals, count = eigs_and_count(disc, dom)
+                assert factorizations == []
+                with general_path():
+                    ref, ref_count = eigs_and_count(disc, dom)
+                factorizations.clear()
+                assert len(vals) == len(ref)
+                assert np.max(np.abs(vals - ref)) <= 1e-11 * np.max(np.abs(ref))
+                assert spx.negative_count(vals) == spx.negative_count(ref) == count == ref_count
+                windows.append(len(vals))
+        if config is CRITERION_11[2]:  # the comparison window auto-extends
+            assert max(windows) > spx.DEFAULT_EIG_COUNT
+
+    @pytest.mark.parametrize("surface,integrand,domain", [
+        ("catenoid:2", "const:1", (0, np.pi, -1.5, 1.5)),
+        ("catenoid:2", "ellipsoid:1,2,1", None),
+        ("catenoid:2", "sh:4,4,0.05", None),
+        ("plane", "const:1", None),
+    ], ids=["u_sub_interval", "ellipsoid_121", "sh_4_4", "not_periodic"])
+    def test_declines(self, surface, integrand, domain, factorizations):
+        disc = RunContext(ExperimentConfig(surface=surface, integrand=integrand, grid=40)).disc
+        idx, op, mass = spx._pencil(disc, domain)
+        assert len(idx) > spx.DENSE_CUTOFF
+        assert spx._mode_pencil(disc, domain, op, mass) is None
+        spx.dirichlet_eigs(disc, 4, domain=domain)
+        assert factorizations == ["MMD_AT_PLUS_A"]
+        spx.guarded_negative_count(disc, 4, domain)
+        assert len(factorizations) >= 2
+
+    def test_guard_falls_back_to_eigensolve(self, monkeypatch, factorizations):
+        # periodic twin of TestInertia's, counted by the modes' Sturm counts
+        patch = sf.fixture("catenoid", grid=(32, 32), v_extent=2.0)
+        assert_guard_falls_back(monkeypatch, patch, factorizations)
 
 
 class TestJacobiFieldResidual:

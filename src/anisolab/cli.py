@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import AnisolabError, GrazingCircle, InvalidSpec
+from .errors import AnisolabError, InvalidSpec
 from .gauss_analysis import CriticalPoint, euler_inequality_check, index_lower_bound
 from .graph_solver import GraphProblem, bc_catenoid, bc_edge_sine, bc_linear, bc_zero, solve
 from .harness import (WULFF_REFINEMENT, ExperimentConfig, RunContext, report_json,
@@ -172,10 +172,10 @@ def gauss_payload(ctx: RunContext) -> dict:
         payload["branch_points"] = [_vertex(p) for p in points]
     else:
         payload["branch_points"] = None
-        payload["critical_degenerate"] = str(critical_error)
+        payload["critical_degenerate"] = critical_error
     (pg,) = ctx.pseudographs.values()
-    if isinstance(pg, GrazingCircle):
-        payload["pseudograph"] = {"degenerate": str(pg)}
+    if isinstance(pg, str):
+        payload["pseudograph"] = {"degenerate": pg}
     else:
         payload["pseudograph"] = {
             "vertices": [_vertex(p) for p in pg.vertices],

@@ -328,17 +328,17 @@ class RunContext:
         return degrees(self.field, self.wulff)
 
     @cached_property
-    def critical(self) -> tuple[list[CriticalPoint], NonDiscreteCriticalSet | None]:
+    def critical(self) -> tuple[list[CriticalPoint], str | None]:
         """Flat points with their branch orders, or the reason there are none."""
         try:
             return critical_set(self.field), None
         except NonDiscreteCriticalSet as exc:
-            return [], exc.with_traceback(None)  # see pseudographs
+            return [], str(exc)
 
     @cached_property
-    def pseudographs(self) -> dict[str, Pseudograph | GrazingCircle]:
+    def pseudographs(self) -> dict[str, Pseudograph | str]:
         """Nodal pseudograph per configured axis, keyed "x,y,z"; an axis that
-        grazes the normal field maps to the GrazingCircle it raised."""
+        grazes the normal field maps to the reason it was refused."""
         out = {}
         for ax in self.config.axes:
             key = ",".join(f"{a:g}" for a in ax)
@@ -348,9 +348,7 @@ class RunContext:
                     fld=self.field, critical_points=self.critical[0],
                 )
             except GrazingCircle as exc:
-                # a kept traceback would reference this frame, hence the
-                # context: a cycle holding every artifact until the next gc
-                out[key] = exc.with_traceback(None)
+                out[key] = str(exc)
         return out
 
 
@@ -373,8 +371,8 @@ def verify_bounds(run: ExperimentConfig | RunContext) -> dict:
 
     pseudographs = {}
     for key, pg in ctx.pseudographs.items():
-        if isinstance(pg, GrazingCircle):
-            pseudographs[key] = {"degenerate": True, "error": str(pg)}
+        if isinstance(pg, str):
+            pseudographs[key] = {"degenerate": True, "error": pg}
             continue
         pseudographs[key] = euler_inequality_check(pg)
         if not pg.degenerate:
@@ -393,7 +391,7 @@ def verify_bounds(run: ExperimentConfig | RunContext) -> dict:
     unmet = {
         "graph": "chart is not a height graph" if graph is None else None,
         "stabilized": "index not stabilized" if stab is None else None,
-        "isolated": None if critical_error is None else str(critical_error),
+        "isolated": critical_error,
         "nodal": None if nodal else "no axis has a nodal set",
         "accepted": None if gate["accepted"] else "surface is not accepted",
         # a lifted graph solution is a bounded patch, not a complete surface

@@ -11,15 +11,15 @@ Dirichlet problems on nested sub-rectangles restrict to nested interior
 node sets of one fixed grid, which makes the count of negative eigenvalues
 provably monotone along an exhaustion.
 
-Where only a count is needed (the comparison operator's), it is the
-inertia of a symmetric factorization: the mass is SPD, so by Sylvester's
-law negative eigenvalues are negative pivots.  A second factorization at a
-small shift delta guards the eigensolver's zero threshold, and the
-eigensolve is the fallback.
+Every count is the number of eigenvalues below a shift sigma: the mass
+is SPD, so by Sylvester's law it is the number of negative pivots of an
+LDL^T factorization of A - sigma M.  Where only a count is needed (the
+comparison operator's), the counts below 0 and below a small -delta guard
+the eigensolver's zero threshold, and the eigensolve is the fallback.
 
 The eigensolve is shift-invert Lanczos (ARPACK) with that same symmetric
-factorization of A - sigma M as its operator, and the factorization's
-inertia proves sigma below the spectrum before any iteration (Ericsson and
+factorization of A - sigma M as its operator, and its count of none below
+sigma proves sigma below the spectrum before any iteration (Ericsson and
 Ruhe, Math. Comp. 35, 1980).  One factorization serves every widening of
 the eigenvalue window.
 
@@ -281,7 +281,17 @@ def _general_lowest(disc: JacobiDiscretization, idx, op, mass):
             vals, vecs = sla.eigh(op.toarray(), mass.toarray())
             return vals[:k], vecs[:, :k]
         if opinv is None:
-            sigma, opinv = _shift_below_spectrum(op, mass, sigma)
+            # a trusted count of 0 below the shift proves it below the
+            # spectrum; otherwise it moves down fourfold and is refactored
+            for _ in range(SHIFT_TRIES):
+                lu, below = _symmetric_factor(op, mass, sigma)
+                if below == 0:
+                    break
+                sigma *= 4.0
+            else:
+                raise SolverFailure(
+                    f"no shift below the spectrum found in {SHIFT_TRIES} factorizations")
+            opinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=np.float64)
         vals, vecs = spla.eigsh(op, k=k, M=mass, sigma=sigma, which="LM",
                                 v0=np.random.default_rng(0).standard_normal(n),
                                 tol=0, OPinv=opinv)
@@ -465,28 +475,31 @@ def inertia(
     shift: float = 0.0,
 ) -> int | None:
     """Number of eigenvalues below -shift of (stiffness - potential) x =
-    lambda mass x on the domain's free nodes, by Sylvester's law of inertia.
+    lambda mass x on the domain's free nodes: the count of
+    :func:`_symmetric_factor` at sigma = -shift, or None when that factor
+    is not trusted.
 
-    The count is that of the negative pivots of P (A + shift M) P^T = L D L^T
-    (:func:`_symmetric_factor`), or None when that factor is not trusted.
     It factors the sparse pencil on every chart, also where
     :func:`dirichlet_eigs` solves per Fourier mode, so it checks that path.
     """
     idx, op, mass = _pencil(disc, domain)
     if len(idx) == 0:
         return None
-    return _symmetric_factor(op + shift * mass if shift else op)[1]
+    return _symmetric_factor(op, mass, -shift)[1]
 
 
-def _symmetric_factor(a: sp.csc_matrix):
-    """SuperLU of the symmetric matrix ``a`` in the symmetric minimum-degree
-    order of A^T + A without pivoting, and its count of negative pivots.
+def _symmetric_factor(op: sp.csc_matrix, mass: sp.csc_matrix, sigma: float):
+    """SuperLU of op - sigma mass (op itself when sigma is 0) in the
+    symmetric minimum-degree order of A^T + A without pivoting, and its
+    count of negative pivots: by Sylvester's law, the number of eigenvalues
+    of op x = lambda mass x below sigma.
 
     Static pivoting has no stability guarantee, so (None, None) -- do not
     trust the factor -- comes back when the row permutation leaves the
     symmetric order, a pivot is exactly zero, or a pivot is below
     ZERO_EIG_REL times the largest entry of the row it eliminates.
     """
+    a = op - sigma * mass if sigma else op
     try:
         lu = spla.splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
@@ -501,45 +514,25 @@ def _symmetric_factor(a: sp.csc_matrix):
     return lu, int(np.sum(pivots < 0))
 
 
-def _shift_below_spectrum(op: sp.csc_matrix, mass: sp.csc_matrix, sigma: float):
-    """A shift proved to lie below every eigenvalue of op x = lambda mass x,
-    starting from ``sigma < 0``, and the inverse of op - shift mass.
-
-    By Sylvester's law the shift is below the spectrum when the trusted
-    symmetric factorization of op - shift mass has no negative pivot;
-    otherwise the shift moves down fourfold and the matrix is refactored,
-    at most SHIFT_TRIES times.
-    """
-    for _ in range(SHIFT_TRIES):
-        lu, negatives = _symmetric_factor((op - sigma * mass).tocsc())
-        if negatives == 0:
-            n = op.shape[0]
-            return sigma, spla.LinearOperator((n, n), matvec=lu.solve, dtype=np.float64)
-        sigma *= 4.0
-    raise SolverFailure(f"no shift below the spectrum found in {SHIFT_TRIES} factorizations")
-
-
 def guarded_negative_count(
     disc: JacobiDiscretization,
     k: int,
     domain: tuple[float, float, float, float] | None = None,
 ) -> int:
-    """``negative_count(dirichlet_eigs(disc, k, domain)[0])``, from inertia
-    whenever that provably gives the same number.
+    """``negative_count(dirichlet_eigs(disc, k, domain)[0])``, from counts of
+    eigenvalues below a shift whenever they provably give the same number.
 
     The eigensolver counts eigenvalues below -ZERO_EIG_REL * max|lambda|.
     With m the lumped mass, the Jacobian-weighted P1 mass dominates m / 5
     (m / 4 for a constant weight), so rho = 5 max_i sum_j |A_ij| / m_i
     bounds the spectral radius and delta = ZERO_EIG_REL * rho is at least
-    the threshold.  When the inertia at shifts 0 and delta agree, no
-    eigenvalue lies in [-delta, 0) and both counts are equal; otherwise the
-    eigensolve decides.
-
-    A pencil that splits into Fourier modes (:func:`_mode_pencil`) is
-    counted on its rebuild, whose eigenvalues are within (Weyl) eta =
+    the threshold.  The counts are those of :func:`_symmetric_factor`, or on
+    a pencil that splits into Fourier modes (:func:`_mode_pencil`) the Sturm
+    counts of its rebuild, whose eigenvalues are within (Weyl) eta =
     (|dA| + rho |dM|) / (min m / 5) of the pencil's, dA and dM the rebuild
-    gaps: Sturm counts below eta and below -delta - eta stand in for the
-    two inertias.
+    gaps (eta = 0 for the sparse count).  When the counts below eta and
+    below -delta - eta agree, no eigenvalue lies in [-delta, 0) and the
+    count is the eigensolver's; otherwise the eigensolve decides.
     """
     idx, op, mass = _pencil(disc, domain)
     if len(idx):
@@ -548,14 +541,16 @@ def guarded_negative_count(
         delta = ZERO_EIG_REL * rho
         modes = _mode_pencil(disc, domain, op, mass)
         if modes is None:
-            below = _symmetric_factor(op)[1]
-            if below is not None and below == _symmetric_factor(op + delta * mass)[1]:
-                return below
+            eta = 0.0
+
+            def count(sigma):
+                return _symmetric_factor(op, mass, sigma)[1]
         else:
+            count = modes.count
             eta = (modes.gap_a + rho * modes.gap_m) / (np.min(disc.lumped_mass[idx]) / 5.0)
-            below = modes.count(eta)
-            if below is not None and below == modes.count(-delta - eta):
-                return below
+        below = count(eta)
+        if below is not None and below == count(-delta - eta):
+            return below
     return negative_count(dirichlet_eigs(disc, k, domain=domain)[0])
 
 

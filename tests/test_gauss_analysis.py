@@ -164,6 +164,23 @@ class TestCriticalSet:
                                        spec=spec))
         assert ga.critical_set(sf.curvature_field(gs.lift(sol), spec)) == []
 
+    @pytest.mark.parametrize("integrand", ["const:1", "sh:4,4,0.05", "ellipsoid:1,1,2"])
+    @pytest.mark.parametrize("grid", [65, 129])
+    def test_quartic_graph_solution_flat_point(self, integrand, grid):
+        # boundary heights 0.3 Re((x + iy)^4): the solution keeps the fourfold
+        # symmetry, so its one flat point sits at the origin with order 2; the
+        # lifted chart has no jets, so the winding reads interpolated normals
+        spec = ig.parse_integrand(integrand)
+        sol = gs.solve(gs.GraphProblem(
+            domain=(-1.0, 1.0, -1.0, 1.0), shape=(grid, grid), spec=spec,
+            boundary=lambda x, y: 0.3 * np.real((np.asarray(x) + 1j * np.asarray(y)) ** 4)))
+        assert sol.converged
+        patch = gs.lift(sol)
+        assert patch.jet_fn is None
+        (point,) = ga.critical_set(sf.curvature_field(patch, spec))
+        assert point.location == pytest.approx((0.0, 0.0), abs=1e-12)
+        assert point.branch_order == 2
+
     def test_sphere_empty(self):
         # all umbilic: the traceless curvature vanishes everywhere, and K > 0 at every node
         assert ga.critical_set(sf.curvature_field(sf.fixture("sphere", grid=64), C1)) == []

@@ -362,7 +362,8 @@ class TestInertia:
                              ids=["pivots_off_diagonal", "singular", "tiny_pivot"])
     def test_untrusted_factor(self, matrix):
         # row pivoting, an exactly zero pivot, a pivot below ZERO_EIG_REL of its row
-        assert spx._symmetric_factor(sp.csc_matrix(np.array(matrix, dtype=float))) == (None, None)
+        a = sp.csc_matrix(np.array(matrix, dtype=float))
+        assert spx._symmetric_factor(a, sp.identity(2, format="csc"), 0.0) == (None, None)
 
     def test_guard_falls_back_to_eigensolve(self, monkeypatch):
         assert_guard_falls_back(monkeypatch, sf.fixture("plane", grid=(32, 32)))
@@ -429,7 +430,7 @@ class TestShiftInvert:
 
     def test_unprovable_shift_fails_loudly(self, monkeypatch):
         disc = spx.assemble(sf.fixture("plane", grid=(32, 32)), C1)
-        monkeypatch.setattr(spx, "_symmetric_factor", lambda a: (None, None))
+        monkeypatch.setattr(spx, "_symmetric_factor", lambda op, mass, sigma: (None, None))
         with pytest.raises(SolverFailure, match="no shift below the spectrum"):
             spx.dirichlet_eigs(disc, 4)
 
@@ -479,8 +480,11 @@ class TestModeBands:
         ref = np.linalg.eigvalsh(a.toarray())
         got = np.sort(np.concatenate([np.tile(v, w) for v, w in zip(vals, modes.weights)]))
         np.testing.assert_allclose(got, ref, atol=1e-12 * np.max(np.abs(ref)))
+        identity = sp.identity(a.shape[0], format="csc")
         for sigma in (ref[3] - 1e-3, 0.0, ref[-2] + 1e-3):
+            # the Sturm count and the sparse count, one convention, one oracle
             assert modes.count(sigma) == np.sum(ref < sigma)
+            assert spx._symmetric_factor(a, identity, sigma)[1] == np.sum(ref < sigma)
         k = 7
         low, vecs = modes.lowest(k)
         np.testing.assert_allclose(low, ref[:k], atol=1e-12 * np.max(np.abs(ref)))

@@ -57,7 +57,6 @@ from .integrand import (
 from .spectrum import (
     DEFAULT_AXES,
     DEFAULT_EIG_COUNT,
-    ZERO_EIG_REL,
     JacobiDiscretization,
     SpectralReport,
     assemble,
@@ -65,6 +64,7 @@ from .spectrum import (
     comparison_operator_counts,
     inertia,
     morse_index_exhaustion,
+    zero_threshold,
 )
 from .surface import FIXTURE_PARAMS, CurvatureField, SurfacePatch, curvature_field, fixture
 
@@ -359,8 +359,12 @@ def verify_bounds(run: ExperimentConfig | RunContext) -> dict:
 
     Each check names the hypotheses it needs; one whose hypotheses fail is
     reported as skipped, with the reasons, and is neither passed nor failed.
-    Sub-operation failures become degenerate flags on the affected checks;
-    the pipeline always produces a complete report.
+    Three findings stay inside a complete report: flat points that are not
+    isolated, an axis that grazes the normal field (flagged degenerate) and
+    an untrusted inertia factorization; the checks that need what they
+    deny are skipped.  Any other error ends the run, with exit code 2 on
+    the command line: a spectral solver failure, a Dirichlet domain with
+    no free nodes, or domains that are not nested.
     """
     ctx = run if isinstance(run, RunContext) else RunContext(run)
     config, patch, spec, fld = ctx.config, ctx.patch, ctx.spec, ctx.field
@@ -492,7 +496,7 @@ def verify_bounds(run: ExperimentConfig | RunContext) -> dict:
     # inertia always factors the sparse pencil, so where the eigenvalues
     # came one Fourier mode at a time it checks one algorithm by another
     by_inertia = [
-        inertia(ctx.disc, dom, shift=ZERO_EIG_REL * float(np.max(np.abs(vals))))
+        inertia(ctx.disc, dom, shift=zero_threshold(vals))
         for dom, vals in zip(spectral.domains, spectral.eigenvalues)
     ]
     if any(a is not None and a != b for a, b in zip(by_inertia, spectral.morse_index)):

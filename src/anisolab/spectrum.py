@@ -17,24 +17,24 @@ LDL^T factorization of A - sigma M.  Where only a count is needed (the
 comparison operator's), the counts below 0 and below a small -delta guard
 the eigensolver's zero threshold, and the eigensolve is the fallback.
 
-The eigensolve is shift-invert Lanczos (ARPACK) with that same symmetric
-factorization of A - sigma M as its operator, and its count of none below
-sigma proves sigma below the spectrum before any iteration (Ericsson and
-Ruhe, Math. Comp. 35, 1980).  One factorization serves every widening of
-the eigenvalue window.
+Each domain's pencil offers ``count(sigma)`` (eigenvalues below sigma, or
+None when not trusted), ``lowest(k)`` (the k lowest eigenpairs) and the
+gaps ``gap_a`` and ``gap_m`` of operator and mass from what it counts.
+:class:`_SparsePencil` (gaps 0) counts by a symmetric factorization and
+solves by shift-invert Lanczos (ARPACK) with that factorization of
+A - sigma M as its operator, whose count of none below sigma proves sigma
+below the spectrum (Ericsson and Ruhe, Math. Comp. 35, 1980).
 
 On a chart periodic in u whose coefficients do not depend on u (the
 catenoids), the pencil of a domain spanning the period is block-circulant
 in u, every cell being cut the same way.  A discrete Fourier transform in
 u splits it into nu/2 + 1 Hermitian tridiagonal pencils in v, one per
-mode.  There the eigensolve and the guarded count take no factorization:
-counts are Sturm counts of all modes at once (backward stable; Kahan 1966,
-Demmel 1997, 5.3.4), and only the modes holding one of the lowest
-eigenvalues are solved densely.  The path is taken only where the pencil
-provably matches its circulant rebuild (:func:`_mode_pencil`); everywhere
-else, and in the tests as its oracle, the general path runs.
-:func:`inertia` keeps the sparse factorization, so the verdict's
-recount of the Jacobi index checks one algorithm against the other.
+mode (:class:`_ModePencil`): Sturm counts of all modes at once (backward
+stable; Kahan 1966, Demmel 1997, 5.3.4), and dense solves of only the
+modes holding one of the lowest eigenvalues, no factorization.  Callers
+take ``_mode_pencil(disc, domain, sparse) or sparse``, the modes where they
+provably match the pencil.  :func:`inertia` counts on the sparse pencil on
+every chart, so the verdict's recount checks one algorithm by the other.
 """
 
 from __future__ import annotations
@@ -219,12 +219,6 @@ def _spans_period(patch: SurfacePatch, domain) -> bool:
         domain is None or (domain[0] <= patch.domain[0] and domain[1] >= patch.domain[1]))
 
 
-def _pencil(disc: JacobiDiscretization, domain):
-    """Free node indices of ``domain``, with the operator and mass restricted to them."""
-    idx = interior_indices(disc, domain)
-    return idx, disc.operator[idx][:, idx].tocsc(), disc.mass[idx][:, idx].tocsc()
-
-
 def dirichlet_eigs(
     disc: JacobiDiscretization,
     k: int,
@@ -239,23 +233,18 @@ def dirichlet_eigs(
     the eigenvectors are real and mass-orthonormal.  Auto-extends k while
     the top of the computed window is still negative so an instability
     count is never truncated.
-
-    A pencil that is block-circulant in u (:func:`_mode_pencil`) is solved
-    one Fourier mode at a time; any other by shift-invert Lanczos, or
-    densely when it is small.
     """
     if k < 1:
         raise ValueError("need k >= 1")
-    idx, op, mass = _pencil(disc, domain)
-    n = len(idx)
+    sparse = _SparsePencil(disc, domain)
+    n = len(sparse.idx)
     if n == 0:
         raise SolverFailure("Dirichlet domain contains no free nodes")
-    modes = _mode_pencil(disc, domain, op, mass)
-    lowest = modes.lowest if modes is not None else _general_lowest(disc, idx, op, mass)
+    pencil = _mode_pencil(disc, domain, sparse) or sparse
     k = min(k, n)
     while True:
         try:
-            vals, vecs = lowest(k)
+            vals, vecs = pencil.lowest(k)
         except SolverFailure:
             raise
         except Exception as exc:  # ARPACK and LAPACK failures surface loudly
@@ -263,46 +252,55 @@ def dirichlet_eigs(
         if not auto_extend or len(vals) >= n or negative_count(vals) < len(vals):
             break
         k = min(2 * k, n)
-    return vals, vecs, idx
+    return vals, vecs, sparse.idx
 
 
-def _general_lowest(disc: JacobiDiscretization, idx, op, mass):
-    """The lowest-k solver of the general path: dense ``eigh`` for small
-    pencils or windows, otherwise ARPACK in shift-invert mode about a shift
-    proved below the spectrum.  The shift stays put, so one factorization
-    serves every k the solver is called with."""
-    n = len(idx)
-    qmax = float(np.max(disc.potential.diagonal()[idx] / mass.diagonal()))
-    sigma, opinv = -max(qmax, 0.0) - 1.0, None
+class _SparsePencil:
+    """Operator and mass restricted to the free nodes ``idx`` of a domain,
+    counted by :func:`_symmetric_factor`.  Solved densely when the pencil or
+    the window is small, otherwise by ARPACK in shift-invert mode about a
+    shift proved below the spectrum, found when ARPACK first needs it; the
+    shift stays put, so one factorization serves every k."""
+    gap_a = gap_m = 0.0  # the pencil is exactly what it counts and solves
 
-    def lowest(k: int):
-        nonlocal sigma, opinv
+    def __init__(self, disc: JacobiDiscretization, domain):
+        self.disc, self.idx = disc, interior_indices(disc, domain)
+        self.op = disc.operator[self.idx][:, self.idx].tocsc()
+        self.mass = disc.mass[self.idx][:, self.idx].tocsc()
+        self.sigma = self.opinv = None
+
+    def count(self, sigma: float) -> int | None:
+        return _symmetric_factor(self.op, self.mass, sigma)[1]
+
+    def lowest(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        op, mass, n = self.op, self.mass, len(self.idx)
         if k >= n - 1 or n <= DENSE_CUTOFF:
             vals, vecs = sla.eigh(op.toarray(), mass.toarray())
             return vals[:k], vecs[:, :k]
-        if opinv is None:
+        if self.opinv is None:
             # a trusted count of 0 below the shift proves it below the
             # spectrum; otherwise it moves down fourfold and is refactored
+            qmax = float(np.max(self.disc.potential.diagonal()[self.idx] / mass.diagonal()))
+            self.sigma = -max(qmax, 0.0) - 1.0
             for _ in range(SHIFT_TRIES):
-                lu, below = _symmetric_factor(op, mass, sigma)
+                lu, below = _symmetric_factor(op, mass, self.sigma)
                 if below == 0:
                     break
-                sigma *= 4.0
+                self.sigma *= 4.0
             else:
                 raise SolverFailure(
                     f"no shift below the spectrum found in {SHIFT_TRIES} factorizations")
-            opinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=np.float64)
-        vals, vecs = spla.eigsh(op, k=k, M=mass, sigma=sigma, which="LM",
+            self.opinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=np.float64)
+        vals, vecs = spla.eigsh(op, k=k, M=mass, sigma=self.sigma, which="LM",
                                 v0=np.random.default_rng(0).standard_normal(n),
-                                tol=0, OPinv=opinv)
+                                tol=0, OPinv=self.opinv)
         order = np.argsort(vals)
         return vals[order], vecs[:, order]
-    return lowest
 
 
-def _mode_pencil(disc: JacobiDiscretization, domain, op, mass) -> _ModePencil | None:
-    """The Fourier modes in u of the restricted pencil, or None where they do
-    not split it.
+def _mode_pencil(disc: JacobiDiscretization, domain, sparse) -> _ModePencil | None:
+    """The Fourier modes in u of the sparse pencil of ``domain``, or None
+    where they do not split it.
 
     Free nodes come in u-rows of p.  The pencil splits when the chart is
     periodic in u, ``domain`` spans the period, and operator and mass each
@@ -314,10 +312,10 @@ def _mode_pencil(disc: JacobiDiscretization, domain, op, mass) -> _ModePencil | 
     of the modes m = 0 .. nu/2 (mode nu - m is the conjugate of mode m).
     """
     nu = disc.field.patch.nu_count
-    if not _spans_period(disc.field.patch, domain) or nu < 3 or op.shape[0] % nu:
+    if not _spans_period(disc.field.patch, domain) or nu < 3 or len(sparse.idx) % nu:
         return None
-    op_bands = _circulant_bands(op, nu)
-    mass_bands = _circulant_bands(mass, nu) if op_bands else None
+    op_bands = _circulant_bands(sparse.op, nu)
+    mass_bands = _circulant_bands(sparse.mass, nu) if op_bands else None
     return _ModePencil(nu, *op_bands, *mass_bands, solved={}) if mass_bands else None
 
 
@@ -464,9 +462,14 @@ class _ModePencil:
         return out
 
 
+def zero_threshold(vals: np.ndarray) -> float:
+    """The eigensolver's zero threshold: ZERO_EIG_REL * max|lambda| (times 1
+    for no eigenvalues).  An eigenvalue below minus it counts as negative."""
+    return ZERO_EIG_REL * (float(np.max(np.abs(vals))) if len(vals) else 1.0)
+
+
 def negative_count(vals: np.ndarray) -> int:
-    scale = float(np.max(np.abs(vals))) if len(vals) else 1.0
-    return int(np.sum(vals < -ZERO_EIG_REL * scale))
+    return int(np.sum(vals < -zero_threshold(vals)))
 
 
 def inertia(
@@ -475,17 +478,14 @@ def inertia(
     shift: float = 0.0,
 ) -> int | None:
     """Number of eigenvalues below -shift of (stiffness - potential) x =
-    lambda mass x on the domain's free nodes: the count of
-    :func:`_symmetric_factor` at sigma = -shift, or None when that factor
-    is not trusted.
+    lambda mass x on the domain's free nodes: the count of the sparse pencil
+    at sigma = -shift, or None when it is not trusted.
 
-    It factors the sparse pencil on every chart, also where
+    It counts on the sparse pencil on every chart, also where
     :func:`dirichlet_eigs` solves per Fourier mode, so it checks that path.
     """
-    idx, op, mass = _pencil(disc, domain)
-    if len(idx) == 0:
-        return None
-    return _symmetric_factor(op, mass, -shift)[1]
+    sparse = _SparsePencil(disc, domain)
+    return sparse.count(-shift) if len(sparse.idx) else None
 
 
 def _symmetric_factor(op: sp.csc_matrix, mass: sp.csc_matrix, sigma: float):
@@ -522,34 +522,28 @@ def guarded_negative_count(
     """``negative_count(dirichlet_eigs(disc, k, domain)[0])``, from counts of
     eigenvalues below a shift whenever they provably give the same number.
 
-    The eigensolver counts eigenvalues below -ZERO_EIG_REL * max|lambda|.
+    The eigensolver counts eigenvalues below -:func:`zero_threshold`.
     With m the lumped mass, the Jacobian-weighted P1 mass dominates m / 5
     (m / 4 for a constant weight), so rho = 5 max_i sum_j |A_ij| / m_i
     bounds the spectral radius and delta = ZERO_EIG_REL * rho is at least
-    the threshold.  The counts are those of :func:`_symmetric_factor`, or on
-    a pencil that splits into Fourier modes (:func:`_mode_pencil`) the Sturm
-    counts of its rebuild, whose eigenvalues are within (Weyl) eta =
-    (|dA| + rho |dM|) / (min m / 5) of the pencil's, dA and dM the rebuild
-    gaps (eta = 0 for the sparse count).  When the counts below eta and
-    below -delta - eta agree, no eigenvalue lies in [-delta, 0) and the
-    count is the eigensolver's; otherwise the eigensolve decides.
+    the threshold.  The counts are the pencil's, whose eigenvalues are
+    within (Weyl) eta = (|dA| + rho |dM|) / (min m / 5) of the restricted
+    operator's, dA and dM the pencil's gaps (0 on the sparse pencil; a
+    Fourier-mode pencil counts its circulant rebuild).  When the counts
+    below eta and below -delta - eta agree, no eigenvalue lies in
+    [-delta, 0) and the count is the eigensolver's; otherwise the
+    eigensolve decides.
     """
-    idx, op, mass = _pencil(disc, domain)
+    sparse = _SparsePencil(disc, domain)
+    idx = sparse.idx
     if len(idx):
-        row_sum = np.asarray(abs(op).sum(axis=1)).reshape(-1)
+        row_sum = np.asarray(abs(sparse.op).sum(axis=1)).reshape(-1)
         rho = 5.0 * float(np.max(row_sum / disc.lumped_mass[idx]))
         delta = ZERO_EIG_REL * rho
-        modes = _mode_pencil(disc, domain, op, mass)
-        if modes is None:
-            eta = 0.0
-
-            def count(sigma):
-                return _symmetric_factor(op, mass, sigma)[1]
-        else:
-            count = modes.count
-            eta = (modes.gap_a + rho * modes.gap_m) / (np.min(disc.lumped_mass[idx]) / 5.0)
-        below = count(eta)
-        if below is not None and below == count(-delta - eta):
+        pencil = _mode_pencil(disc, domain, sparse) or sparse
+        eta = (pencil.gap_a + rho * pencil.gap_m) / (np.min(disc.lumped_mass[idx]) / 5.0)
+        below = pencil.count(eta)
+        if below is not None and below == pencil.count(-delta - eta):
             return below
     return negative_count(dirichlet_eigs(disc, k, domain=domain)[0])
 

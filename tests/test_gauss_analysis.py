@@ -7,6 +7,7 @@ from scipy.integrate import dblquad
 from anisolab import gauss_analysis as ga, graph_solver as gs, integrand as ig, surface as sf
 from anisolab.cli import main
 from anisolab.errors import AmbiguousWinding, GrazingCircle, NonDiscreteCriticalSet
+from anisolab.harness import accept_candidate
 
 from conftest import higher_order_enneper, higher_order_enneper_jets, near_corner_enneper
 
@@ -58,20 +59,13 @@ def stretched_enneper_jets(k: int):
     return lambda U, V: {key: arr * np.array([1.0, 1.0, 2.0]) for key, arr in base(U, V).items()}
 
 
-def seam_chart_jets(squeeze: float):
-    """The (1, z^2) chart composed with z = -1/2 + (0.3 + 0.4 v) e^{i f(u)},
-    f(u) = u - squeeze sin u: u is periodic, and the flat point z = 0 sits on
-    the seam u = 0 at v = 1/2.  A squeeze near 1 packs nodes around the seam,
-    so that the flat cluster holds nodes on both sides of it."""
+def composed_jets(k: int, zmap):
+    """The (1, z^k) chart composed with z(u, v), linear in v: ``zmap`` gives
+    (z, z_u, z_v, z_uu, z_uv) on the node arrays."""
 
     def jets(U, V):
-        f, df, ddf = U - squeeze * np.sin(U), 1 - squeeze * np.cos(U), squeeze * np.sin(U)
-        e = np.exp(1j * f)
-        r = 0.3 + 0.4 * V
-        z = -0.5 + r * e
-        zu, zv = 1j * df * r * e, 0.4 * e
-        zuu, zuv = (1j * ddf - df**2) * r * e, 0.4j * df * e
-        base = higher_order_enneper_jets(2)(z.real, z.imag)
+        z, zu, zv, zuu, zuv = zmap(U, V)
+        base = higher_order_enneper_jets(k)(z.real, z.imag)
         # a Weierstrass chart has X_x - i X_y = phi(z), so X_s = Re(phi z_s)
         phi = base["xu"] - 1j * base["xv"]
         dphi = base["xuu"] - 1j * base["xuv"]
@@ -89,6 +83,34 @@ def seam_chart_jets(squeeze: float):
         }
 
     return jets
+
+
+def seam_chart_jets(squeeze: float):
+    """The (1, z^2) chart composed with z = -1/2 + (0.3 + 0.4 v) e^{i f(u)},
+    f(u) = u - squeeze sin u: u is periodic, and the flat point z = 0 sits on
+    the seam u = 0 at v = 1/2.  A squeeze near 1 packs nodes around the seam,
+    so that the flat cluster holds nodes on both sides of it."""
+
+    def zmap(U, V):
+        f, df, ddf = U - squeeze * np.sin(U), 1 - squeeze * np.cos(U), squeeze * np.sin(U)
+        e = np.exp(1j * f)
+        r = 0.3 + 0.4 * V
+        return -0.5 + r * e, 1j * df * r * e, 0.4 * e, (1j * ddf - df**2) * r * e, 0.4j * df * e
+
+    return composed_jets(2, zmap)
+
+
+def annulus_chart(k: int):
+    """The (1, z^k) chart composed with z = 1/2 + v e^{iu}, u periodic,
+    v in [0.2, 0.8]: its flat point z = 0 is the node (pi, 1/2), away from
+    the seam and the edges."""
+
+    def zmap(U, V):
+        e = np.exp(1j * U)
+        return 0.5 + V * e, 1j * V * e, e, -V * e, 1j * e
+
+    return sf.from_jet(f"annulus_order_{k}", composed_jets(k, zmap),
+                       (0.0, TWO_PI, 0.2, 0.8), (128, 65), periodic_u=True)
 
 
 @pytest.fixture(scope="module")
@@ -446,6 +468,23 @@ class TestPseudograph:
         assert ga.euler_inequality_check(pg)["slack"] >= 0
         # genus 0, one vertex of order 1: floor of two unstable directions
         assert ga.index_lower_bound(pg) == 2
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_interior_flat_point_on_periodic_chart(self, k):
+        # the polar axis reads phi at the flat point through the periodic
+        # interpolation; there g = 0 and phi = 1, so it is no vertex
+        patch = annulus_chart(k)
+        f = sf.curvature_field(patch, C1)
+        assert accept_candidate(patch, C1, fld=f)["relative"] < 1e-12
+        (point,) = ga.critical_set(f)
+        assert point.location == pytest.approx((np.pi, 0.5), abs=1e-12)
+        assert point.branch_order == k - 1
+        assert ga._phi_at(patch, f.normal @ np.array(E3), point.location) == pytest.approx(1.0)
+        pg = ga.pseudograph_extract(patch, C1, E3, fld=f, critical_points=[point])
+        assert pg.vertices == []
+        # the nodal set |z| = 1 is one arc with both ends on the edge v = 0.8
+        assert len(pg.edges) == 1 and not pg.edges[0].closed
+        assert pg.n_components_complement == 2
 
 
 def march_per_cell(patch, phi):

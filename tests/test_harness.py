@@ -244,6 +244,19 @@ class TestVerifyBounds:
         assert check["note"] == f"skipped: {ctx.critical[1]}"
         assert "no regular annulus" in check["note"]
 
+    def test_flat_point_is_serialized(self):
+        # the (1, z^2) chart branches to order 1 at the origin, a node of
+        # the odd grid and the center of a 2 x 2-cell box; the radius is
+        # twice the distance to the box's far corner
+        ctx = RunContext(ExperimentConfig(grid=65))
+        ctx.patch = higher_order_enneper(2, grid=65)
+        rep = json.loads(harness.report_json(verify_bounds(ctx)))
+        assert rep["gauss"]["critical_degenerate"] is False
+        (point,) = rep["gauss"]["branch_points"]
+        assert point["location"] == [0.0, 0.0]
+        assert point["branch_order"] == 1
+        assert point["detection_radius"] == pytest.approx(2 * np.sqrt(2) * ctx.patch.hu)
+
     def test_selftest_flips_checks(self):
         result = selftest(grid=48)
         assert result["ok"]
@@ -662,9 +675,9 @@ class TestBenchmarkEntryPoints:
 
     def test_import_leaves_slow_scipy_modules_unloaded(self):
         # every benchmark run pays the import in setup_s: scipy.interpolate
-        # costs about 0.27 s, scipy.fft 60-100 ms
-        code = ("import sys, anisolab; "
-                "print([m for m in ('scipy.interpolate', 'scipy.fft') if m in sys.modules])")
+        # costs about 0.27 s, scipy.fft 60-100 ms, scipy.ndimage 40-130 ms
+        code = ("import sys, anisolab; print([m for m in "
+                "('scipy.interpolate', 'scipy.fft', 'scipy.ndimage') if m in sys.modules])")
         src = str(Path(ig.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": src})

@@ -553,9 +553,9 @@ class TestModePath:
     ], ids=["u_sub_interval", "ellipsoid_121", "sh_4_4", "not_periodic"])
     def test_declines(self, surface, integrand, domain, factorizations):
         disc = RunContext(ExperimentConfig(surface=surface, integrand=integrand, grid=40)).disc
-        idx, op, mass = spx._pencil(disc, domain)
-        assert len(idx) > spx.DENSE_CUTOFF
-        assert spx._mode_pencil(disc, domain, op, mass) is None
+        sparse = spx._SparsePencil(disc, domain)
+        assert len(sparse.idx) > spx.DENSE_CUTOFF
+        assert spx._mode_pencil(disc, domain, sparse) is None
         spx.dirichlet_eigs(disc, 4, domain=domain)
         assert factorizations == ["MMD_AT_PLUS_A"]
         spx.guarded_negative_count(disc, 4, domain)

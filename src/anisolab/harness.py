@@ -5,9 +5,9 @@ spectral and Gauss-map pipelines, and evaluates the full list of named
 checks with explicit tolerances.  The tolerances and the Wulff-mesh level
 are module constants, not configuration.  Each check names the hypotheses
 it needs (a height-graph chart, a stabilized index, isolated flat points,
-a nodal set, a surface the gate accepts, a complete surface rather than a
-graph solution, a curved surface of genus at most one); a check with an
-unmet hypothesis is reported with ``passed``, ``lhs`` and ``rhs`` null and
+a nodal set, a surface the gate accepts, a chart of a complete surface
+(``SurfacePatch.complete``), a curved surface of genus at most one); a check
+with an unmet hypothesis is reported with ``passed``, ``lhs`` and ``rhs`` null and
 the note ``"skipped: <reason>"``, never as passed or failed.  Every
 artifact of a run lives in one :class:`RunContext`, computed on first use
 and shared by the checks and by the ``spectrum``/``gauss``/``bounds``
@@ -398,8 +398,7 @@ def verify_bounds(run: ExperimentConfig | RunContext) -> dict:
         "isolated": critical_error,
         "nodal": None if nodal else "no axis has a nodal set",
         "accepted": None if gate["accepted"] else "surface is not accepted",
-        # a lifted graph solution is a bounded patch, not a complete surface
-        "complete": "surface is not complete" if patch.name == "graph_solution" else None,
+        "complete": None if patch.complete else "surface is not complete",
         "curved": ("surface is planar" if scale == 0.0
                    else "genus above one" if config.genus > 1 else None),
     }

@@ -5,7 +5,9 @@ divergence form, so weak assembly keeps the matrices exactly symmetric and
 the generalized eigenproblem real -- the stability-counting logic depends
 on that.  Element coefficients (weight tensor and curvature pairing) are
 evaluated once per triangle at the barycenter; the basis products are
-integrated exactly.
+integrated exactly.  Every cell is cut the same way, so the P1 gradients
+are those of two tiles, and each matrix is summed per stencil offset on
+the grid, exactly symmetric.
 
 Dirichlet problems on nested sub-rectangles restrict to nested interior
 node sets of one fixed grid, which makes the count of negative eigenvalues
@@ -21,9 +23,13 @@ Each domain's pencil offers ``count(sigma)`` (eigenvalues below sigma, or
 None when not trusted), ``lowest(k)`` (the k lowest eigenpairs) and the
 gaps ``gap_a`` and ``gap_m`` of operator and mass from what it counts.
 :class:`_SparsePencil` (gaps 0) counts by a symmetric factorization and
-solves by shift-invert Lanczos (ARPACK) with that factorization of
-A - sigma M as its operator, whose count of none below sigma proves sigma
-below the spectrum (Ericsson and Ruhe, Math. Comp. 35, 1980).
+solves by shift-invert Lanczos (ARPACK) with one such factorization as its
+operator (Ericsson and Ruhe, Math. Comp. 35, 1980): of A itself, whose
+count c of negative eigenvalues certifies the window of eigenvalues
+nearest 0 as the lowest when exactly c of them are negative (a Sylvester
+check of the window, as in Grimes, Lewis and Simon, SIAM J. Matrix Anal.
+Appl. 15, 1994); failing that, of A - sigma M at a sigma whose count of
+none below proves it below the spectrum.
 
 On a chart periodic in u whose coefficients do not depend on u (the
 catenoids), the pencil of a domain spanning the period is block-circulant
@@ -48,7 +54,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import InvalidSpec, SolverFailure
-from .integrand import IntegrandSpec, gamma_hessians, restrict2, sym2, unit_vector
+from .integrand import IntegrandSpec, gamma_hessians, restrict2, unit_vector
 from .objio import grid_faces
 from .surface import CurvatureField, SurfacePatch, curvature_field
 
@@ -67,6 +73,13 @@ for _i in range(3):
     _P1_CUBIC[_i, :, _i] = 1.0 / 30.0
     _P1_CUBIC[:, _i, _i] = 1.0 / 30.0
     _P1_CUBIC[_i, _i, _i] = 1.0 / 10.0
+
+# every cell's two triangles, as node offsets (di, dj) from its corner (i, j);
+# a node's P1 neighbours (its stencil) as offsets; the entries (a, b), a <= b,
+# of a symmetric element matrix
+_TILES = (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1)))
+_STENCIL = ((-1, -1), (-1, 0), (0, -1), (0, 0), (0, 1), (1, 0), (1, 1))
+_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 
 
 @dataclass
@@ -128,36 +141,48 @@ def assemble(
     if field is None:
         field = curvature_field(patch, spec)
     nu_, nv_ = patch.shape
+    # cell (i, j) gives the triangles (a, b, c) and (a, c, d), the two _TILES
     faces = grid_faces(nu_, nv_, patch.periodic_u)
-    # every cell is cut into the triangles (a, b, c) and (a, c, d) in turn,
-    # so the local points are those two tiles scaled by the spacings
-    tiles = np.array([[[0, 0], [1, 0], [1, 1]], [[0, 0], [1, 1], [0, 1]]])
-    pts = np.tile(tiles, (len(faces) // 2, 1, 1)) * np.array([patch.hu, patch.hv])
-    p0, p1, p2 = pts[:, 0], pts[:, 1], pts[:, 2]
-    d1, d2 = p1 - p0, p2 - p0
+
+    # every cell is cut the same way, so the P1 gradients and the area are
+    # those of the two tiles scaled by the spacings
+    pts = np.array(_TILES) * [patch.hu, patch.hv]
+    d1, d2 = pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0]
     signed2 = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]  # twice the signed area
-    area = 0.5 * np.abs(signed2)
-    edges = np.stack([p2 - p1, p0 - p2, p1 - p0], axis=1)
-    perp = np.stack([-edges[..., 1], edges[..., 0]], axis=-1)
-    grads = perp / signed2[:, None, None]  # (t, 3, 2) P1 gradients
+    area = 0.5 * abs(signed2[0])  # the same for both tiles
+    edges = pts[:, [2, 0, 1]] - pts[:, [1, 2, 0]]
+    gx, gy = -edges[..., 1] / signed2[:, None], edges[..., 0] / signed2[:, None]  # (tile, 3)
 
     # barycenter jets of the chart and the pulled-back coefficient tensors
-    xu = patch.du.reshape(-1, 3)[faces].mean(axis=1)
-    xv = patch.dv.reshape(-1, 3)[faces].mean(axis=1)
+    def barycenter(x):
+        x = x.reshape(-1, 3)
+        return (np.take(x, faces[:, 0], axis=0) + np.take(x, faces[:, 1], axis=0)
+                + np.take(x, faces[:, 2], axis=0)) / 3.0
+
+    xu, xv = barycenter(patch.du), barycenter(patch.dv)
     raw = np.cross(xu, xv)
     jac = np.linalg.norm(raw, axis=1)
     nbar = patch.orientation * raw / jac[:, None]
     E = np.einsum("ti,ti->t", xu, xu)
     F = np.einsum("ti,ti->t", xu, xv)
     G = np.einsum("ti,ti->t", xv, xv)
-    if isotropic_diffusion:
-        amat = sym2(E, F, G)
+    # C = g^-1 A g^-1 |X_u x X_v|, symmetric, with g^-1 = [[p, q], [q, r]]
+    det_g = E * G - F * F
+    p, q, r = G / det_g, -F / det_g, E / det_g
+    if isotropic_diffusion:  # A = g
+        coef = np.stack([p, q, r], axis=-1) * jac[:, None]
     else:
         amat = restrict2(gamma_hessians(spec, nbar), xu, xv)
-    det_g = E * G - F * F
-    ginv = sym2(G / det_g, -F / det_g, E / det_g)
-    coeff = np.einsum("tab,tbc,tcd->tad", ginv, amat, ginv) * jac[:, None, None]
-    local_k = area[:, None, None] * np.einsum("tai,tij,tbj->tab", grads, coeff, grads)
+        a, b, d = amat[:, 0, 0], amat[:, 0, 1], amat[:, 1, 1]
+        coef = np.stack([p * p * a + 2.0 * p * q * b + q * q * d,
+                         p * q * a + (p * r + q * q) * b + q * r * d,
+                         q * q * a + 2.0 * q * r * b + r * r * d], axis=-1) * jac[:, None]
+    # element stiffness area g_a . C g_b: per tile, the entry of each pair
+    # (a, b) is that of (c11, c12, c22) of C against three outer products
+    ia, ib = np.array(_PAIRS).T
+    outer = area * np.stack([gx[:, ia] * gx[:, ib], gx[:, ia] * gy[:, ib] + gy[:, ia] * gx[:, ib],
+                             gy[:, ia] * gy[:, ib]], axis=1)  # (tile, 3, pair)
+    local_k = np.matmul(coef.reshape(-1, 2, 3).transpose(1, 0, 2), outer).transpose(1, 0, 2)
 
     if potential_weight is None:
         qnode = field.aniso_pairing.reshape(-1)
@@ -167,20 +192,14 @@ def assemble(
     # the curvature pairing varies too fast near curvature peaks for a
     # frozen one-point rule to keep the pointwise residual at quadratic order
     jnode = field.jacobian.reshape(-1)
-    local_p = np.einsum("tk,ijk->tij", (qnode * jnode)[faces], _P1_CUBIC) * area[:, None, None]
-    local_m = np.einsum("tk,ijk->tij", jnode[faces], _P1_CUBIC) * area[:, None, None]
-
-    n = nu_ * nv_
-    rows = np.repeat(faces, 3, axis=1).reshape(-1)
-    cols = np.tile(faces, (1, 3)).reshape(-1)
+    cubic = area * _P1_CUBIC[ia, ib].T  # corner weight -> pair entry
 
     def build(local):
-        m = sp.csr_matrix((local.reshape(-1), (rows, cols)), shape=(n, n))
-        return 0.5 * (m + m.T)  # scrub floating-point asymmetry from summation order
+        return _stencil_sum(local, nu_, nv_, patch.periodic_u)
 
     stiffness = build(local_k)
-    potential = build(local_p)
-    mass = build(local_m)
+    potential = build(np.take(qnode * jnode, faces) @ cubic)
+    mass = build(np.take(jnode, faces) @ cubic)
     return JacobiDiscretization(
         stiffness=stiffness,
         potential=potential,
@@ -189,6 +208,34 @@ def assemble(
         lumped_mass=np.asarray(mass.sum(axis=1)).reshape(-1),
         field=field,
     )
+
+
+def _stencil_sum(local: np.ndarray, nu: int, nv: int, periodic_u: bool) -> sp.csr_matrix:
+    """The P1 matrix on an (nu, nv) grid from the element entries ``local``
+    at _PAIRS, ordered (face, pair) as :func:`grid_faces` orders the faces.
+
+    The sums are kept per _STENCIL offset on the grid, each pair (a, b),
+    a <= b, of an element going to both of its entries, so the matrix is
+    exactly symmetric.  Exact zeros are dropped, among them the entries of
+    the neighbours a node lacks at an edge.
+    """
+    cu = nu if periodic_u else nu - 1  # cells along u
+    local = local.reshape(cu, nv - 1, 2, len(_PAIRS))
+    s = np.zeros((len(_STENCIL), nu + 1, nv))  # row nu is row 0 of a periodic chart
+    for t, tile in enumerate(_TILES):
+        for e, (a, b) in enumerate(_PAIRS):
+            ends = ((tile[a], tile[b]), (tile[b], tile[a])) if a != b else ((tile[a], tile[a]),)
+            for (i, j), (k, l) in ends:  # row node, column node
+                s[_STENCIL.index((k - i, l - j)), i:i + cu, j:j + nv - 1] += local[..., t, e]
+    s[:, 0] += s[:, nu]
+    di, dj = np.array(_STENCIL).T
+    cols = ((np.arange(nu)[:, None, None] + di) % nu * nv
+            + np.clip(np.arange(nv)[:, None] + dj, 0, nv - 1))
+    m = sp.csr_matrix((s[:, :nu].transpose(1, 2, 0).reshape(-1), cols.reshape(-1),
+                       len(_STENCIL) * np.arange(nu * nv + 1)), shape=(nu * nv, nu * nv))
+    m.eliminate_zeros()
+    m.sort_indices()  # the rows at a periodic seam wrap around
+    return m
 
 
 def interior_indices(
@@ -258,16 +305,23 @@ def dirichlet_eigs(
 class _SparsePencil:
     """Operator and mass restricted to the free nodes ``idx`` of a domain,
     counted by :func:`_symmetric_factor`.  Solved densely when the pencil or
-    the window is small, otherwise by ARPACK in shift-invert mode about a
-    shift proved below the spectrum, found when ARPACK first needs it; the
-    shift stays put, so one factorization serves every k."""
+    the window is small, otherwise by ARPACK in shift-invert mode.
+
+    The first ARPACK call factors the pencil at sigma = 0, whose count c is
+    the number of negative eigenvalues.  With c < k, ARPACK finds the k
+    eigenvalues nearest 0 about that one factor, and a window holding
+    exactly c negative values holds all of them, so it is the k lowest.  An
+    untrusted factor, c >= k, or a window missing a negative eigenvalue (one
+    far below 0) falls back to a shift proved below the spectrum by a count
+    of 0, moved down fourfold and refactored until it is; that shift then
+    serves every later k."""
     gap_a = gap_m = 0.0  # the pencil is exactly what it counts and solves
 
     def __init__(self, disc: JacobiDiscretization, domain):
         self.disc, self.idx = disc, interior_indices(disc, domain)
         self.op = disc.operator[self.idx][:, self.idx].tocsc()
         self.mass = disc.mass[self.idx][:, self.idx].tocsc()
-        self.sigma = self.opinv = None
+        self.sigma = self.opinv = self.below_zero = None
 
     def count(self, sigma: float) -> int | None:
         return _symmetric_factor(self.op, self.mass, sigma)[1]
@@ -277,22 +331,38 @@ class _SparsePencil:
         if k >= n - 1 or n <= DENSE_CUTOFF:
             vals, vecs = sla.eigh(op.toarray(), mass.toarray())
             return vals[:k], vecs[:, :k]
-        if self.opinv is None:
-            # a trusted count of 0 below the shift proves it below the
-            # spectrum; otherwise it moves down fourfold and is refactored
-            qmax = float(np.max(self.disc.potential.diagonal()[self.idx] / mass.diagonal()))
-            self.sigma = -max(qmax, 0.0) - 1.0
-            for _ in range(SHIFT_TRIES):
-                lu, below = _symmetric_factor(op, mass, self.sigma)
-                if below == 0:
-                    break
-                self.sigma *= 4.0
-            else:
-                raise SolverFailure(
-                    f"no shift below the spectrum found in {SHIFT_TRIES} factorizations")
-            self.opinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=np.float64)
-        vals, vecs = spla.eigsh(op, k=k, M=mass, sigma=self.sigma, which="LM",
-                                v0=np.random.default_rng(0).standard_normal(n),
+        if self.sigma is None:
+            lu, self.below_zero = _symmetric_factor(op, mass, 0.0)
+            if lu is not None:
+                self._shift(0.0, lu)
+        if self.sigma == 0.0 and self.below_zero < k:
+            vals, vecs = self._arpack(k)
+            if np.sum(vals < 0.0) == self.below_zero:
+                return vals, vecs
+        if not self.sigma:  # no factor at 0, or it cannot give the k lowest
+            self._descend()
+        return self._arpack(k)
+
+    def _descend(self) -> None:
+        """Factor at a shift proved below the spectrum by a count of 0."""
+        qmax = float(np.max(self.disc.potential.diagonal()[self.idx] / self.mass.diagonal()))
+        sigma = -max(qmax, 0.0) - 1.0
+        for _ in range(SHIFT_TRIES):
+            lu, below = _symmetric_factor(self.op, self.mass, sigma)
+            if below == 0:
+                self._shift(sigma, lu)
+                return
+            sigma *= 4.0
+        raise SolverFailure(f"no shift below the spectrum found in {SHIFT_TRIES} factorizations")
+
+    def _shift(self, sigma: float, lu) -> None:
+        self.sigma = sigma
+        self.opinv = spla.LinearOperator(self.op.shape, matvec=lu.solve, dtype=np.float64)
+
+    def _arpack(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The k eigenpairs nearest the shift, in ascending order."""
+        vals, vecs = spla.eigsh(self.op, k=k, M=self.mass, sigma=self.sigma, which="LM",
+                                v0=np.random.default_rng(0).standard_normal(len(self.idx)),
                                 tol=0, OPinv=self.opinv)
         order = np.argsort(vals)
         return vals[order], vecs[:, order]

@@ -36,6 +36,7 @@ class SurfacePatch:
     orientation: int = 1
     periodic_u: bool = False
     jet_fn: Callable | None = field(default=None, repr=False, compare=False)
+    complete: bool = False  # a chart of a complete surface, not a bounded piece
 
     @property
     def nu_count(self) -> int:
@@ -311,7 +312,7 @@ def _as_shape(grid) -> tuple[int, int]:
     return (nu, nv)
 
 
-def _build(name, jet_fn, domain, shape, periodic_u, orientation) -> SurfacePatch:
+def _build(name, jet_fn, domain, shape, periodic_u, orientation, complete) -> SurfacePatch:
     nu, nv = shape
     if periodic_u:
         u = domain[0] + (domain[1] - domain[0]) / nu * np.arange(nu)
@@ -333,6 +334,7 @@ def _build(name, jet_fn, domain, shape, periodic_u, orientation) -> SurfacePatch
         orientation=orientation,
         periodic_u=periodic_u,
         jet_fn=jet_fn,
+        complete=complete,
     )
 
 
@@ -394,9 +396,10 @@ FIXTURE_PARAMS = {"plane": {"lu": 1.0, "lv": 1.0}, "sphere": {}, "catenoid": {"v
 def fixture(name: str, grid=96, **params) -> SurfacePatch:
     """Build a registered fixture patch on the given grid.
 
-    The fixtures and their parameters are those of ``FIXTURE_PARAMS``.  The
-    sheared catenoid is only a candidate critical surface; acceptance is
-    decided downstream from its measured anisotropic mean curvature.
+    The fixtures and their parameters are those of ``FIXTURE_PARAMS``; each
+    charts a complete surface (``complete`` is True).  The sheared catenoid
+    is only a candidate critical surface; acceptance is decided downstream
+    from its measured anisotropic mean curvature.
     """
     shape = _as_shape(grid)
     if name not in FIXTURE_PARAMS:
@@ -409,15 +412,15 @@ def fixture(name: str, grid=96, **params) -> SurfacePatch:
         lu, lv = float(p["lu"]), float(p["lv"])
         if not (0.0 < lu < np.inf and 0.0 < lv < np.inf):
             raise ValueError("plane lu and lv must be finite and positive")
-        return _build("plane", _plane_jets, (0.0, lu, 0.0, lv), shape, False, 1)
+        return _build("plane", _plane_jets, (0.0, lu, 0.0, lv), shape, False, 1, True)
     if name == "sphere":
         domain = (0.0, 2 * np.pi, 0.02, np.pi - 0.02)  # a cap of 0.02 off each pole
-        return _build("sphere", _sphere_jets, domain, shape, True, -1)
+        return _build("sphere", _sphere_jets, domain, shape, True, -1, True)
     if name == "enneper":
         R = float(p["radius"])
         if not 0.0 < R <= 1.5:
             raise ValueError("enneper radius must lie in (0, 1.5]")
-        return _build("enneper", _enneper_jets, (-R, R, -R, R), shape, False, 1)
+        return _build("enneper", _enneper_jets, (-R, R, -R, R), shape, False, 1, True)
     if name == "sheared_catenoid":
         M = np.array(p["shear"], dtype=np.float64)
         if M.shape != (3, 3):
@@ -432,13 +435,13 @@ def fixture(name: str, grid=96, **params) -> SurfacePatch:
     if not 0.0 < V <= 4.0:
         raise ValueError("catenoid v_extent must lie in (0, 4]")
     if name == "catenoid":
-        return _build("catenoid", _catenoid_jets, (0.0, 2 * np.pi, -V, V), shape, True, 1)
+        return _build("catenoid", _catenoid_jets, (0.0, 2 * np.pi, -V, V), shape, True, 1, True)
 
     def jets(U, Vv, _M=M):
         base = _catenoid_jets(U, Vv)
         return {k: np.einsum("ab,...b->...a", _M, arr) for k, arr in base.items()}
 
-    return _build("sheared_catenoid", jets, (0.0, 2 * np.pi, -V, V), shape, True, 1)
+    return _build("sheared_catenoid", jets, (0.0, 2 * np.pi, -V, V), shape, True, 1, True)
 
 
 def from_jet(
@@ -448,6 +451,9 @@ def from_jet(
     grid,
     periodic_u: bool = False,
     orientation: int = 1,
+    complete: bool = False,
 ) -> SurfacePatch:
-    """Wrap a user-supplied analytic jet function as a patch."""
-    return _build(name, jet_fn, domain, _as_shape(grid), periodic_u, orientation)
+    """Wrap a user-supplied analytic jet function as a patch; ``complete``
+    declares it a chart of a complete surface, which the verdict's checks
+    on complete surfaces need."""
+    return _build(name, jet_fn, domain, _as_shape(grid), periodic_u, orientation, complete)

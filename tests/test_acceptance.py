@@ -121,9 +121,9 @@ def bounds_reports():
 def test_criterion_11_report_bytes_pinned(bounds_reports):
     # sha256 of report_json for each configuration of the fixture
     digests = {
-        "catenoid": "efd96e42d3c389e3465a7de00075c66dc9ec5b2eac9897c5375009aa53ed49f9",
-        "enneper": "9d84193f8135bd5e5347755350696e43c7f052ba6533838924a2258cc9ce648c",
-        "sheared": "0ff61f0486d88ee6e8783780261f17051858dd2c9444a9deb8c688dfe8e62ff5",
+        "catenoid": "0f329a0eeb72cf417abbe4f38e8bf1f3f8c8abaa58c7e3effd890746751057ca",
+        "enneper": "5feba10e16b8b97cbc4448a1a2e52beab1aa3dcaca728009d8008e351d728662",
+        "sheared": "e34e3d2ab4d9b4c771b1e7de3b36d36e51ea8937b61f76d6046fa1011453132e",
     }
     for name, report in bounds_reports.items():
         text = report_json(report)
@@ -134,9 +134,9 @@ def test_criterion_11_verdict_bytes_without_config_echo(bounds_reports):
     # the same reports without the config echo and its hash: a change to the
     # config fields re-pins the digests above, and this shows nothing else moved
     digests = {
-        "catenoid": "0180fcbfb8b78c5707d00ed0e57f699be4f307f70be3adc0114f39b7e6ad967d",
-        "enneper": "4d75c610387314740076807e46924ea8d3adfff01aaeebb8eb7db667ca0a5095",
-        "sheared": "05374be3583ffffbb3b6e56e9022ef318742a885ec6e041bbb0a53a869c29bd8",
+        "catenoid": "ee57caa5f5b3567dbfc373f4fccde05919bfa97d59b66784fc4c428c7ac9b053",
+        "enneper": "cd8c504761caf743406dbcb1d72a82dcae092e726e7374ad343eba53202c9906",
+        "sheared": "5d503d3895fa70cae92dda76e674a6309249a26dce8bec55a6e80ab02eba4359",
     }
     for name, report in bounds_reports.items():
         content = {k: v for k, v in report.items() if k not in ("config", "provenance")}

@@ -395,6 +395,7 @@ class TestLift:
         patch = gs.lift(sol)
         normals, _ = patch.normals()
         assert np.allclose(normals, [0.0, 0.0, 1.0], atol=1e-12)
+        assert not patch.complete  # a bounded piece of a graph
 
     def test_linear_solution_tilted_normal(self):
         a, b = 0.5, -0.25

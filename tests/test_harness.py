@@ -240,8 +240,8 @@ class TestVerifyBounds:
         assert rep["gauss"]["branch_points"] == []
         (check,) = [c for c in rep["checks"] if c["name"] == "branched_cover_euler_count"]
         assert check["passed"] is None
-        # the skip names the cause, which is not planarity here
-        assert check["note"] == f"skipped: {ctx.critical[1]}"
+        # the skip names the causes, which are not planarity here
+        assert check["note"] == f"skipped: surface is not complete; {ctx.critical[1]}"
         assert "no regular annulus" in check["note"]
 
     def test_flat_point_is_serialized(self):
@@ -256,6 +256,19 @@ class TestVerifyBounds:
         assert point["location"] == [0.0, 0.0]
         assert point["branch_order"] == 1
         assert point["detection_radius"] == pytest.approx(2 * np.sqrt(2) * ctx.patch.hu)
+
+    @pytest.mark.parametrize("complete", [False, True])
+    def test_completeness_gates_global_checks(self, complete):
+        # the truncated (1, z^2) chart has raw Gauss degree 1.21, not the
+        # complete surface's 2: the Euler count runs only when declared complete
+        ctx = RunContext(ExperimentConfig(grid=65))
+        ctx.patch = dataclasses.replace(higher_order_enneper(2, grid=65), complete=complete)
+        (check,) = [c for c in verify_bounds(ctx)["checks"]
+                    if c["name"] == "branched_cover_euler_count"]
+        if complete:
+            assert check["passed"] is False
+        else:
+            assert check["note"] == "skipped: surface is not complete"
 
     def test_selftest_flips_checks(self):
         result = selftest(grid=48)
@@ -724,7 +737,7 @@ class TestPinnedBytes:
         assert main(["spectrum", "--surface", "catenoid:2", "--integrand", "const:1",
                      "--grid", "64", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "f45c9e8ddcfe9a574b82e14e83d7039de77df26b02b44e14211055023ba18138")
+            "920d174e8e52112d12f856970ec52d75ff8b5189588d40fb6a0a67668a29e96b")
 
     def test_selftest_bytes(self):
         assert hashlib.sha256(json.dumps(selftest(64)).encode()).hexdigest() == (

@@ -10,7 +10,7 @@ from scipy.integrate import dblquad
 
 from anisolab import integrand as ig, spectrum as spx, surface as sf
 from anisolab.errors import InvalidSpec, SolverFailure
-from anisolab.harness import ExperimentConfig, RunContext
+from anisolab.harness import ExperimentConfig, RunContext, verify_bounds
 from anisolab.objio import grid_faces
 
 C1 = ig.constant(1.0)
@@ -67,6 +67,49 @@ def test_grid_faces_match_cell_loop(nu, nv, periodic_u):
     assert np.array_equal(faces, grid_faces_loop(nu, nv, periodic_u))
 
 
+def einsum_assemble(patch, spec, field, potential_weight=None, isotropic_diffusion=False):
+    """(stiffness, potential, mass) by per-triangle einsums summed through
+    COO, the independent oracle of the two-tile kernel of ``assemble``."""
+    nu_, nv_ = patch.shape
+    faces = grid_faces(nu_, nv_, patch.periodic_u)
+    tiles = np.array([[[0, 0], [1, 0], [1, 1]], [[0, 0], [1, 1], [0, 1]]])
+    pts = np.tile(tiles, (len(faces) // 2, 1, 1)) * np.array([patch.hu, patch.hv])
+    p0, p1, p2 = pts[:, 0], pts[:, 1], pts[:, 2]
+    d1, d2 = p1 - p0, p2 - p0
+    signed2 = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    area = 0.5 * np.abs(signed2)
+    edges = np.stack([p2 - p1, p0 - p2, p1 - p0], axis=1)
+    grads = np.stack([-edges[..., 1], edges[..., 0]], axis=-1) / signed2[:, None, None]
+    xu = patch.du.reshape(-1, 3)[faces].mean(axis=1)
+    xv = patch.dv.reshape(-1, 3)[faces].mean(axis=1)
+    raw = np.cross(xu, xv)
+    jac = np.linalg.norm(raw, axis=1)
+    nbar = patch.orientation * raw / jac[:, None]
+    E, F, G = (np.einsum("ti,ti->t", a, b) for a, b in ((xu, xu), (xu, xv), (xv, xv)))
+    if isotropic_diffusion:
+        amat = ig.sym2(E, F, G)
+    else:
+        amat = ig.restrict2(ig.gamma_hessians(spec, nbar), xu, xv)
+    det_g = E * G - F * F
+    ginv = ig.sym2(G / det_g, -F / det_g, E / det_g)
+    coeff = np.einsum("tab,tbc,tcd->tad", ginv, amat, ginv) * jac[:, None, None]
+    local_k = area[:, None, None] * np.einsum("tai,tij,tbj->tab", grads, coeff, grads)
+    q = field.aniso_pairing if potential_weight is None else potential_weight
+    jnode = field.jacobian.reshape(-1)
+    local_p = np.einsum("tk,ijk->tij", (q.reshape(-1) * jnode)[faces], spx._P1_CUBIC)
+    local_m = np.einsum("tk,ijk->tij", jnode[faces], spx._P1_CUBIC)
+    n = nu_ * nv_
+    rows = np.repeat(faces, 3, axis=1).reshape(-1)
+    cols = np.tile(faces, (1, 3)).reshape(-1)
+
+    def build(local):
+        m = sp.csr_matrix((local.reshape(-1), (rows, cols)), shape=(n, n))
+        return 0.5 * (m + m.T)
+
+    return (build(local_k), build(local_p * area[:, None, None]),
+            build(local_m * area[:, None, None]))
+
+
 class TestAssembly:
     def test_plane_stiffness_is_flat_laplacian(self):
         patch = sf.fixture("plane", grid=(24, 24))
@@ -74,6 +117,25 @@ class TestAssembly:
         ref = flat_laplace_reference(patch)
         assert abs(disc.stiffness - ref).max() < 1e-12
         assert disc.potential.nnz == 0
+
+    @pytest.mark.parametrize("surface,spec,kwargs", [
+        ("catenoid", E112, {}),
+        ("enneper", C1, {}),
+        ("enneper", E112, {"potential_weight": "random"}),
+        ("catenoid", E112, {"isotropic_diffusion": True}),
+    ], ids=["catenoid_ellipsoid", "enneper", "potential_weight", "isotropic"])
+    def test_matches_einsum_oracle(self, rng, surface, spec, kwargs):
+        patch = sf.fixture(surface, grid=(40, 33))
+        if kwargs.get("potential_weight") == "random":
+            kwargs = {"potential_weight": rng.standard_normal(patch.shape)}
+        fld = sf.curvature_field(patch, spec)
+        disc = spx.assemble(patch, spec, field=fld, **kwargs)
+        for got, ref in zip((disc.stiffness, disc.potential, disc.mass),
+                            einsum_assemble(patch, spec, fld, **kwargs)):
+            np.testing.assert_array_equal(got.indptr, ref.indptr)
+            np.testing.assert_array_equal(got.indices, ref.indices)
+            assert np.max(np.abs(got.data - ref.data)) <= 1e-15 * np.max(np.abs(ref.data))
+            assert (got != got.T).nnz == 0  # bitwise symmetric
 
     def test_symmetry_and_mass_positivity(self):
         patch = sf.fixture("catenoid", grid=(48, 48), v_extent=2.0)
@@ -300,6 +362,19 @@ def factorizations(monkeypatch):
     return made
 
 
+@pytest.fixture
+def shifts(monkeypatch, factorizations):
+    """The shifts of the ARPACK solves the spectrum module makes."""
+    seen = []
+
+    def eigsh(*args, **kwargs):
+        seen.append(kwargs["sigma"])
+        return spla.eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(spx.spla, "eigsh", eigsh)
+    return seen
+
+
 @contextmanager
 def general_path():
     """Declines the per-mode path, so the spectrum module runs its ARPACK and
@@ -379,8 +454,9 @@ class TestInertia:
             vals = spx.dirichlet_eigs(disc, 12, domain=(0, TWO_PI, -2.5, 2.5))[0]
         assert len(vals) > 12
         assert spx.negative_count(vals) > 12
-        # every widening of the window reuses the one shift-invert factor
-        assert len(factorizations) == 1
+        # the count at 0 exceeds the window, so the factor at 0 is followed
+        # by one below the spectrum, and every widening reuses that one
+        assert len(factorizations) == 2
 
 
 class TestComparisonAssembly:
@@ -426,13 +502,76 @@ class TestShiftInvert:
         vals = spx.dirichlet_eigs(disc, 6)[0]
         ref = ref[: len(vals)]
         np.testing.assert_allclose(vals, ref, rtol=1e-10, atol=1e-10 * np.max(np.abs(ref)))
+        # the window about 0 misses the spike mode, so the certificate fails
+        # and the descent factors twice
+        assert len(factorizations) == 3
+
+    def one_negative_pencil(self):
+        """A catenoid pencil above DENSE_CUTOFF with one negative eigenvalue,
+        and its dense spectrum."""
+        disc = spx.assemble(sf.fixture("catenoid", grid=(24, 22), v_extent=2.0), C1)
+        ref = dense_pencil(disc)
+        assert len(ref) > spx.DENSE_CUTOFF and ref[0] < 0 < ref[1]
+        return disc, ref
+
+    def test_solved_from_the_factor_at_zero(self, factorizations, shifts):
+        disc, ref = self.one_negative_pencil()
+        with general_path():
+            vals = spx.dirichlet_eigs(disc, 8)[0]
+        np.testing.assert_allclose(vals, ref[:8], rtol=1e-10, atol=1e-10 * np.max(np.abs(ref)))
+        assert len(factorizations) == 1 and shifts == [0.0]
+
+    def test_certificate_rejects_a_missing_negative(self, monkeypatch, factorizations, shifts):
+        # about 0, the solver hands back the k + 1 nearest values less the lowest
+        eigsh = spx.spla.eigsh
+
+        def drops_lowest(a, k, **kwargs):
+            if kwargs["sigma"] != 0.0:
+                return eigsh(a, k, **kwargs)
+            vals, vecs = eigsh(a, k + 1, **kwargs)
+            keep = np.argsort(vals)[1:]
+            return vals[keep], vecs[:, keep]
+
+        monkeypatch.setattr(spx.spla, "eigsh", drops_lowest)
+        disc, ref = self.one_negative_pencil()
+        with general_path():
+            vals = spx.dirichlet_eigs(disc, 8)[0]
+        np.testing.assert_allclose(vals, ref[:8], rtol=1e-10, atol=1e-10 * np.max(np.abs(ref)))
         assert len(factorizations) == 2
+        assert shifts[0] == 0.0 and shifts[1] < ref[0]
+
+    def test_untrusted_factor_at_zero_falls_back(self, monkeypatch, factorizations, shifts):
+        factor = spx._symmetric_factor
+        monkeypatch.setattr(spx, "_symmetric_factor", lambda op, mass, sigma: (
+            factor(op, mass, sigma) if sigma else (None, None)))
+        disc, ref = self.one_negative_pencil()
+        with general_path():
+            vals = spx.dirichlet_eigs(disc, 8)[0]
+        np.testing.assert_allclose(vals, ref[:8], rtol=1e-10, atol=1e-10 * np.max(np.abs(ref)))
+        assert len(factorizations) == 1  # the descent's; the one at 0 was refused
+        assert len(shifts) == 1 and shifts[0] < ref[0]
 
     def test_unprovable_shift_fails_loudly(self, monkeypatch):
         disc = spx.assemble(sf.fixture("plane", grid=(32, 32)), C1)
         monkeypatch.setattr(spx, "_symmetric_factor", lambda op, mass, sigma: (None, None))
         with pytest.raises(SolverFailure, match="no shift below the spectrum"):
             spx.dirichlet_eigs(disc, 4)
+
+
+class TestVerdictWork:
+    """Factorizations and ARPACK shifts of one verdict: a second factor per
+    eigensolve or the descent's shift below the spectrum fails here."""
+
+    @pytest.mark.parametrize("config,eigensolves,made", [
+        (ExperimentConfig(surface="enneper:1.3", grid=48), 3, 3 + 3 + 6),
+        (CRITERION_11[0], 0, 3),
+    ], ids=["enneper", "catenoid"])
+    def test_counts(self, config, eigensolves, made, factorizations, shifts):
+        # enneper: 3 eigensolves, 3 inertia checks and 6 guard counts;
+        # the catenoid solves and guards per Fourier mode, so only inertia factors
+        verify_bounds(config)
+        assert len(factorizations) == made
+        assert shifts == [0.0] * eigensolves
 
 
 def eigs_and_count(disc, dom, k=spx.DEFAULT_EIG_COUNT):

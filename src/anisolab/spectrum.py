@@ -25,11 +25,12 @@ gaps ``gap_a`` and ``gap_m`` of operator and mass from what it counts.
 :class:`_SparsePencil` (gaps 0) counts by a symmetric factorization and
 solves by shift-invert Lanczos (ARPACK) with one such factorization as its
 operator (Ericsson and Ruhe, Math. Comp. 35, 1980): of A itself, whose
-count c of negative eigenvalues certifies the window of eigenvalues
-nearest 0 as the lowest when exactly c of them are negative (a Sylvester
-check of the window, as in Grimes, Lewis and Simon, SIAM J. Matrix Anal.
-Appl. 15, 1994); failing that, of A - sigma M at a sigma whose count of
-none below proves it below the spectrum.
+count c of negative eigenvalues certifies that ARPACK's window nearest 0
+holds every negative eigenvalue when exactly c of its values are negative
+(a Sylvester count at 0 only; Grimes, Lewis and Simon, SIAM J. Matrix
+Anal. Appl. 15, 1994, also count below the window's top), its
+nonnegative values being ARPACK's nearest 0; failing that, of A - sigma M
+at a sigma whose count of none below proves it below the spectrum.
 
 On a chart periodic in u whose coefficients do not depend on u (the
 catenoids), the pencil of a domain spanning the period is block-circulant
@@ -309,12 +310,13 @@ class _SparsePencil:
 
     The first ARPACK call factors the pencil at sigma = 0, whose count c is
     the number of negative eigenvalues.  With c < k, ARPACK finds the k
-    eigenvalues nearest 0 about that one factor, and a window holding
-    exactly c negative values holds all of them, so it is the k lowest.  An
-    untrusted factor, c >= k, or a window missing a negative eigenvalue (one
-    far below 0) falls back to a shift proved below the spectrum by a count
-    of 0, moved down fourfold and refactored until it is; that shift then
-    serves every later k."""
+    eigenvalues nearest 0 about that one factor.  A window holding exactly
+    c negative values holds all of them; its nonnegative values are the
+    ones ARPACK converged to nearest 0, trusted as the descent's window is
+    trusted above its shift.  An untrusted factor, c >= k, or a window
+    missing a negative eigenvalue (one far below 0) falls back to a shift
+    proved below the spectrum by a count of 0, moved down fourfold and
+    refactored until it is; that shift then serves every later k."""
     gap_a = gap_m = 0.0  # the pencil is exactly what it counts and solves
 
     def __init__(self, disc: JacobiDiscretization, domain):

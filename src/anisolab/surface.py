@@ -451,9 +451,8 @@ def from_jet(
     grid,
     periodic_u: bool = False,
     orientation: int = 1,
-    complete: bool = False,
 ) -> SurfacePatch:
-    """Wrap a user-supplied analytic jet function as a patch; ``complete``
-    declares it a chart of a complete surface, which the verdict's checks
-    on complete surfaces need."""
-    return _build(name, jet_fn, domain, _as_shape(grid), periodic_u, orientation, complete)
+    """Wrap a user-supplied analytic jet function as a patch.  The patch is
+    a bounded piece (``complete`` False); a caller whose chart is one of a
+    complete surface says so with ``dataclasses.replace(patch, complete=True)``."""
+    return _build(name, jet_fn, domain, _as_shape(grid), periodic_u, orientation, False)

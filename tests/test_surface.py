@@ -302,10 +302,8 @@ class TestFixtures:
 
     def test_completeness_is_declared(self):
         # fixtures chart complete surfaces; a user chart is a bounded piece
-        # unless its caller says otherwise
         assert all(sf.fixture(name, grid=8).complete for name in sf.FIXTURE_PARAMS)
         assert not higher_order_enneper(2, grid=9).complete
-        assert sf.from_jet("plane", sf._plane_jets, (0.0, 1.0, 0.0, 1.0), 8, complete=True).complete
 
     def test_identity_shear_is_catenoid(self):
         a = sf.fixture("sheared_catenoid", grid=(32, 32), shear=np.eye(3), v_extent=1.5)

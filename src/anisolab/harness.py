@@ -6,9 +6,10 @@ checks with explicit tolerances.  The tolerances and the Wulff-mesh level
 are module constants, not configuration.  Each check names the hypotheses
 it needs (a height-graph chart, a stabilized index, isolated flat points,
 a nodal set, a surface the gate accepts, a chart of a complete surface
-(``SurfacePatch.complete``), a curved surface of genus at most one); a check
-with an unmet hypothesis is reported with ``passed``, ``lhs`` and ``rhs`` null and
-the note ``"skipped: <reason>"``, never as passed or failed.  Every
+(``SurfacePatch.complete``), a curved surface of genus at most one, an
+anisotropic integrand); a check with an unmet hypothesis is reported with
+``passed``, ``lhs`` and ``rhs`` null and the note ``"skipped: <reason>"``,
+never as passed or failed.  Every
 artifact of a run lives in one :class:`RunContext`, computed on first use
 and shared by the checks and by the ``spectrum``/``gauss``/``bounds``
 command-line views; a caller that builds or alters the context itself
@@ -47,7 +48,9 @@ from .integrand import (
     IntegrandSpec,
     WulffMesh,
     anisotropy_constants,
+    format_integrand,
     gamma_gradients,
+    is_isotropic,
     parse_integrand,
     sym2,
     sym2x2_eigenvalues,
@@ -262,6 +265,21 @@ def tangency_check(spec: IntegrandSpec, count: int, seed: int) -> float:
     return float(np.max(np.abs(np.einsum("ni,ni->n", diff, nus))))
 
 
+def surface_digest(patch: SurfacePatch, spec: IntegrandSpec) -> str:
+    """sha256 of what a verdict judges: the chart's position and jet bytes,
+    its shape, domain, seam, orientation and completeness, and the canonical
+    integrand.  Two surfaces behind one configuration (two solutions written
+    to one path, a patch assigned to a context) get different digests."""
+    digest = hashlib.sha256()
+    for array in (patch.position, patch.du, patch.dv, patch.duu, patch.duv, patch.dvv):
+        digest.update(np.ascontiguousarray(array, dtype=np.float64).tobytes())
+    digest.update(json.dumps([
+        [int(n) for n in patch.shape], [float(x) for x in patch.domain], bool(patch.periodic_u),
+        int(patch.orientation), bool(patch.complete), format_integrand(spec),
+    ]).encode())
+    return digest.hexdigest()
+
+
 @dataclass
 class RunContext:
     """Every artifact of one run, computed on first use and then kept.
@@ -270,7 +288,8 @@ class RunContext:
     so a view that reads some of them computes only those, and nothing is
     assembled or solved twice.  An artifact the configuration cannot name
     (a ``from_jet`` chart, say) is supplied by assigning it before its first
-    use.
+    use.  For an isotropic integrand (:func:`~anisolab.integrand.is_isotropic`)
+    ``comparison_counts`` is None and no view assembles ``disc_cmp``.
     """
 
     config: ExperimentConfig
@@ -314,7 +333,13 @@ class RunContext:
         )
 
     @cached_property
-    def comparison_counts(self) -> list[dict[str, int]]:
+    def comparison_counts(self) -> list[dict[str, int]] | None:
+        """Per-domain negative counts of the Jacobi and the comparison
+        operator; None for an isotropic integrand, whose comparison operator
+        is the Jacobi operator over lambda_gamma only where the surface is
+        minimal, so its counts are neither computed nor copied."""
+        if is_isotropic(self.spec):
+            return None
         return comparison_operator_counts(
             self.disc_cmp, self.domains, self.spectral.morse_index, k=self.config.eig_count
         )
@@ -359,6 +384,11 @@ def verify_bounds(run: ExperimentConfig | RunContext) -> dict:
 
     Each check names the hypotheses it needs; one whose hypotheses fail is
     reported as skipped, with the reasons, and is neither passed nor failed.
+    The two comparison checks need an anisotropic integrand: for gamma =
+    c|nu| the Jacobi operator of a gamma-minimal surface is lambda_gamma
+    times the comparison operator, so the comparison is an identity and is
+    skipped, and neither the comparison operator nor the random form fields
+    are built.
     Three findings stay inside a complete report: flat points that are not
     isolated, an axis that grazes the normal field (flagged degenerate) and
     an untrusted inertia factorization; the checks that need what they
@@ -399,6 +429,9 @@ def verify_bounds(run: ExperimentConfig | RunContext) -> dict:
         "nodal": None if nodal else "no axis has a nodal set",
         "accepted": None if gate["accepted"] else "surface is not accepted",
         "complete": None if patch.complete else "surface is not complete",
+        "anisotropic": (None if not is_isotropic(spec) else
+                        "isotropic integrand: L = lambda_gamma L_gamma on a gamma-minimal "
+                        "surface, so the comparison is an identity"),
         "curved": ("surface is planar" if scale == 0.0
                    else "genus above one" if config.genus > 1 else None),
     }
@@ -444,20 +477,22 @@ def verify_bounds(run: ExperimentConfig | RunContext) -> dict:
           "pairing between comparison multiples of the anisotropic curvature",
           lambda: (bool(worst <= 1e-8), worst, 0.0))
 
-    disc, disc_cmp = ctx.disc, ctx.disc_cmp
-    rng = np.random.default_rng(config.seed)
-    free = np.flatnonzero(~disc.dirichlet_mask)
-    worst_q = np.inf
-    for _ in range(100):
-        x = np.zeros(disc.node_count)
-        x[free] = rng.standard_normal(len(free))
-        q = x @ (disc.operator @ x)
-        qg = x @ (disc_cmp.operator @ x)
-        worst_q = min(worst_q, (q - consts.lambda_gamma * qg) / (x @ (disc.mass @ x)))
-    dominated = all(c["neg_L"] <= c["neg_Lgamma"] for c in cmp_counts)
-    check("quadratic_form_comparison", ("accepted",), 1e-9,
-          "random-field form comparison and per-domain count domination",
-          lambda: (bool(worst_q >= -1e-9 and dominated), float(worst_q), 0.0))
+    def form_comparison():
+        disc, disc_cmp = ctx.disc, ctx.disc_cmp
+        rng = np.random.default_rng(config.seed)
+        free = np.flatnonzero(~disc.dirichlet_mask)
+        worst_q = np.inf
+        for _ in range(100):
+            x = np.zeros(disc.node_count)
+            x[free] = rng.standard_normal(len(free))
+            q = x @ (disc.operator @ x)
+            qg = x @ (disc_cmp.operator @ x)
+            worst_q = min(worst_q, (q - consts.lambda_gamma * qg) / (x @ (disc.mass @ x)))
+        dominated = all(c["neg_L"] <= c["neg_Lgamma"] for c in cmp_counts)
+        return bool(worst_q >= -1e-9 and dominated), float(worst_q), 0.0
+
+    check("quadratic_form_comparison", ("accepted", "anisotropic"), 1e-9,
+          "random-field form comparison and per-domain count domination", form_comparison)
 
     check("courant_nodal_domain_bound", ("accepted", "complete", "stabilized", "nodal"), 0,
           "nodal-domain count of translation fields versus the index",
@@ -485,7 +520,7 @@ def verify_bounds(run: ExperimentConfig | RunContext) -> dict:
           "genus 0 or 1 forces at least one unstable direction",
           lambda: (stab >= 1, stab, 1))
 
-    check("index_upper_bound_chain", ("accepted", "stabilized"), 0,
+    check("index_upper_bound_chain", ("accepted", "stabilized", "anisotropic"), 0,
           "stabilized index dominated by the comparison-operator count",
           lambda: (stab <= cmp_counts[-1]["neg_Lgamma"], stab, cmp_counts[-1]["neg_Lgamma"]))
 
@@ -520,6 +555,8 @@ def verify_bounds(run: ExperimentConfig | RunContext) -> dict:
         "config": json.loads(config.to_json()),
         "provenance": {
             "config_sha256": hashlib.sha256(config.to_json().encode()).hexdigest(),
+            "surface_name": patch.name,
+            "surface_sha256": surface_digest(patch, spec),
             "version": __version__,
         },
         "accepted": gate["accepted"],

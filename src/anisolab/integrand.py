@@ -408,6 +408,22 @@ def parse_integrand(text: str) -> IntegrandSpec:
     raise InvalidSpec(f"unknown integrand family in {text!r}")
 
 
+def is_isotropic(spec: IntegrandSpec) -> bool:
+    """Whether gamma is a constant multiple c|nu|: ``const:c``, an ellipsoid
+    with three equal semi-axes, or a harmonic with eps = 0.  Decided by family
+    and parameters, never by comparing assembled operators.
+
+    For such a weight the Jacobi operator of a gamma-minimal surface is
+    lambda_gamma = c times the comparison operator (K_gamma = c^2 K and
+    |A|^2 = -2K there); off a minimal surface they differ by c times the
+    potential 4H^2."""
+    if spec.family == "constant":
+        return True
+    if spec.family == "ellipsoid":
+        return len(set(spec.params)) == 1
+    return spec.params[2] == 0.0
+
+
 def format_integrand(spec: IntegrandSpec) -> str:
     if spec.family == "constant":
         return f"const:{spec.params[0]:g}"

@@ -121,9 +121,9 @@ def bounds_reports():
 def test_criterion_11_report_bytes_pinned(bounds_reports):
     # sha256 of report_json for each configuration of the fixture
     digests = {
-        "catenoid": "0f329a0eeb72cf417abbe4f38e8bf1f3f8c8abaa58c7e3effd890746751057ca",
-        "enneper": "5feba10e16b8b97cbc4448a1a2e52beab1aa3dcaca728009d8008e351d728662",
-        "sheared": "e34e3d2ab4d9b4c771b1e7de3b36d36e51ea8937b61f76d6046fa1011453132e",
+        "catenoid": "487d785843d04f0d2a53ee28bb4008a8796d4160b712b3be0e176bbafbe1675d",
+        "enneper": "b998529f738093a8c97b77fb634fbc3678fc1375aee07467b81cf5cf3aa3ac3e",
+        "sheared": "13f4fddc6696eb8d303c7ebeb8f6b94dd67ebf3d3ee77f31a3d10572bcff8cd9",
     }
     for name, report in bounds_reports.items():
         text = report_json(report)
@@ -134,8 +134,8 @@ def test_criterion_11_verdict_bytes_without_config_echo(bounds_reports):
     # the same reports without the config echo and its hash: a change to the
     # config fields re-pins the digests above, and this shows nothing else moved
     digests = {
-        "catenoid": "ee57caa5f5b3567dbfc373f4fccde05919bfa97d59b66784fc4c428c7ac9b053",
-        "enneper": "cd8c504761caf743406dbcb1d72a82dcae092e726e7374ad343eba53202c9906",
+        "catenoid": "88aa18ad527b5816b34224c51e77af2e06b32c1a227323be1e6fc448eff6c638",
+        "enneper": "44b792e726dae2fe9dbad119d02074535998cebbf15fe119465cd5045f878463",
         "sheared": "5d503d3895fa70cae92dda76e674a6309249a26dce8bec55a6e80ab02eba4359",
     }
     for name, report in bounds_reports.items():

@@ -40,16 +40,23 @@ CRITICAL_SURFACE_CHECKS = (
     "courant_nodal_domain_bound", "translation_jacobi_fields", "branched_cover_euler_count",
     "pseudograph_euler_inequality", "index_lower_bound_vs_spectrum", "low_genus_instability",
     "index_upper_bound_chain")
+# the note of the two comparison checks on an isotropic integrand
+ISOTROPIC_SKIP = ("isotropic integrand: L = lambda_gamma L_gamma on a gamma-minimal surface, "
+                  "so the comparison is an identity")
 
 
 @pytest.fixture(scope="module")
-def catenoid_report():
-    config = ExperimentConfig(
+def catenoid_context():
+    return RunContext(ExperimentConfig(
         surface="catenoid:3",
         grid=96,
         domains=[[0, TWO_PI, -1, 1], [0, TWO_PI, -2, 2], [0, TWO_PI, -2.8, 2.8]],
-    )
-    return verify_bounds(config)
+    ))
+
+
+@pytest.fixture(scope="module")
+def catenoid_report(catenoid_context):
+    return verify_bounds(catenoid_context)
 
 
 class TestAcceptCandidate:
@@ -77,13 +84,22 @@ class TestAcceptCandidate:
 
 
 class TestVerifyBounds:
-    def test_catenoid_all_checks_pass(self, catenoid_report):
+    def test_catenoid_all_checks_pass(self, catenoid_context, catenoid_report):
         rep = catenoid_report
         assert rep["all_passed"]
         assert rep["spectral"]["stabilized_index"] == 1
         pg = rep["gauss"]["pseudographs"]["0,0,1"]
         assert pg["lower_bound"] == 1
-        assert rep["comparison_counts"][-1]["neg_Lgamma"] >= 1
+        # const:1 is isotropic: the comparison checks are skipped and say why
+        assert rep["comparison_counts"] is None
+        for c in rep["checks"]:
+            if c["name"] in ("quadratic_form_comparison", "index_upper_bound_chain"):
+                assert (c["passed"], c["note"]) == (None, "skipped: " + ISOTROPIC_SKIP)
+        # the comparison operator, counted anyway, dominates the index
+        ctx = catenoid_context
+        disc_cmp = spx.comparison_assembly(ctx.field, ctx.consts.lambda_gamma)
+        counts = spx.comparison_operator_counts(disc_cmp, ctx.domains, ctx.spectral.morse_index)
+        assert counts[-1]["neg_Lgamma"] >= 1
 
     def test_check_registry_covered(self, catenoid_report):
         names = [c["name"] for c in catenoid_report["checks"]]
@@ -130,7 +146,10 @@ class TestVerifyBounds:
         for c in rep["checks"]:
             if c["name"] in INDEX_CHECKS:
                 assert (c["passed"], c["lhs"], c["rhs"]) == (None, None, None), c["name"]
-                assert c["note"] == "skipped: index not stabilized"
+                expected = "skipped: index not stabilized"
+                if c["name"] == "index_upper_bound_chain":
+                    expected += "; " + ISOTROPIC_SKIP
+                assert c["note"] == expected, c["name"]
             assert c["passed"] is None or c["lhs"] is not None, c["name"]
 
     def test_courant_bound_needs_a_nodal_set(self):
@@ -277,6 +296,41 @@ class TestVerifyBounds:
         assert len(result["corruption_flipped_checks"]) >= 1
 
 
+class TestProvenance:
+    """The report names the surface it judged, not only its configuration."""
+
+    def test_two_solutions_at_one_path_differ(self, tmp_path):
+        sol, out = tmp_path / "sol.json", tmp_path / "v.json"
+        provenance = []
+        for bc in ("catenoid", "linear:0.1,0,0"):
+            assert main(["solve-graph", "--integrand", "const:1", "--domain", "1.2,2,-0.4,0.4",
+                         "--grid", "17", "--bc", bc, "--out", str(sol)]) == 0
+            main(["bounds", "--surface", str(sol), "--out", str(out)])
+            provenance.append(json.loads(out.read_text())["provenance"])
+        first, second = provenance
+        assert first["config_sha256"] == second["config_sha256"]
+        assert first["surface_name"] == second["surface_name"] == "graph_solution"
+        assert first["surface_sha256"] != second["surface_sha256"]
+
+    def test_replaced_patch_changes_the_digest(self):
+        # the (1, z^2) chart assigned to a context of the default configuration
+        config = ExperimentConfig(grid=65)
+        ctx = RunContext(config)
+        ctx.patch = higher_order_enneper(2, grid=65)
+        replaced = verify_bounds(ctx)["provenance"]
+        plain = verify_bounds(config)["provenance"]
+        assert replaced["config_sha256"] == plain["config_sha256"]
+        assert (plain["surface_name"], replaced["surface_name"]) == ("catenoid", "enneper_order_2")
+        assert replaced["surface_sha256"] != plain["surface_sha256"]
+
+    def test_one_configuration_one_digest(self):
+        config = ExperimentConfig(surface="catenoid:2", grid=32)
+        first, second = (verify_bounds(config)["provenance"] for _ in range(2))
+        assert first == second
+        assert first["surface_sha256"] == harness.surface_digest(
+            parse_surface("catenoid:2", 32), C1)
+
+
 class TestConfig:
     def test_round_trip(self):
         config = ExperimentConfig(
@@ -370,8 +424,10 @@ class TestCli:
             if c["name"] in ("courant_nodal_domain_bound", "branched_cover_euler_count",
                              "index_lower_bound_vs_spectrum", "low_genus_instability"):
                 assert c["note"] == "skipped: surface is not complete", c["name"]
-        # both views read the same run
+        # both views read the same run; neither counts the comparison
+        # operator of the isotropic integrand
         assert report["comparison_counts"] == rep.pop("comparison_counts")
+        assert (report["comparison_counts"] is None) is integrand.startswith("const:")
         assert report["spectral"] == rep
 
     def test_solution_integrand_must_match(self, tmp_path, capsys):
@@ -732,12 +788,12 @@ class TestPinnedBytes:
     """Output bytes that refactors of the spectral counts must keep."""
 
     def test_spectrum_view_bytes(self, tmp_path):
-        # prints the guarded comparison counts next to the exhaustion
+        # prints the exhaustion, and null comparison counts for const:1
         out = tmp_path / "s.json"
         assert main(["spectrum", "--surface", "catenoid:2", "--integrand", "const:1",
                      "--grid", "64", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "920d174e8e52112d12f856970ec52d75ff8b5189588d40fb6a0a67668a29e96b")
+            "415ba15cbd1d720ee9ed180ada2ed0446c1d0a39fab974f516deea420f7a784a")
 
     def test_selftest_bytes(self):
         assert hashlib.sha256(json.dumps(selftest(64)).encode()).hexdigest() == (
@@ -782,8 +838,8 @@ class TestRunContext:
     def test_each_artifact_computed_once(self, monkeypatch, tmp_path):
         counts = self._count_calls(monkeypatch)
         verify_bounds(ExperimentConfig(surface="catenoid:2", grid=48))
-        # only the Jacobi spectra are solved; comparison counts come from inertia
-        assert counts == {"assemble": 2, "dirichlet_eigs": 3, "curvature_field": 1,
+        # only the Jacobi operator is assembled and solved: const:1 is isotropic
+        assert counts == {"assemble": 1, "dirichlet_eigs": 3, "curvature_field": 1,
                           "anisotropy_constants": 1}
         counts.clear()
         rc = main(
@@ -791,5 +847,5 @@ class TestRunContext:
              "--grid", "48", "--out", str(tmp_path / "s.json")]
         )
         assert rc == 0
-        assert counts == {"assemble": 2, "dirichlet_eigs": 3, "curvature_field": 1,
-                          "anisotropy_constants": 1}
+        # the view reads no anisotropy constant without a comparison operator
+        assert counts == {"assemble": 1, "dirichlet_eigs": 3, "curvature_field": 1}

@@ -413,6 +413,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             ig.parse_integrand("quartic:1")
 
+    @pytest.mark.parametrize("text, isotropic", [
+        ("const:1", True), ("const:0.5", True), ("ellipsoid:2,2,2", True),
+        ("sh:2,0,0", True), ("ellipsoid:1,1,2", False), ("ellipsoid:1,1,1.000001", False),
+        ("sh:2,0,0.05", False),
+    ])
+    def test_is_isotropic_by_family_and_parameters(self, text, isotropic):
+        assert ig.is_isotropic(ig.parse_integrand(text)) is isotropic
+
 
 def icosphere_loop(refinement):
     """Midpoint subdivision one edge at a time: the oracle of ``icosphere``."""

@@ -10,7 +10,7 @@ from scipy.integrate import dblquad
 
 from anisolab import integrand as ig, spectrum as spx, surface as sf
 from anisolab.errors import InvalidSpec, SolverFailure
-from anisolab.harness import ExperimentConfig, RunContext, verify_bounds
+from anisolab.harness import ExperimentConfig, RunContext, parse_surface, verify_bounds
 from anisolab.objio import grid_faces
 
 C1 = ig.constant(1.0)
@@ -264,20 +264,28 @@ class TestMorseIndex:
             spx.morse_index_exhaustion(sf.fixture("catenoid", grid=(24, 24)), C1, domains)
 
 
+def comparison_counts(config):
+    """The guarded comparison counts of a configuration, also for an
+    isotropic integrand, whose run context does not compute them."""
+    ctx = RunContext(config)
+    disc_cmp = spx.comparison_assembly(ctx.field, ctx.consts.lambda_gamma)
+    return spx.comparison_operator_counts(disc_cmp, ctx.domains, ctx.spectral.morse_index)
+
+
 class TestComparisonOperator:
     def test_plane_counts_zero(self):
-        counts = RunContext(ExperimentConfig(
+        counts = comparison_counts(ExperimentConfig(
             surface="plane", grid=48,
             domains=[(0.2, 0.8, 0.2, 0.8), (0.1, 0.9, 0.1, 0.9), (0.0, 1.0, 0.0, 1.0)],
-        )).comparison_counts
+        ))
         assert all(c == {"neg_L": 0, "neg_Lgamma": 0} for c in counts)
 
     def test_round_weight_counts_coincide(self):
         # for the round integrand both operators carry the same potential
-        counts = RunContext(ExperimentConfig(
+        counts = comparison_counts(ExperimentConfig(
             surface="catenoid:2", grid=96,
             domains=[(0, TWO_PI, -1, 1), (0, TWO_PI, -1.5, 1.5), (0, TWO_PI, -2, 2)],
-        )).comparison_counts
+        ))
         assert [c["neg_L"] for c in counts] == [0, 1, 1]
         for c in counts:
             assert c["neg_L"] == c["neg_Lgamma"]
@@ -475,6 +483,37 @@ class TestComparisonAssembly:
                 np.testing.assert_array_equal(getattr(a, part), getattr(b, part), err_msg=name)
 
 
+    @pytest.mark.parametrize("surface,integrand,c", [
+        ("enneper:1.3", "const:1", 1.0),
+        ("enneper:1.3", "const:0.5", 0.5),
+        ("catenoid:3", "const:3", 3.0),
+        ("sheared_catenoid:1,0,0,0,1,0,0,0,1;2", "ellipsoid:1,1,1", 1.0),
+        ("catenoid:3", "sh:2,0,0", 1.0),
+    ])
+    def test_isotropic_jacobi_is_c_times_comparison(self, surface, integrand, c):
+        # why the verdict skips the comparison for gamma = c|nu|: on a
+        # gamma-minimal surface L = c L_gamma, so it would compare L with itself
+        spec = ig.parse_integrand(integrand)
+        assert ig.is_isotropic(spec)
+        patch = parse_surface(surface, 64)
+        fld = sf.curvature_field(patch, spec)
+        jacobi = spx.assemble(patch, spec, field=fld).operator
+        diff = jacobi - c * spx.comparison_assembly(fld, c).operator
+        assert abs(diff).max() <= 1e-13 * abs(jacobi).max()
+
+    def test_isotropic_off_a_minimal_surface_differs_by_4h2(self):
+        # on the sphere L - L_gamma is the potential 4H^2, not zero, so the
+        # Jacobi counts are no stand-in for the comparison counts there
+        patch = sf.fixture("sphere", grid=(64, 64))
+        fld = sf.curvature_field(patch, C1)
+        jacobi = spx.assemble(patch, C1, field=fld).operator
+        diff = jacobi - spx.comparison_assembly(fld, 1.0).operator
+        four_h2 = spx.assemble(patch, C1, field=fld, potential_weight=(fld.kappa1 + fld.kappa2) ** 2,
+                               isotropic_diffusion=True).potential
+        assert abs(diff + four_h2).max() <= 1e-13 * abs(jacobi).max()
+        assert abs(diff).max() >= 1e-6 * abs(jacobi).max()
+
+
 class TestShiftInvert:
     def test_arpack_matches_dense_above_cutoff(self, factorizations):
         patch = sf.fixture("catenoid", grid=(24, 22), v_extent=2.0)
@@ -563,12 +602,13 @@ class TestVerdictWork:
     eigensolve or the descent's shift below the spectrum fails here."""
 
     @pytest.mark.parametrize("config,eigensolves,made", [
-        (ExperimentConfig(surface="enneper:1.3", grid=48), 3, 3 + 3 + 6),
+        (ExperimentConfig(surface="enneper:1.3", grid=48), 3, 3 + 3),
         (CRITERION_11[0], 0, 3),
     ], ids=["enneper", "catenoid"])
     def test_counts(self, config, eigensolves, made, factorizations, shifts):
-        # enneper: 3 eigensolves, 3 inertia checks and 6 guard counts;
-        # the catenoid solves and guards per Fourier mode, so only inertia factors
+        # enneper: 3 eigensolves and 3 inertia checks, and no comparison
+        # counts for its isotropic integrand; the catenoid solves per
+        # Fourier mode, so only inertia factors
         verify_bounds(config)
         assert len(factorizations) == made
         assert shifts == [0.0] * eigensolves

@@ -200,34 +200,36 @@ JACOBI_DAMPING = 0.8
 class _Stencil:
     """Sparsity pattern of the interior 9-point operator, built once per problem.
 
-    Stored entries are kept in CSC order; ``_take`` says which offset's
-    weight at which row node each entry carries, so a new set of frozen
-    coefficients becomes a matrix by one gather.
+    Stored entries are kept in CSR order, each row node's columns ascending;
+    ``_take`` says which offset's weight at which row node each entry
+    carries, so a new set of frozen coefficients becomes a matrix by one
+    gather.  Row-major storage serves the V-cycle's products; the direct
+    path factors its CSC copy.
     """
 
     def __init__(self, problem: GraphProblem):
         self.problem = problem
         nxi, nyi = problem.shape[0] - 2, problem.shape[1] - 2
         self.n = nxi * nyi
-        # column node c holds the rows c - (di * nyi + dj), which ascend when
-        # the offsets are taken in descending order: the (n, 9) mask is CSC order
-        ks = sorted(range(len(_OFFSETS)), key=_OFFSETS.__getitem__, reverse=True)
+        # row node r holds the columns r + (di * nyi + dj), which ascend when
+        # the offsets are taken in ascending order: the (n, 9) mask is CSR order
+        ks = sorted(range(len(_OFFSETS)), key=_OFFSETS.__getitem__)
         di, dj = np.array([_OFFSETS[k] for k in ks]).T
-        ri, rj = np.arange(nxi)[:, None] - di, np.arange(nyi)[:, None] - dj
-        inner = ((ri >= 0) & (ri < nxi))[:, None] & ((rj >= 0) & (rj < nyi))
+        ci, cj = np.arange(nxi)[:, None] + di, np.arange(nyi)[:, None] + dj
+        inner = ((ci >= 0) & (ci < nxi))[:, None] & ((cj >= 0) & (cj < nyi))
         inner = inner.reshape(self.n, len(ks))
-        rows = np.arange(self.n)[:, None] - (di * nyi + dj)
-        self._indices = rows[inner]
+        rows = np.arange(self.n)[:, None]
+        self._indices = (rows + (di * nyi + dj))[inner]
         self._take = (np.array(ks) * self.n + rows)[inner]
         self._indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(inner, axis=1))))
 
-    def matrix_at(self, u: np.ndarray) -> sp.csc_matrix:
+    def matrix_at(self, u: np.ndarray) -> sp.csr_matrix:
         """The operator with coefficients frozen at the iterate ``u``."""
         c11, c12, c22 = _frozen_coefficients(self.problem, u)
         hx, hy = self.problem.hx, self.problem.hy
         a, b, m = c11 / hx**2, c22 / hy**2, c12 / (2 * hx * hy)
         weights = np.stack([-2 * a - 2 * b, a, a, b, b, m, m, -m, -m]).ravel()
-        return sp.csc_matrix(
+        return sp.csr_matrix(
             (weights[self._take], self._indices, self._indptr), shape=(self.n, self.n)
         )
 
@@ -245,24 +247,29 @@ def _refine(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def _v_cycle(mat: sp.csc_matrix, shape: tuple[int, int], coarse: Callable) -> Callable:
+def _v_cycle(mat: sp.csr_matrix, shape: tuple[int, int], coarse: Callable) -> Callable:
     """One V-cycle as an approximate inverse of the frozen operator ``mat``
     on interior nodes of ``shape``: damped-Jacobi sweeps before and after a
     correction by ``coarse``, the coarser level's inverse, on the residual
-    injected onto the shared nodes and refined back."""
+    injected onto the shared nodes and refined back.
+
+    ``mat`` is row-major, so each product sums a row in ascending column
+    order.  The first sweep starts from e = 0, where it is e = weight * r
+    with no product.
+    """
     weight = JACOBI_DAMPING / mat.diagonal()
 
-    def smooth(e, r):
-        for _ in range(JACOBI_SWEEPS):
+    def smooth(e, r, sweeps):
+        for _ in range(sweeps):
             e = e + weight * (r - mat @ e)
         return e
 
     def apply(r):
-        e = smooth(np.zeros_like(r), r)
+        e = smooth(weight * r, r, JACOBI_SWEEPS - 1)
         rc = (r - mat @ e).reshape(shape)[1::2, 1::2]
         ec = np.pad(coarse(rc.ravel()).reshape(rc.shape), 1)
         e += _refine(ec)[1:-1, 1:-1].ravel()
-        return smooth(e, r)
+        return smooth(e, r, JACOBI_SWEEPS)
 
     return apply
 
@@ -365,7 +372,7 @@ def _solve_level(problem: GraphProblem):
         if step is None:
             fell_back = coarse_inverse is not None
             stencil = stencil or _Stencil(problem)
-            inverse = spla.splu(stencil.matrix_at(u), permc_spec="MMD_AT_PLUS_A").solve
+            inverse = spla.splu(stencil.matrix_at(u).tocsc(), permc_spec="MMD_AT_PLUS_A").solve
             while omega >= MIN_DAMPING:
                 step = _attempt(u, r, inverse, omega, problem)
                 if step[2] < res or step[2] <= problem.tol:

@@ -223,10 +223,31 @@ def sym2(a, b, d) -> np.ndarray:
 
 
 def restrict2(h: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The 3x3 forms h restricted to the legs (x, y): [[x.h.x, x.h.y], [x.h.y, y.h.y]]."""
-    def form(p, q):
-        return np.einsum("...i,...ij,...j->...", p, h, q)
-    return sym2(form(x, x), form(x, y), form(y, y))
+    """The 3x3 forms h restricted to the legs (x, y): [[x.h.x, x.h.y], [x.h.y, y.h.y]].
+
+    Summed from h's entry planes h[..., a, b] (contiguous in the layout
+    ``gamma_hessians`` returns): the planes of h x and h y, then the three
+    dot products, each over the axis index in ascending order.
+    """
+    def apply(q):
+        return [h[..., a, 0] * q[..., 0] + h[..., a, 1] * q[..., 1] + h[..., a, 2] * q[..., 2]
+                for a in range(3)]
+
+    def dot(p, hq):
+        return p[..., 0] * hq[0] + p[..., 1] * hq[1] + p[..., 2] * hq[2]
+
+    hx, hy = apply(x), apply(y)
+    return sym2(dot(x, hx), dot(x, hy), dot(y, hy))
+
+
+def trace_a_s2(a, s) -> np.ndarray:
+    """tr(A S^2) of the symmetric 2x2 forms with entry planes a = (a11, a12, a22)
+    and s = (s11, s12, s22), in closed form:
+    a11 (s11^2 + s12^2) + 2 a12 s12 (s11 + s22) + a22 (s12^2 + s22^2)."""
+    a11, a12, a22 = a
+    s11, s12, s22 = s
+    s12sq = s12 * s12
+    return a11 * (s11 * s11 + s12sq) + 2 * a12 * s12 * (s11 + s22) + a22 * (s12sq + s22 * s22)
 
 
 def sym2x2_eigenvalues(mats: np.ndarray) -> np.ndarray:

@@ -362,8 +362,14 @@ class _SparsePencil:
         self.opinv = spla.LinearOperator(self.op.shape, matvec=lu.solve, dtype=np.float64)
 
     def _arpack(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The k eigenpairs nearest the shift, in ascending order."""
-        vals, vecs = spla.eigsh(self.op, k=k, M=self.mass, sigma=self.sigma, which="LM",
+        """The k eigenpairs nearest the shift, in ascending order.
+
+        ARPACK's mass products take the CSR view of the CSC mass arrays: the
+        transpose, which is the mass itself, summed row by row in the same order.
+        """
+        mass = sp.csr_matrix((self.mass.data, self.mass.indices, self.mass.indptr),
+                             shape=self.mass.shape)
+        vals, vecs = spla.eigsh(self.op, k=k, M=mass, sigma=self.sigma, which="LM",
                                 v0=np.random.default_rng(0).standard_normal(len(self.idx)),
                                 tol=0, OPinv=self.opinv)
         order = np.argsort(vals)

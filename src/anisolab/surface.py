@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BoundaryNotFixed, DegenerateImmersion, SingularShear, UnknownFixture
 from .integrand import (IntegrandSpec, gamma_hessians, gamma_values, restrict2, sym2,
-                        sym2x2_eigenvalues)
+                        sym2x2_eigenvalues, trace_a_s2)
 
 IMMERSION_TOL = 1e-10
 
@@ -191,6 +191,13 @@ class CurvatureField:
 
 
 def curvature_field(patch: SurfacePatch, spec: IntegrandSpec) -> CurvatureField:
+    """Curvature data of ``patch`` against the weight ``spec`` at every node.
+
+    All of it is plane-wise arithmetic on (nu, nv) arrays: the shape
+    operator's entries in the frame e1, e2, the weight tensor A restricted
+    to that frame by ``integrand.restrict2``, and tr(A S^2) by
+    ``integrand.trace_a_s2`` from the entry planes of A and S.
+    """
     normal, jac = patch.normals()
     xu, xv = patch.du, patch.dv
     E = np.einsum("...i,...i->...", xu, xu)
@@ -231,8 +238,7 @@ def curvature_field(patch: SurfacePatch, spec: IntegrandSpec) -> CurvatureField:
     h_gamma = a11 * s11 + 2 * a12 * s12 + a22 * s22  # tr(A S)
     k_sigma = s11 * s22 - s12 * s12
     k_gamma = (a11 * a22 - a12 * a12) * k_sigma
-    ss = np.einsum("...ij,...jk->...ik", shape_op, shape_op)
-    aniso_pairing = np.einsum("...ij,...ji->...", a_tensor, ss)
+    aniso_pairing = trace_a_s2((a11, a12, a22), (s11, s12, s22))  # tr(A S^2)
 
     wu, wv = patch.param_weights()
     area_weight = wu[:, None] * wv[None, :] * jac

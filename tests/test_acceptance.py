@@ -121,9 +121,9 @@ def bounds_reports():
 def test_criterion_11_report_bytes_pinned(bounds_reports):
     # sha256 of report_json for each configuration of the fixture
     digests = {
-        "catenoid": "487d785843d04f0d2a53ee28bb4008a8796d4160b712b3be0e176bbafbe1675d",
-        "enneper": "b998529f738093a8c97b77fb634fbc3678fc1375aee07467b81cf5cf3aa3ac3e",
-        "sheared": "13f4fddc6696eb8d303c7ebeb8f6b94dd67ebf3d3ee77f31a3d10572bcff8cd9",
+        "catenoid": "3b1c24e6dc4e17bc2b72f63a5c6fb4653c37ee700d2a271e7c6699f8ca53915d",
+        "enneper": "b82e518df9721c37a73a1ca117462edcd55fec0fbb9205178241cf4ac31a2baf",
+        "sheared": "0ccfa38026f9cd260b0f50a280f3ccac9b35080ccf31913f48ff579a3f8ce28a",
     }
     for name, report in bounds_reports.items():
         text = report_json(report)
@@ -134,9 +134,9 @@ def test_criterion_11_verdict_bytes_without_config_echo(bounds_reports):
     # the same reports without the config echo and its hash: a change to the
     # config fields re-pins the digests above, and this shows nothing else moved
     digests = {
-        "catenoid": "88aa18ad527b5816b34224c51e77af2e06b32c1a227323be1e6fc448eff6c638",
-        "enneper": "44b792e726dae2fe9dbad119d02074535998cebbf15fe119465cd5045f878463",
-        "sheared": "5d503d3895fa70cae92dda76e674a6309249a26dce8bec55a6e80ab02eba4359",
+        "catenoid": "f53f405fcfa4e348b9e094f2243b457d89ae8cec09ae9f7b4b692d5338b069bd",
+        "enneper": "c96cc7d278d714b37813632bb6667111c1426fff085abe4f280fc515e03877fb",
+        "sheared": "7535a4b4ada75f6e3bcf617d8e2d657b03eab487c55875f3e191e4c88b0eb3fd",
     }
     for name, report in bounds_reports.items():
         content = {k: v for k, v in report.items() if k not in ("config", "provenance")}

@@ -121,7 +121,7 @@ class TestHarmonicSeed:
 
 
 def lexsort_stencil(shape):
-    """CSC arrays (take, indices, indptr) of the interior 9-point operator
+    """CSR arrays (take, indices, indptr) of the interior 9-point operator
     on a grid of ``shape`` nodes, by a lexsort of its entries: the oracle
     for ``_Stencil``'s sort-free construction."""
     nxi, nyi = shape[0] - 2, shape[1] - 2
@@ -136,9 +136,9 @@ def lexsort_stencil(shape):
         cols.append(ni[inner] * nyi + nj[inner])
         take.append(k * n + node[inner])
     rows, cols, take = (np.concatenate(a) for a in (rows, cols, take))
-    order = np.lexsort((rows, cols))
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n))))
-    return take[order], rows[order], indptr
+    order = np.lexsort((cols, rows))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    return take[order], cols[order], indptr
 
 
 class TestStencil:
@@ -150,6 +150,30 @@ class TestStencil:
         for got, want in zip((st._take, st._indices, st._indptr), lexsort_stencil(shape)):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
+
+    def test_v_cycle_matches_column_major_sweeps(self, rng):
+        # the row-major products and the product-free first sweep give the
+        # bits of zero-start sweeps with column-major products; the solution
+        # bits alone do not show this, as Picard steps absorb sub-ulp rounding
+        prob = gs.GraphProblem(domain=(1.2, 2.0, -0.4, 0.4), shape=(65, 65),
+                               boundary=gs.bc_catenoid(), spec=E112)
+        mat = gs._Stencil(prob).matrix_at(gs.harmonic_extension(prob))
+        csc, shape = mat.tocsc(), (63, 63)
+        weight = gs.JACOBI_DAMPING / csc.diagonal()
+
+        def coarse(rc):
+            return 0.01 * rc
+
+        def smooth(e, r):
+            for _ in range(gs.JACOBI_SWEEPS):
+                e = e + weight * (r - csc @ e)
+            return e
+
+        r = rng.standard_normal(csc.shape[0])
+        e = smooth(np.zeros_like(r), r)
+        rc = (r - csc @ e).reshape(shape)[1::2, 1::2]
+        e += gs._refine(np.pad(coarse(rc.ravel()).reshape(rc.shape), 1))[1:-1, 1:-1].ravel()
+        assert np.array_equal(gs._v_cycle(mat, shape, coarse)(r), smooth(e, r))
 
 
 class TestGridTransfer:
@@ -243,6 +267,17 @@ class TestSolve:
         sol = gs.solve(gs.GraphProblem(domain=(1.2, 2.0, -0.4, 0.4), shape=(65, 65),
                                        boundary=gs.bc_catenoid(), spec=spec))
         assert (sol.status, sol.iterations) == ("converged", iterations)
+        assert hashlib.sha256(sol.u.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("spec, n, digest", [
+        (C1, 129, "6e3582315b647cd5cc150be2055b6f1ef2cfe0cf5af0dc7a9e2881040f6fd928"),
+        (C1, 257, "cddfe462286ad71a07887c706c3dd1e342f1d24f2952cf9b901bf06adf4737f4"),
+        (E112, 129, "f44ed335d2c13156526b9d0f93604a6e390208c4aa3f2bd2035f9778a593aa81"),
+    ])
+    def test_nested_solution_bytes_pinned(self, spec, n, digest):
+        # the solution bits of solves through two and three nested levels
+        sol = gs.solve(gs.GraphProblem(domain=(1.2, 2.0, -0.4, 0.4), shape=(n, n),
+                                       boundary=gs.bc_catenoid(), spec=spec))
         assert hashlib.sha256(sol.u.tobytes()).hexdigest() == digest
 
     def test_catenoid_grid_257_converges_on_reused_factor(self, monkeypatch):

@@ -793,7 +793,7 @@ class TestPinnedBytes:
         assert main(["spectrum", "--surface", "catenoid:2", "--integrand", "const:1",
                      "--grid", "64", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "415ba15cbd1d720ee9ed180ada2ed0446c1d0a39fab974f516deea420f7a784a")
+            "8f3e63880eb7c6e7547eb0b178adda485311d12020f9e87ebe293b477f706049")
 
     def test_selftest_bytes(self):
         assert hashlib.sha256(json.dumps(selftest(64)).encode()).hexdigest() == (

@@ -237,6 +237,14 @@ class TestHessianLayout:
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), str(spec)
 
 
+def planewise_form(p, h, q):
+    """p.h.q summed from h's entry planes: the planes of h q, each over b
+    ascending, then their dot product with p over a ascending."""
+    hq = [h[..., a, 0] * q[..., 0] + h[..., a, 1] * q[..., 1] + h[..., a, 2] * q[..., 2]
+          for a in range(3)]
+    return p[..., 0] * hq[0] + p[..., 1] * hq[1] + p[..., 2] * hq[2]
+
+
 class TestTangentAlgebra:
     def test_sym2_and_restrict2_entrywise(self, rng):
         h = rng.standard_normal((7, 5, 3, 3))
@@ -247,13 +255,31 @@ class TestTangentAlgebra:
         assert s.shape == (7, 5, 2, 2)
         for (i, j), want in {(0, 0): a, (0, 1): b, (1, 0): b, (1, 1): d}.items():
             assert np.array_equal(s[..., i, j], want)
-        r = ig.restrict2(h, x, y)
-        assert r.shape == (7, 5, 2, 2)
-        xhy = np.einsum("abi,abij,abj->ab", x, h, y)
-        assert np.array_equal(r[..., 0, 0], np.einsum("abi,abij,abj->ab", x, h, x))
-        assert np.array_equal(r[..., 0, 1], xhy)
-        assert np.array_equal(r[..., 1, 0], xhy)
-        assert np.array_equal(r[..., 1, 1], np.einsum("abi,abij,abj->ab", y, h, y))
+        # bit for bit in the plane-wise order, also on the entry-major
+        # layout gamma_hessians returns
+        entry_major = np.moveaxis(np.ascontiguousarray(np.moveaxis(h, (-2, -1), (0, 1))),
+                                  (0, 1), (-2, -1))
+        legs = {(0, 0): (x, x), (0, 1): (x, y), (1, 0): (x, y), (1, 1): (y, y)}
+        for hh in (h, entry_major):
+            r = ig.restrict2(hh, x, y)
+            assert r.shape == (7, 5, 2, 2)
+            for (i, j), (p, q) in legs.items():
+                assert np.array_equal(r[..., i, j], planewise_form(p, h, q))
+        # einsum sums in its own order: an independent oracle up to rounding
+        norm_h = np.linalg.norm(h, axis=(-2, -1))
+        for (i, j), (p, q) in legs.items():
+            want = np.einsum("abi,abij,abj->ab", p, h, q)
+            bound = 1e-14 * norm_h * np.linalg.norm(p, axis=-1) * np.linalg.norm(q, axis=-1)
+            assert np.all(np.abs(r[..., i, j] - want) <= bound)
+
+    def test_trace_a_s2_matches_einsum(self, rng):
+        # random symmetric stacks over twelve decades of scale
+        mats = rng.standard_normal((2, 400, 2, 2)) * 10.0 ** rng.integers(-6, 6, (2, 400, 1, 1))
+        a_mats, s_mats = mats + np.swapaxes(mats, -1, -2)
+        got = ig.trace_a_s2(*((m[..., 0, 0], m[..., 0, 1], m[..., 1, 1]) for m in (a_mats, s_mats)))
+        want = np.einsum("...ij,...jk,...ki->...", a_mats, s_mats, s_mats)
+        norm = np.linalg.norm(a_mats, axis=(-2, -1)) * np.linalg.norm(s_mats, axis=(-2, -1)) ** 2
+        assert np.all(np.abs(got - want) <= 1e-13 * norm)
 
     def test_eigenvalues_match_lapack(self, rng):
         a, b, d = rng.standard_normal((3, 500))

@@ -12,6 +12,7 @@ from anisolab.errors import (
     UnknownFixture,
 )
 from anisolab.gauss_analysis import critical_set
+from anisolab.harness import parse_surface
 
 from conftest import higher_order_enneper
 
@@ -72,6 +73,19 @@ class TestCurvatureField:
         recon = f.a1 * f.kappa1**2 + f.a2 * f.kappa2**2
         assert np.max(np.abs(recon - f.aniso_pairing)) < 1e-10
         assert np.min(f.aniso_pairing) >= 0.0
+
+    @pytest.mark.parametrize("surface, integrand", [
+        ("catenoid:3", "const:1"),
+        ("enneper:1.3", "const:1"),
+        ("sheared_catenoid:1,0,0,0,1,0,0,0,2;2", "ellipsoid:1,1,2"),
+    ])
+    def test_pairing_matches_einsum_on_criterion_11_fields(self, surface, integrand):
+        # the closed-form tr(A S^2) against the matrix product, relative to |A| |S|^2
+        f = sf.curvature_field(parse_surface(surface, 96, integrand), ig.parse_integrand(integrand))
+        want = np.einsum("...ij,...jk,...ki->...", f.a_tensor, f.shape_op, f.shape_op)
+        norm = (np.linalg.norm(f.a_tensor, axis=(-2, -1))
+                * np.linalg.norm(f.shape_op, axis=(-2, -1)) ** 2)
+        assert np.all(np.abs(f.aniso_pairing - want) <= 1e-13 * norm)
 
     def test_degenerate_immersion_raises(self):
         def bad_jets(U, V):

@@ -90,8 +90,7 @@ def critical_set(fld: CurvatureField) -> list[CriticalPoint]:
         raise NonDiscreteCriticalSet("Gauss curvature vanishes identically")
     if np.all(K > 0):  # no flat point; Psi vanishes on umbilics such as the sphere's
         return []
-    a11, a12, a22 = fld.a_tensor[..., 0, 0], fld.a_tensor[..., 0, 1], fld.a_tensor[..., 1, 1]
-    s11, s12, s22 = fld.shape_op[..., 0, 0], fld.shape_op[..., 0, 1], fld.shape_op[..., 1, 1]
+    (a11, a12, a22), (s11, s12, s22) = fld.a_tensor, fld.shape_op
     psi = (a11 * s11 - a22 * s22) + 1j * ((a11 + a22) * s12 + a12 * (s11 + s22))
     # unresolved edges: Psi turns by pi/2 or more, vanishes at an end, or is NaN
     bad_u = ~(np.real(np.roll(psi, -1, axis=0) * np.conj(psi)) > 0)  # (i, j) -> (i + 1, j)

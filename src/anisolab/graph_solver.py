@@ -61,7 +61,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import EllipticityLoss
-from .integrand import IntegrandSpec, hessian_entries, sym2, sym2x2_eigenvalues
+from .integrand import IntegrandSpec, hessian_entries, sym2x2_eigenvalues
 from .surface import SurfacePatch
 
 MIN_DAMPING = 2.0**-20
@@ -163,7 +163,7 @@ def _frozen_coefficients(problem: GraphProblem, u: np.ndarray):
     uniformly elliptic."""
     jets = _interior_jets(u, problem.hx, problem.hy)
     c11, c12, c22 = _coefficients(problem.spec, jets["ux"], jets["uy"])
-    mine = sym2x2_eigenvalues(sym2(c11, c12, c22))[..., 0]
+    mine, _ = sym2x2_eigenvalues(c11, c12, c22)
     if not np.min(mine) >= 1e-10:  # NaN coefficients are refused too
         raise EllipticityLoss(
             f"frozen coefficient matrix has eigenvalue {np.min(mine):.3e}"

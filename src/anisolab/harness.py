@@ -52,7 +52,6 @@ from .integrand import (
     gamma_gradients,
     is_isotropic,
     parse_integrand,
-    sym2,
     sym2x2_eigenvalues,
     tangent_frame,
     wulff_mesh,
@@ -92,6 +91,7 @@ REQUIRED_CHECKS = (
 )
 
 TANGENCY_STEP = 1e-6  # finite-difference step of the Wulff-map differential
+TANGENCY_SAMPLES = 1000  # random normals, one random tangent direction each, it is checked at
 MINIMAL_ACCEPT = 1e-3  # largest sup |H_gamma| over the curvature scale of an accepted surface
 JACOBI_RESIDUAL_TOL = 5e-3  # largest relative weak residual of a translation field
 WULFF_REFINEMENT = 4  # icosphere level of the Wulff mesh that normalizes the degrees
@@ -239,8 +239,7 @@ def _graph_checks(patch: SurfacePatch, fld: CurvatureField):
     w2 = 1.0 + ux**2 + uy**2
     lo = 1.0 / w2
     # the inverse of the metric [[1 + ux^2, ux uy], [ux uy, 1 + uy^2]]
-    eig = sym2x2_eigenvalues(sym2(1 + uy**2, -ux * uy, 1 + ux**2) / w2[..., None, None])
-    emin, emax = eig[..., 0], eig[..., 1]
+    emin, emax = sym2x2_eigenvalues((1 + uy**2) / w2, -ux * uy / w2, (1 + ux**2) / w2)
     metric_ok = bool(np.all(emin >= lo - 1e-10) and np.all(emax <= 1.0 + 1e-10))
     hess2 = patch.duu[..., 2] ** 2 + 2 * patch.duv[..., 2] ** 2 + patch.dvv[..., 2] ** 2
     a2 = fld.abs_a_squared()
@@ -250,13 +249,13 @@ def _graph_checks(patch: SurfacePatch, fld: CurvatureField):
             (bool(lo_ok and hi_ok), float(np.max(hess2 / w2**3 / np.maximum(a2, 1e-300))), 1.0))
 
 
-def tangency_check(spec: IntegrandSpec, count: int, seed: int) -> float:
+def tangency_check(spec: IntegrandSpec, seed: int) -> float:
     """Worst normal component of a finite-difference Wulff-map differential."""
     rng = np.random.default_rng(seed)
-    nus = rng.standard_normal((count, 3))
+    nus = rng.standard_normal((TANGENCY_SAMPLES, 3))
     nus /= np.linalg.norm(nus, axis=1, keepdims=True)
     e1, e2 = tangent_frame(nus)
-    ang = rng.uniform(0, 2 * np.pi, count)[:, None]
+    ang = rng.uniform(0, 2 * np.pi, TANGENCY_SAMPLES)[:, None]
     tang = np.cos(ang) * e1 + np.sin(ang) * e2
     base = gamma_gradients(spec, nus)
     moved = nus + TANGENCY_STEP * tang
@@ -460,7 +459,7 @@ def verify_bounds(run: ExperimentConfig | RunContext) -> dict:
     check("graph_hessian_curvature_estimate", ("graph",), 1e-8,
           "squared-Hessian pinch of the second fundamental form", lambda: graph[1])
 
-    tang = tangency_check(spec, 1000, config.seed)
+    tang = tangency_check(spec, config.seed)
     check("cahn_hoffman_tangency", (), 1e-5,
           "finite-difference Wulff-map differential against the normal",
           lambda: (bool(tang <= 1e-5), tang, 0.0))

@@ -210,20 +210,15 @@ def tangential_curvature_tensor(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """2x2 curvature tensor of gamma in the deterministic tangent frame.
 
-    Returns (A, e1, e2) with A[..., a, b] = <e_a, D^2 gamma_bar(nu) e_b>.
+    Returns (A, e1, e2), A the entry planes (a11, a12, a22) of <e_a, D^2 gamma_bar(nu) e_b>.
     """
     nu = np.asarray(normals, dtype=np.float64)
     e1, e2 = tangent_frame(nu)
     return restrict2(gamma_hessians(spec, nu), e1, e2), e1, e2
 
 
-def sym2(a, b, d) -> np.ndarray:
-    """The symmetric 2x2 stack [[a, b], [b, d]], shape (..., 2, 2)."""
-    return np.stack([np.stack([a, b], axis=-1), np.stack([b, d], axis=-1)], axis=-2)
-
-
-def restrict2(h: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The 3x3 forms h restricted to the legs (x, y): [[x.h.x, x.h.y], [x.h.y, y.h.y]].
+def restrict2(h: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The entry planes (x.h.x, x.h.y, y.h.y) of the 3x3 forms h restricted to the legs (x, y).
 
     Summed from h's entry planes h[..., a, b] (contiguous in the layout
     ``gamma_hessians`` returns): the planes of h x and h y, then the three
@@ -237,7 +232,7 @@ def restrict2(h: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return p[..., 0] * hq[0] + p[..., 1] * hq[1] + p[..., 2] * hq[2]
 
     hx, hy = apply(x), apply(y)
-    return sym2(dot(x, hx), dot(x, hy), dot(y, hy))
+    return dot(x, hx), dot(x, hy), dot(y, hy)
 
 
 def trace_a_s2(a, s) -> np.ndarray:
@@ -250,12 +245,11 @@ def trace_a_s2(a, s) -> np.ndarray:
     return a11 * (s11 * s11 + s12sq) + 2 * a12 * s12 * (s11 + s22) + a22 * (s12sq + s22 * s22)
 
 
-def sym2x2_eigenvalues(mats: np.ndarray) -> np.ndarray:
-    """Sorted eigenvalues (..., 2) of symmetric 2x2 matrices, closed form."""
-    a, b, d = mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 1]
+def sym2x2_eigenvalues(a, b, d) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (lower, upper) of symmetric 2x2 forms from their entry planes, closed form."""
     mean = 0.5 * (a + d)
     dev = np.sqrt(np.maximum(0.0, (0.5 * (a - d)) ** 2 + b * b))
-    return np.stack([mean - dev, mean + dev], axis=-1)
+    return mean - dev, mean + dev
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +278,10 @@ def gamma_bar_derivatives(spec: IntegrandSpec, x, order: int):
 
 
 def hessian_A_gamma(spec: IntegrandSpec, nu) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tangential curvature tensor at a unit normal, plus its frame (e1, e2)."""
+    """Tangential curvature tensor at a unit normal as a (2, 2) array, plus its frame (e1, e2)."""
     nu = _require_unit(nu)
-    A, e1, e2 = tangential_curvature_tensor(spec, nu[None, :])
-    return A[0], e1[0], e2[0]
+    (a, b, d), e1, e2 = tangential_curvature_tensor(spec, nu[None, :])
+    return np.array([[a[0], b[0]], [b[0], d[0]]]), e1[0], e2[0]
 
 
 def cahn_hoffman(spec: IntegrandSpec, nu) -> np.ndarray:
@@ -319,9 +313,9 @@ def anisotropy_constants(
         extra = extra / norms
         normals = np.concatenate([normals, extra], axis=0)
     A, _, _ = tangential_curvature_tensor(spec, normals)
-    eigs = sym2x2_eigenvalues(A)
-    lam = float(np.min(eigs))
-    Lam = float(np.max(eigs))
+    lower, upper = sym2x2_eigenvalues(*A)
+    lam = float(np.min(lower))
+    Lam = float(np.max(upper))
     if not lam > 1e-10:
         raise NonConvexIntegrand(
             f"minimum tangential eigenvalue {lam:.3e} is not positive"
@@ -348,7 +342,7 @@ def _validate(spec: IntegrandSpec) -> IntegrandSpec:
             f"gamma takes non-positive value {np.min(vals):.3e} on the validation sample"
         )
     A, _, _ = tangential_curvature_tensor(spec, sample)
-    min_eig = float(np.min(sym2x2_eigenvalues(A)))
+    min_eig = float(np.min(sym2x2_eigenvalues(*A)[0]))
     if not min_eig >= CONVEXITY_MARGIN:
         raise NonConvexIntegrand(
             f"sampled convexity margin violated: min tangential eigenvalue "
@@ -386,7 +380,8 @@ def _harmonic_eps_cap(l: int, m: int) -> float:
     base = gamma_hessians(IntegrandSpec("constant", (1.0,)), sample)
     full = gamma_hessians(probe, sample)
     B = full - base  # tangential Hessian contribution of the harmonic alone
-    b_max = float(np.max(np.abs(sym2x2_eigenvalues(restrict2(B, *tangent_frame(sample))))))
+    lower, upper = sym2x2_eigenvalues(*restrict2(B, *tangent_frame(sample)))
+    b_max = float(np.max(np.maximum(np.abs(lower), np.abs(upper))))
     caps = [0.95 / y_max if y_max > 0 else math.inf]
     if b_max > 0:
         caps.append(0.95 / b_max)

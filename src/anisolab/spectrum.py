@@ -54,7 +54,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import InvalidSpec, SolverFailure
+from .errors import AnisolabError, InvalidSpec, SolverFailure
 from .integrand import IntegrandSpec, gamma_hessians, restrict2, unit_vector
 from .objio import grid_faces
 from .surface import CurvatureField, SurfacePatch, curvature_field
@@ -145,15 +145,6 @@ def assemble(
     # cell (i, j) gives the triangles (a, b, c) and (a, c, d), the two _TILES
     faces = grid_faces(nu_, nv_, patch.periodic_u)
 
-    # every cell is cut the same way, so the P1 gradients and the area are
-    # those of the two tiles scaled by the spacings
-    pts = np.array(_TILES) * [patch.hu, patch.hv]
-    d1, d2 = pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0]
-    signed2 = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]  # twice the signed area
-    area = 0.5 * abs(signed2[0])  # the same for both tiles
-    edges = pts[:, [2, 0, 1]] - pts[:, [1, 2, 0]]
-    gx, gy = -edges[..., 1] / signed2[:, None], edges[..., 0] / signed2[:, None]  # (tile, 3)
-
     # barycenter jets of the chart and the pulled-back coefficient tensors
     def barycenter(x):
         x = x.reshape(-1, 3)
@@ -173,34 +164,41 @@ def assemble(
     if isotropic_diffusion:  # A = g
         coef = np.stack([p, q, r], axis=-1) * jac[:, None]
     else:
-        amat = restrict2(gamma_hessians(spec, nbar), xu, xv)
-        a, b, d = amat[:, 0, 0], amat[:, 0, 1], amat[:, 1, 1]
+        a, b, d = restrict2(gamma_hessians(spec, nbar), xu, xv)
         coef = np.stack([p * p * a + 2.0 * p * q * b + q * q * d,
                          p * q * a + (p * r + q * q) * b + q * r * d,
                          q * q * a + 2.0 * q * r * b + r * r * d], axis=-1) * jac[:, None]
-    # element stiffness area g_a . C g_b: per tile, the entry of each pair
-    # (a, b) is that of (c11, c12, c22) of C against three outer products
-    ia, ib = np.array(_PAIRS).T
-    outer = area * np.stack([gx[:, ia] * gx[:, ib], gx[:, ia] * gy[:, ib] + gy[:, ia] * gx[:, ib],
-                             gy[:, ia] * gy[:, ib]], axis=1)  # (tile, 3, pair)
-    local_k = np.matmul(coef.reshape(-1, 2, 3).transpose(1, 0, 2), outer).transpose(1, 0, 2)
-
     if potential_weight is None:
         qnode = field.aniso_pairing.reshape(-1)
     else:
         qnode = np.asarray(potential_weight, dtype=np.float64).reshape(-1)
-    # exact integrals of P1-interpolated weights against basis products;
-    # the curvature pairing varies too fast near curvature peaks for a
-    # frozen one-point rule to keep the pointwise residual at quadratic order
     jnode = field.jacobian.reshape(-1)
-    cubic = area * _P1_CUBIC[ia, ib].T  # corner weight -> pair entry
 
-    def build(local):
-        return _stencil_sum(local, nu_, nv_, patch.periodic_u)
-
-    stiffness = build(local_k)
-    potential = build(np.take(qnode * jnode, faces) @ cubic)
-    mass = build(np.take(jnode, faces) @ cubic)
+    # every cell is cut the same way, so the P1 gradients and the area are
+    # those of the two tiles scaled by the spacings
+    pts = np.array(_TILES) * [patch.hu, patch.hv]
+    d1, d2 = pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0]
+    signed2 = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]  # twice the signed area
+    area = 0.5 * abs(signed2[0])  # the same for both tiles
+    edges = pts[:, [2, 0, 1]] - pts[:, [1, 2, 0]]
+    ia, ib = np.array(_PAIRS).T
+    with np.errstate(all="ignore"):  # spacings out of floating-point range: refused below
+        gx, gy = -edges[..., 1] / signed2[:, None], edges[..., 0] / signed2[:, None]  # (tile, 3)
+        # element stiffness area g_a . C g_b: per tile, the entry of each pair
+        # (a, b) is that of (c11, c12, c22) of C against three outer products
+        outer = area * np.stack([gx[:, ia] * gx[:, ib],
+                                 gx[:, ia] * gy[:, ib] + gy[:, ia] * gx[:, ib],
+                                 gy[:, ia] * gy[:, ib]], axis=1)  # (tile, 3, pair)
+        local_k = np.matmul(coef.reshape(-1, 2, 3).transpose(1, 0, 2), outer).transpose(1, 0, 2)
+        # exact integrals of P1-interpolated weights against basis products;
+        # the curvature pairing varies too fast near curvature peaks for a
+        # frozen one-point rule to keep the pointwise residual at quadratic order
+        cubic = area * _P1_CUBIC[ia, ib].T  # corner weight -> pair entry
+        stiffness, potential, mass = (_stencil_sum(local, nu_, nv_, patch.periodic_u) for local in (
+            local_k, np.take(qnode * jnode, faces) @ cubic, np.take(jnode, faces) @ cubic))
+    if not (area > 0.0 and all(np.isfinite(m.data).all() for m in (stiffness, potential, mass))):
+        raise AnisolabError(f"P1 assembly at grid spacings hu = {patch.hu:.3g}, "
+                            f"hv = {patch.hv:.3g} gives a zero element area or non-finite entries")
     return JacobiDiscretization(
         stiffness=stiffness,
         potential=potential,

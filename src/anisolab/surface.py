@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BoundaryNotFixed, DegenerateImmersion, SingularShear, UnknownFixture
-from .integrand import (IntegrandSpec, gamma_hessians, gamma_values, restrict2, sym2,
+from .integrand import (IntegrandSpec, gamma_hessians, gamma_values, restrict2,
                         sym2x2_eigenvalues, trace_a_s2)
 
 IMMERSION_TOL = 1e-10
@@ -158,17 +158,16 @@ def grid_d1(arr: np.ndarray, h: float, axis: int, periodic: bool) -> np.ndarray:
 @dataclass
 class CurvatureField:
     """Per-node anisotropic curvature data in the right-handed tangent frame
-    e1 = X_u / |X_u|, e2 = normal x e1."""
+    e1 = X_u / |X_u|, e2 = normal x e1; each symmetric 2x2 field is the
+    triple of its (nu, nv) entry planes (m11, m12, m22)."""
 
     patch: SurfacePatch
     spec: IntegrandSpec
     normal: np.ndarray        # (nu, nv, 3)
-    shape_op: np.ndarray      # (nu, nv, 2, 2), symmetric
+    shape_op: tuple[np.ndarray, ...]  # (s11, s12, s22) of the shape operator S
     kappa1: np.ndarray        # principal curvatures, kappa1 <= kappa2
     kappa2: np.ndarray
-    a_tensor: np.ndarray      # (nu, nv, 2, 2) curvature tensor of the weight
-    a1: np.ndarray            # weight tensor paired with the principal frame
-    a2: np.ndarray
+    a_tensor: tuple[np.ndarray, ...]  # (a11, a12, a22) of the weight's curvature tensor A
     h_gamma: np.ndarray
     k_sigma: np.ndarray
     k_gamma: np.ndarray
@@ -218,22 +217,8 @@ def curvature_field(patch: SurfacePatch, spec: IntegrandSpec) -> CurvatureField:
     s11 = c1u * c1u * L
     s12 = c1u * (c2u * L + c2v * M)
     s22 = c2u * c2u * L + 2 * c2u * c2v * M + c2v * c2v * N
-    shape_op = sym2(s11, s12, s22)
-    kappa = sym2x2_eigenvalues(shape_op)
-    kappa1, kappa2 = kappa[..., 0], kappa[..., 1]
-
-    a_tensor = restrict2(gamma_hessians(spec, normal), e1, e2)
-    a11, a12, a22 = a_tensor[..., 0, 0], a_tensor[..., 0, 1], a_tensor[..., 1, 1]
-
-    # principal frame (ties fall back to the X_u direction via atan2(0, 0) = 0)
-    theta = 0.5 * np.arctan2(2 * s12, s11 - s22)
-    ct, st = np.cos(theta), np.sin(theta)
-    lam_p = s11 * ct**2 + 2 * s12 * ct * st + s22 * st**2
-    a_p = a11 * ct**2 + 2 * a12 * ct * st + a22 * st**2
-    a_q = a11 * st**2 - 2 * a12 * ct * st + a22 * ct**2
-    p_is_k2 = np.abs(lam_p - kappa2) <= np.abs(lam_p - kappa1)
-    a1 = np.where(p_is_k2, a_q, a_p)
-    a2 = np.where(p_is_k2, a_p, a_q)
+    kappa1, kappa2 = sym2x2_eigenvalues(s11, s12, s22)
+    a11, a12, a22 = restrict2(gamma_hessians(spec, normal), e1, e2)
 
     h_gamma = a11 * s11 + 2 * a12 * s12 + a22 * s22  # tr(A S)
     k_sigma = s11 * s22 - s12 * s12
@@ -247,12 +232,10 @@ def curvature_field(patch: SurfacePatch, spec: IntegrandSpec) -> CurvatureField:
         patch=patch,
         spec=spec,
         normal=normal,
-        shape_op=shape_op,
+        shape_op=(s11, s12, s22),
         kappa1=kappa1,
         kappa2=kappa2,
-        a_tensor=a_tensor,
-        a1=a1,
-        a2=a2,
+        a_tensor=(a11, a12, a22),
         h_gamma=h_gamma,
         k_sigma=k_sigma,
         k_gamma=k_gamma,

@@ -4,6 +4,12 @@ import pytest
 from anisolab import surface as sf
 
 
+def stack2(a, b, d):
+    """The symmetric 2x2 stack [[a, b], [b, d]] of entry planes, shape
+    (..., 2, 2), for einsum and LAPACK oracles."""
+    return np.stack([np.stack([a, b], axis=-1), np.stack([b, d], axis=-1)], axis=-2)
+
+
 def higher_order_enneper_jets(k: int):
     """Weierstrass chart with plane data (1, z^k): an exact area-minimal
     surface whose Gauss map branches to order k-1 at the origin."""

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -701,6 +702,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: EllipticityLoss: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["--grid", "8", "--surface", "plane:1e-300,1e-300"],
+        ["--surface", "catenoid:1e-320"],
+        ["--surface", "enneper:1e-170"],
+        ["--grid", "8", "--surface", "plane:1e308,1"],
+    ], ids=lambda argv: argv[-1])
+    def test_extreme_chart_extent_exits_2_without_warning(self, capsys, argv):
+        # the P1 gradients or sums leave the floating-point range: these
+        # warned, then blamed the free nodes or the eigensolve
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["bounds", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: AnisolabError: ")
+        assert "hu = " in err and "hv = " in err
+        assert err.count("\n") == 1
+
+    def test_large_chart_extent_still_judged(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["bounds", "--grid", "8", "--surface", "plane:1e200,1"]) == 0
 
     @pytest.mark.parametrize("axis,plain", [("1e-320,0,0", "1,0,0"),
                                             ("1e308,1e308,0", "1,1,0")])

@@ -7,6 +7,8 @@ from anisolab import integrand as ig
 from anisolab.errors import InvalidSpec, NonConvexIntegrand, NonUnitNormal, ZeroVector
 from anisolab.harmonics import solid_harmonic_jet
 
+from conftest import stack2
+
 E3 = np.array([0.0, 0.0, 1.0])
 
 
@@ -110,7 +112,7 @@ class TestHessianAGamma:
         for spec in all_families():
             nus = unit_samples(rng, 20)
             a, e1, e2 = ig.tangential_curvature_tensor(spec, nus)
-            base = np.sort(ig.sym2x2_eigenvalues(a), axis=-1)
+            base = np.sort(np.stack(ig.sym2x2_eigenvalues(*a), axis=-1), axis=-1)
             theta = rng.uniform(0, 2 * np.pi, len(nus))
             c, s = np.cos(theta)[:, None], np.sin(theta)[:, None]
             f1 = c * e1 + s * e2
@@ -119,10 +121,7 @@ class TestHessianAGamma:
             b11 = np.einsum("ni,nij,nj->n", f1, hess, f1)
             b12 = np.einsum("ni,nij,nj->n", f1, hess, f2)
             b22 = np.einsum("ni,nij,nj->n", f2, hess, f2)
-            rot = np.stack(
-                [np.stack([b11, b12], -1), np.stack([b12, b22], -1)], -2
-            )
-            rotated = np.sort(ig.sym2x2_eigenvalues(rot), axis=-1)
+            rotated = np.sort(np.stack(ig.sym2x2_eigenvalues(b11, b12, b22), axis=-1), axis=-1)
             assert np.max(np.abs(base - rotated)) < 1e-10
 
     def test_frame_is_right_handed(self, rng):
@@ -234,7 +233,8 @@ class TestHessianLayout:
                 h = ig.gamma_hessians(spec, nu)
                 got = ig.restrict2(h, x, y)
                 want = ig.restrict2(np.ascontiguousarray(h), x, y)
-                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), str(spec)
+                for g, w in zip(got, want, strict=True):
+                    assert np.array_equal(g.view(np.uint64), w.view(np.uint64)), str(spec)
 
 
 def planewise_form(p, h, q):
@@ -246,31 +246,26 @@ def planewise_form(p, h, q):
 
 
 class TestTangentAlgebra:
-    def test_sym2_and_restrict2_entrywise(self, rng):
+    def test_restrict2_entrywise(self, rng):
         h = rng.standard_normal((7, 5, 3, 3))
         h = h + np.swapaxes(h, -1, -2)
         x, y = rng.standard_normal((2, 7, 5, 3))
-        a, b, d = rng.standard_normal((3, 7, 5))
-        s = ig.sym2(a, b, d)
-        assert s.shape == (7, 5, 2, 2)
-        for (i, j), want in {(0, 0): a, (0, 1): b, (1, 0): b, (1, 1): d}.items():
-            assert np.array_equal(s[..., i, j], want)
         # bit for bit in the plane-wise order, also on the entry-major
         # layout gamma_hessians returns
         entry_major = np.moveaxis(np.ascontiguousarray(np.moveaxis(h, (-2, -1), (0, 1))),
                                   (0, 1), (-2, -1))
-        legs = {(0, 0): (x, x), (0, 1): (x, y), (1, 0): (x, y), (1, 1): (y, y)}
+        legs = ((x, x), (x, y), (y, y))  # the planes (11, 12, 22)
         for hh in (h, entry_major):
             r = ig.restrict2(hh, x, y)
-            assert r.shape == (7, 5, 2, 2)
-            for (i, j), (p, q) in legs.items():
-                assert np.array_equal(r[..., i, j], planewise_form(p, h, q))
+            assert len(r) == 3 and all(plane.shape == (7, 5) for plane in r)
+            for plane, (p, q) in zip(r, legs):
+                assert np.array_equal(plane, planewise_form(p, h, q))
         # einsum sums in its own order: an independent oracle up to rounding
         norm_h = np.linalg.norm(h, axis=(-2, -1))
-        for (i, j), (p, q) in legs.items():
+        for plane, (p, q) in zip(r, legs):
             want = np.einsum("abi,abij,abj->ab", p, h, q)
             bound = 1e-14 * norm_h * np.linalg.norm(p, axis=-1) * np.linalg.norm(q, axis=-1)
-            assert np.all(np.abs(r[..., i, j] - want) <= bound)
+            assert np.all(np.abs(plane - want) <= bound)
 
     def test_trace_a_s2_matches_einsum(self, rng):
         # random symmetric stacks over twelve decades of scale
@@ -284,9 +279,9 @@ class TestTangentAlgebra:
     def test_eigenvalues_match_lapack(self, rng):
         a, b, d = rng.standard_normal((3, 500))
         # repeated eigenvalues hit the clamp under the square root
-        mats = np.concatenate([ig.sym2(a, b, d), ig.sym2(a, 0 * a, a)])
-        eigs = ig.sym2x2_eigenvalues(mats)
-        assert np.max(np.abs(eigs - np.linalg.eigvalsh(mats))) <= 1e-12
+        planes = [np.concatenate(pair) for pair in ((a, a), (b, 0 * a), (d, a))]
+        eigs = np.stack(ig.sym2x2_eigenvalues(*planes), axis=-1)
+        assert np.max(np.abs(eigs - np.linalg.eigvalsh(stack2(*planes)))) <= 1e-12
 
 
 class TestUnitVector:

@@ -13,6 +13,8 @@ from anisolab.errors import InvalidSpec, SolverFailure
 from anisolab.harness import ExperimentConfig, RunContext, parse_surface, verify_bounds
 from anisolab.objio import grid_faces
 
+from conftest import stack2
+
 C1 = ig.constant(1.0)
 C2 = ig.constant(2.0)
 E112 = ig.ellipsoid(1, 1, 2)
@@ -87,11 +89,11 @@ def einsum_assemble(patch, spec, field, potential_weight=None, isotropic_diffusi
     nbar = patch.orientation * raw / jac[:, None]
     E, F, G = (np.einsum("ti,ti->t", a, b) for a, b in ((xu, xu), (xu, xv), (xv, xv)))
     if isotropic_diffusion:
-        amat = ig.sym2(E, F, G)
+        amat = stack2(E, F, G)
     else:
-        amat = ig.restrict2(ig.gamma_hessians(spec, nbar), xu, xv)
+        amat = stack2(*ig.restrict2(ig.gamma_hessians(spec, nbar), xu, xv))
     det_g = E * G - F * F
-    ginv = ig.sym2(G / det_g, -F / det_g, E / det_g)
+    ginv = stack2(G / det_g, -F / det_g, E / det_g)
     coeff = np.einsum("tab,tbc,tcd->tad", ginv, amat, ginv) * jac[:, None, None]
     local_k = area[:, None, None] * np.einsum("tai,tij,tbj->tab", grads, coeff, grads)
     q = field.aniso_pairing if potential_weight is None else potential_weight

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -12,11 +14,27 @@ from anisolab.errors import (
     UnknownFixture,
 )
 from anisolab.gauss_analysis import critical_set
-from anisolab.harness import parse_surface
+from anisolab.harness import ExperimentConfig, RunContext, parse_surface
 
-from conftest import higher_order_enneper
+from conftest import higher_order_enneper, stack2
 
 C1 = ig.constant(1.0)
+
+
+def principal_weights(f):
+    """The weight tensor A paired with the principal frame of S, (a1, a2)
+    with a_i = <p_i, A p_i> for the principal direction p_i of kappa_i.
+
+    The frame angle is atan2-based, so ties fall back to the X_u direction
+    via atan2(0, 0) = 0."""
+    (a11, a12, a22), (s11, s12, s22) = f.a_tensor, f.shape_op
+    theta = 0.5 * np.arctan2(2 * s12, s11 - s22)
+    ct, st = np.cos(theta), np.sin(theta)
+    lam_p = s11 * ct**2 + 2 * s12 * ct * st + s22 * st**2
+    a_p = a11 * ct**2 + 2 * a12 * ct * st + a22 * st**2
+    a_q = a11 * st**2 - 2 * a12 * ct * st + a22 * ct**2
+    p_is_k2 = np.abs(lam_p - f.kappa2) <= np.abs(lam_p - f.kappa1)
+    return np.where(p_is_k2, a_q, a_p), np.where(p_is_k2, a_p, a_q)
 
 
 def catenoid_K_oracle(v):
@@ -56,7 +74,7 @@ class TestCurvatureField:
     def test_shape_operator_diagonalization(self, rng):
         p = sf.fixture("enneper", grid=(48, 48), radius=1.2)
         f = sf.curvature_field(p, C1)
-        eigs = np.sort(np.linalg.eigvalsh(f.shape_op), axis=-1)
+        eigs = np.sort(np.linalg.eigvalsh(stack2(*f.shape_op)), axis=-1)
         assert np.allclose(eigs[..., 0], f.kappa1, atol=1e-12)
         assert np.allclose(eigs[..., 1], f.kappa2, atol=1e-12)
 
@@ -70,7 +88,8 @@ class TestCurvatureField:
         # tr(A S S) equals a1 k1^2 + a2 k2^2 in the principal frame
         p = sf.fixture("catenoid", grid=(64, 64), v_extent=1.5)
         f = sf.curvature_field(p, ig.ellipsoid(1, 1, 2))
-        recon = f.a1 * f.kappa1**2 + f.a2 * f.kappa2**2
+        a1, a2 = principal_weights(f)
+        recon = a1 * f.kappa1**2 + a2 * f.kappa2**2
         assert np.max(np.abs(recon - f.aniso_pairing)) < 1e-10
         assert np.min(f.aniso_pairing) >= 0.0
 
@@ -82,10 +101,34 @@ class TestCurvatureField:
     def test_pairing_matches_einsum_on_criterion_11_fields(self, surface, integrand):
         # the closed-form tr(A S^2) against the matrix product, relative to |A| |S|^2
         f = sf.curvature_field(parse_surface(surface, 96, integrand), ig.parse_integrand(integrand))
-        want = np.einsum("...ij,...jk,...ki->...", f.a_tensor, f.shape_op, f.shape_op)
-        norm = (np.linalg.norm(f.a_tensor, axis=(-2, -1))
-                * np.linalg.norm(f.shape_op, axis=(-2, -1)) ** 2)
+        a_mats, s_mats = stack2(*f.a_tensor), stack2(*f.shape_op)
+        want = np.einsum("...ij,...jk,...ki->...", a_mats, s_mats, s_mats)
+        norm = (np.linalg.norm(a_mats, axis=(-2, -1))
+                * np.linalg.norm(s_mats, axis=(-2, -1)) ** 2)
         assert np.all(np.abs(f.aniso_pairing - want) <= 1e-13 * norm)
+
+    def test_harmonic_field_bytes_pinned(self):
+        # the one integrand family no report or solution digest covers
+        ctx = RunContext(ExperimentConfig(surface="catenoid:2", integrand="sh:4,4,0.05", grid=48))
+        f, c = ctx.field, ctx.consts
+        assert all(len(pair) == 3 and all(plane.shape == (48, 48) for plane in pair)
+                   for pair in (f.shape_op, f.a_tensor))
+        assert not any(np.ndim(getattr(f, fd.name)) == 4 for fd in dataclasses.fields(f))
+        digest = hashlib.sha256()
+        for array in (f.normal, *f.shape_op, f.kappa1, f.kappa2, *f.a_tensor, f.h_gamma,
+                      f.k_sigma, f.k_gamma, f.aniso_pairing, f.jacobian, f.area_weight):
+            digest.update(np.ascontiguousarray(array).tobytes())
+        assert digest.hexdigest() == (
+            "bb733aab9b953621d534c4ebc22cba8a3dc4e32ceec08b805a0baef7337bffe5")
+        constants = np.array([c.lambda_gamma, c.Lambda_gamma, c.c_gamma, c.c_prime_gamma])
+        assert hashlib.sha256(constants.tobytes()).hexdigest() == (
+            "7e46f8ee541d98aabda209d502ff94b2258377b7d38ff854a25abef450a61bfe")
+        # the one symmetric (2, 2) array: hessian_A_gamma's, equal to the planes
+        nu = f.normal[5, 7]
+        a, _, _ = ig.hessian_A_gamma(f.spec, nu)
+        assert a.shape == (2, 2) and np.array_equal(a, a.T)
+        planes, _, _ = ig.tangential_curvature_tensor(f.spec, nu[None, :])
+        assert np.array_equal(a, stack2(*planes)[0])
 
     def test_degenerate_immersion_raises(self):
         def bad_jets(U, V):
@@ -229,7 +272,8 @@ class TestMinimalSurfaceInvariants:
     def test_abs_a_squared_identity(self):
         for f in self.accepted_fields():
             lhs = f.abs_a_squared()
-            rhs = (f.a2 / f.a1 + f.a1 / f.a2) * (-f.k_sigma)
+            a1, a2 = principal_weights(f)
+            rhs = (a2 / a1 + a1 / a2) * (-f.k_sigma)
             ref = np.maximum(np.abs(lhs), 1e-30)
             assert np.max(np.abs(lhs - rhs) / ref) < 1e-6
 
@@ -246,7 +290,8 @@ class TestMinimalSurfaceInvariants:
 
     def test_k_gamma_factorization(self):
         for f in self.accepted_fields():
-            det_a = f.a_tensor[..., 0, 0] * f.a_tensor[..., 1, 1] - f.a_tensor[..., 0, 1] ** 2
+            a11, a12, a22 = f.a_tensor
+            det_a = a11 * a22 - a12**2
             ref = np.maximum(np.abs(f.k_gamma), 1e-30)
             assert np.max(np.abs(f.k_gamma - det_a * f.k_sigma) / ref) < 1e-9
 

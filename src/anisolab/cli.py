@@ -28,7 +28,8 @@ from .graph_solver import GraphProblem, bc_catenoid, bc_edge_sine, bc_linear, bc
 from .harness import (WULFF_REFINEMENT, ExperimentConfig, RunContext, report_json,
                       selftest, verify_bounds)
 from .integrand import parse_integrand, wulff_mesh
-from .objio import grid_faces, write_obj, write_obj_with_fields
+from .objio import write_obj, write_obj_with_fields
+from .spectrum import grid_faces
 
 
 def _parse_bc(text: str, domain, in_file: bool = False):

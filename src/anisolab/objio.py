@@ -28,17 +28,3 @@ def write_obj_with_fields(path, vertices, faces, fields: dict[str, np.ndarray]) 
     }
     sidecar.write_text(json.dumps(payload), encoding="utf-8")
 
-
-def grid_faces(nu: int, nv: int, periodic_u: bool) -> np.ndarray:
-    """Triangulation of an (nu, nv) node grid, row-major node ids i*nv + j.
-
-    One fixed diagonal per cell, so every interior node touches exactly six
-    triangles; pointwise consistency of lumped-mass residuals depends on
-    that uniform valence.
-    """
-    i = np.arange(nu if periodic_u else nu - 1, dtype=np.int64)[:, None]
-    j = np.arange(nv - 1, dtype=np.int64)[None, :]
-    a, d = i * nv + j, i * nv + j + 1
-    b, c = (i + 1) % nu * nv + j, (i + 1) % nu * nv + j + 1
-    # cell (i, j) gives the triangles (a, b, c) and (a, c, d), cells in C order
-    return np.stack([np.stack([a, b, c], -1), np.stack([a, c, d], -1)], -2).reshape(-1, 3)

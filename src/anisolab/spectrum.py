@@ -30,7 +30,8 @@ holds every negative eigenvalue when exactly c of its values are negative
 (a Sylvester count at 0 only; Grimes, Lewis and Simon, SIAM J. Matrix
 Anal. Appl. 15, 1994, also count below the window's top), its
 nonnegative values being ARPACK's nearest 0; failing that, of A - sigma M
-at a sigma whose count of none below proves it below the spectrum.
+at a sigma whose count of none below proves it below the spectrum.  Only
+windows of k >= n - 1 of n eigenvalues, beyond ARPACK, are solved densely.
 
 On a chart periodic in u whose coefficients do not depend on u (the
 catenoids), the pencil of a domain spanning the period is block-circulant
@@ -56,13 +57,11 @@ import scipy.sparse.linalg as spla
 
 from .errors import AnisolabError, InvalidSpec, SolverFailure
 from .integrand import IntegrandSpec, gamma_hessians, restrict2, unit_vector
-from .objio import grid_faces
 from .surface import CurvatureField, SurfacePatch, curvature_field
 
 ZERO_EIG_REL = 1e-8
 DEFAULT_EIG_COUNT = 12
 DEFAULT_AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))  # translation fields
-DENSE_CUTOFF = 400
 SHIFT_TRIES = 8  # factorizations spent looking for a shift below the spectrum
 MODE_GAP_REL = 1e-13  # largest pencil entry off its circulant rebuild, relative
 
@@ -75,9 +74,10 @@ for _i in range(3):
     _P1_CUBIC[:, _i, _i] = 1.0 / 30.0
     _P1_CUBIC[_i, _i, _i] = 1.0 / 10.0
 
-# every cell's two triangles, as node offsets (di, dj) from its corner (i, j);
-# a node's P1 neighbours (its stencil) as offsets; the entries (a, b), a <= b,
-# of a symmetric element matrix
+# every cell's two triangles as node offsets (di, dj) from its corner (i, j),
+# one diagonal for all, so every interior node touches six (the pointwise
+# consistency of lumped-mass residuals needs that uniform valence); a node's
+# P1 neighbours as offsets; the entries (a, b), a <= b, of an element matrix
 _TILES = (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1)))
 _STENCIL = ((-1, -1), (-1, 0), (0, -1), (0, 0), (0, 1), (1, 0), (1, 1))
 _PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
@@ -142,7 +142,6 @@ def assemble(
     if field is None:
         field = curvature_field(patch, spec)
     nu_, nv_ = patch.shape
-    # cell (i, j) gives the triangles (a, b, c) and (a, c, d), the two _TILES
     faces = grid_faces(nu_, nv_, patch.periodic_u)
 
     # barycenter jets of the chart and the pulled-back coefficient tensors
@@ -178,11 +177,11 @@ def assemble(
     # those of the two tiles scaled by the spacings
     pts = np.array(_TILES) * [patch.hu, patch.hv]
     d1, d2 = pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0]
-    signed2 = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]  # twice the signed area
-    area = 0.5 * abs(signed2[0])  # the same for both tiles
     edges = pts[:, [2, 0, 1]] - pts[:, [1, 2, 0]]
     ia, ib = np.array(_PAIRS).T
     with np.errstate(all="ignore"):  # spacings out of floating-point range: refused below
+        signed2 = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]  # twice the signed area
+        area = 0.5 * abs(signed2[0])  # the same for both tiles
         gx, gy = -edges[..., 1] / signed2[:, None], edges[..., 0] / signed2[:, None]  # (tile, 3)
         # element stiffness area g_a . C g_b: per tile, the entry of each pair
         # (a, b) is that of (c11, c12, c22) of C against three outer products
@@ -207,6 +206,15 @@ def assemble(
         lumped_mass=np.asarray(mass.sum(axis=1)).reshape(-1),
         field=field,
     )
+
+
+def grid_faces(nu: int, nv: int, periodic_u: bool) -> np.ndarray:
+    """Triangulation of an (nu, nv) node grid, row-major node ids i*nv + j:
+    every cell's two _TILES, cells in C order, corners in tile order."""
+    i = np.arange(nu if periodic_u else nu - 1, dtype=np.int64)[:, None, None, None]
+    j = np.arange(nv - 1, dtype=np.int64)[None, :, None, None]
+    di, dj = np.array(_TILES, dtype=np.int64).transpose(2, 0, 1)  # (tile, corner)
+    return ((i + di) % nu * nv + j + dj).reshape(-1, 3)
 
 
 def _stencil_sum(local: np.ndarray, nu: int, nv: int, periodic_u: bool) -> sp.csr_matrix:
@@ -303,8 +311,8 @@ def dirichlet_eigs(
 
 class _SparsePencil:
     """Operator and mass restricted to the free nodes ``idx`` of a domain,
-    counted by :func:`_symmetric_factor`.  Solved densely when the pencil or
-    the window is small, otherwise by ARPACK in shift-invert mode.
+    counted by :func:`_symmetric_factor`.  Solved by ARPACK in shift-invert
+    mode; densely only for k >= n - 1 of its n eigenvalues, beyond ARPACK.
 
     The first ARPACK call factors the pencil at sigma = 0, whose count c is
     the number of negative eigenvalues.  With c < k, ARPACK finds the k
@@ -328,7 +336,7 @@ class _SparsePencil:
 
     def lowest(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         op, mass, n = self.op, self.mass, len(self.idx)
-        if k >= n - 1 or n <= DENSE_CUTOFF:
+        if k >= n - 1:  # beyond ARPACK's reach
             vals, vecs = sla.eigh(op.toarray(), mass.toarray())
             return vals[:k], vecs[:, :k]
         if self.sigma is None:

@@ -15,7 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BoundaryNotFixed, DegenerateImmersion, SingularShear, UnknownFixture
+from .errors import (AnisolabError, BoundaryNotFixed, DegenerateImmersion, SingularShear,
+                     UnknownFixture)
 from .integrand import (IntegrandSpec, gamma_hessians, gamma_values, restrict2,
                         sym2x2_eigenvalues, trace_a_s2)
 
@@ -198,6 +199,12 @@ def curvature_field(patch: SurfacePatch, spec: IntegrandSpec) -> CurvatureField:
     ``integrand.trace_a_s2`` from the entry planes of A and S.
     """
     normal, jac = patch.normals()
+    wu, wv = patch.param_weights()
+    with np.errstate(over="ignore"):  # refused below
+        area_weight = wu[:, None] * wv[None, :] * jac
+    if not np.all(np.isfinite(area_weight) & (area_weight >= np.finfo(float).tiny)):
+        raise AnisolabError(f"quadrature weights at grid spacings hu = {patch.hu:.3g}, "
+                            f"hv = {patch.hv:.3g} leave the floating-point range")
     xu, xv = patch.du, patch.dv
     E = np.einsum("...i,...i->...", xu, xu)
     F = np.einsum("...i,...i->...", xu, xv)
@@ -224,9 +231,6 @@ def curvature_field(patch: SurfacePatch, spec: IntegrandSpec) -> CurvatureField:
     k_sigma = s11 * s22 - s12 * s12
     k_gamma = (a11 * a22 - a12 * a12) * k_sigma
     aniso_pairing = trace_a_s2((a11, a12, a22), (s11, s12, s22))  # tr(A S^2)
-
-    wu, wv = patch.param_weights()
-    area_weight = wu[:, None] * wv[None, :] * jac
 
     return CurvatureField(
         patch=patch,

@@ -445,6 +445,25 @@ class TestPseudograph:
                 assert np.max(comp) < pg.band_tol
                 assert np.max(np.arcsin(np.clip(comp, 0, 1))) < 2 * pg.band_tol
 
+    @pytest.mark.parametrize("with_vertices, counts, lower", [
+        (False, (1, 1, 2, 0), 1),
+        (True, (2, 2, 2, 0), 3),
+    ], ids=["vertex_free", "through_vertices"])
+    def test_catenoid_waist_loop(self, with_vertices, counts, lower):
+        # the closed e3 nodal loop on the waist v = 0, through no vertex or
+        # through two flat points of order 1, at u = pi and a tenth of a
+        # spacing short of the seam
+        patch = sf.fixture("catenoid", grid=(48, 25))
+        f = sf.curvature_field(patch, C1)
+        pts = [ga.CriticalPoint((u, 0.0), np.array([1.0, 0.0, 0.0]), 1, 0.1)
+               for u in (np.pi, TWO_PI - 0.1 * patch.hu)] if with_vertices else []
+        pg = ga.pseudograph_extract(patch, C1, E3, fld=f, critical_points=pts)
+        assert len(pg.edges) == 1 and pg.edges[0].closed
+        assert len(pg.vertices) == len(pts)
+        euler = ga.euler_inequality_check(pg)
+        assert (euler["v"], euler["e"], euler["N"], euler["slack"]) == counts
+        assert ga.index_lower_bound(pg) == lower
+
     def test_plane_constant_axis_empty(self):
         patch = sf.fixture("plane", grid=(32, 32))
         pg = ga.pseudograph_extract(

@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import hashlib
+import importlib
 import inspect
 import json
 import os
@@ -11,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from anisolab import cli, gauss_analysis as ga, harness, integrand as ig, spectrum as spx
 from anisolab import graph_solver as gs, surface as sf
@@ -575,6 +578,7 @@ class TestCli:
         "shear_nan", "shear_inf", "shear_overflow", "shear_det_overflow", "config_euler_char",
         "spectrum_domains_not_nested", "bounds_domain_repeated", "config_jacobi_residual_tol",
         "graph_spacing_underflow", "graph_spacing_overflow", "solution_spacing_overflow",
+        "surface_arity", "config_list",
     ])
     def test_bad_input_exits_2(self, tmp_path, capsys, case):
         cfg = tmp_path / "cfg.json"
@@ -585,6 +589,7 @@ class TestCli:
             "config_axis_zero": json.dumps({"surface": "plane", "axes": [[0, 0, 0]]}),
             "config_no_axes": json.dumps({"surface": "plane", "axes": []}),
             "config_surface_number": json.dumps({"surface": 5}),
+            "config_list": json.dumps([{"surface": "plane"}]),
             # the verdict's tolerances and Wulff level are constants, not config keys
             "config_tolerance_string": json.dumps({"surface": "plane", "minimal_accept": "x"}),
             "config_wulff_refinement_above_cap": json.dumps(
@@ -607,6 +612,7 @@ class TestCli:
         argv = {
             "integrand": ["wulff", "--integrand", "foo:1", "--out", str(tmp_path / "w.obj")],
             "surface": ["bounds", "--surface", "torus"],
+            "surface_arity": ["bounds", "--surface", "catenoid:1,2"],
             "domains": ["spectrum", "--surface", "plane", "--integrand", "const:1",
                         "--domains", "1,2,3"],
             "axis_number": gauss + ["--axis", "0,0,x"],
@@ -703,22 +709,32 @@ class TestCli:
         assert err.startswith("error: EllipticityLoss: ")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("argv", [
-        ["--grid", "8", "--surface", "plane:1e-300,1e-300"],
-        ["--surface", "catenoid:1e-320"],
-        ["--surface", "enneper:1e-170"],
-        ["--grid", "8", "--surface", "plane:1e308,1"],
-    ], ids=lambda argv: argv[-1])
-    def test_extreme_chart_extent_exits_2_without_warning(self, capsys, argv):
-        # the P1 gradients or sums leave the floating-point range: these
-        # warned, then blamed the free nodes or the eigensolve
+    @pytest.mark.parametrize("view,argv", [
+        pytest.param(view, argv, id=argv[-1] if view == "bounds" else f"{view}-{argv[-1]}")
+        for view in ("bounds", "gauss", "curvature")
+        for argv in (["--grid", "8", "--surface", "plane:1e-300,1e-300"],
+                     ["--surface", "catenoid:1e-320"],
+                     ["--surface", "enneper:1e-170"],
+                     ["--grid", "8", "--surface", "plane:1e308,1e308"])
+    ] + [pytest.param("bounds", ["--grid", "8", "--surface", "plane:1e308,1"],
+                      id="plane:1e308,1")])
+    def test_extreme_chart_extent_exits_2_without_warning(self, tmp_path, capsys, view, argv):
+        # the quadrature weights, or on plane:1e308,1 only the P1 sums, leave
+        # the floating-point range: these warned, then blamed the free nodes
+        # or the eigensolve, exited 0, or ended in a traceback
+        out = tmp_path / "c.obj"
+        if view != "bounds":
+            argv = argv + ["--integrand", "const:1"]
+        if view == "curvature":
+            argv = argv + ["--out", str(out)]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert main(["bounds", *argv]) == 2
+            assert main([view, *argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: AnisolabError: ")
         assert "hu = " in err and "hv = " in err
         assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_large_chart_extent_still_judged(self):
         with warnings.catch_warnings():
@@ -764,6 +780,19 @@ class TestBenchmarkEntryPoints:
         out = spx.dirichlet_eigs(disc, 4, domain=dom)
         assert isinstance(out, tuple) and len(out) == 3
         np.testing.assert_array_equal(out[2], spx.interior_indices(disc, dom))
+
+    def test_tracer_bindings_resolve(self):
+        # the names perfbench/tracer.py wraps, read from its source so that
+        # nothing of perfbench is imported here
+        tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        consts = {target.id: ast.literal_eval(node.value)
+                  for node in ast.parse(tracer.read_text()).body if isinstance(node, ast.Assign)
+                  for target in node.targets if getattr(target, "id", None) in (
+                      "LAYER_FUNCTIONS", "ARPACK_MODULE")}
+        for module, function in consts["LAYER_FUNCTIONS"]:
+            assert callable(getattr(importlib.import_module(f"anisolab.{module}"), function))
+        assert gs.spla is scipy.sparse.linalg  # replaced by a namespace that times splu
+        assert hasattr(importlib.import_module(consts["ARPACK_MODULE"]), "splu")
 
     def test_import_leaves_slow_scipy_modules_unloaded(self):
         # every benchmark run pays the import in setup_s: scipy.interpolate

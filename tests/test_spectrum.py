@@ -11,7 +11,7 @@ from scipy.integrate import dblquad
 from anisolab import integrand as ig, spectrum as spx, surface as sf
 from anisolab.errors import InvalidSpec, SolverFailure
 from anisolab.harness import ExperimentConfig, RunContext, parse_surface, verify_bounds
-from anisolab.objio import grid_faces
+from anisolab.spectrum import grid_faces
 
 from conftest import stack2
 
@@ -520,7 +520,7 @@ class TestShiftInvert:
     def test_arpack_matches_dense_above_cutoff(self, factorizations):
         patch = sf.fixture("catenoid", grid=(24, 22), v_extent=2.0)
         disc = spx.assemble(patch, C1)
-        assert len(spx.interior_indices(disc)) == 480 > spx.DENSE_CUTOFF
+        assert len(spx.interior_indices(disc)) == 480
         with general_path():
             vals = spx.dirichlet_eigs(disc, 8)[0]
         ref = dense_pencil(disc)[:8]
@@ -536,7 +536,7 @@ class TestShiftInvert:
         weight[11, 11] = 1e6
         disc = spx.assemble(patch, C1, potential_weight=weight)
         idx = spx.interior_indices(disc)
-        assert len(idx) > spx.DENSE_CUTOFF
+        assert len(idx) == 441
         first_shift = -np.max(disc.potential.diagonal()[idx] / disc.mass.diagonal()[idx]) - 1
         ref = dense_pencil(disc)
         assert ref[0] < first_shift < ref[1]
@@ -548,11 +548,11 @@ class TestShiftInvert:
         assert len(factorizations) == 3
 
     def one_negative_pencil(self):
-        """A catenoid pencil above DENSE_CUTOFF with one negative eigenvalue,
+        """A catenoid pencil of 480 free nodes with one negative eigenvalue,
         and its dense spectrum."""
         disc = spx.assemble(sf.fixture("catenoid", grid=(24, 22), v_extent=2.0), C1)
         ref = dense_pencil(disc)
-        assert len(ref) > spx.DENSE_CUTOFF and ref[0] < 0 < ref[1]
+        assert len(ref) == 480 and ref[0] < 0 < ref[1]
         return disc, ref
 
     def test_solved_from_the_factor_at_zero(self, factorizations, shifts):
@@ -735,7 +735,7 @@ class TestModePath:
     def test_declines(self, surface, integrand, domain, factorizations):
         disc = RunContext(ExperimentConfig(surface=surface, integrand=integrand, grid=40)).disc
         sparse = spx._SparsePencil(disc, domain)
-        assert len(sparse.idx) > spx.DENSE_CUTOFF
+        assert 4 < len(sparse.idx) - 1  # a window ARPACK solves
         assert spx._mode_pencil(disc, domain, sparse) is None
         spx.dirichlet_eigs(disc, 4, domain=domain)
         assert factorizations == ["MMD_AT_PLUS_A"]

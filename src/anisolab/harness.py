@@ -161,9 +161,11 @@ def parse_surface(text: str, grid, integrand: str | None = None) -> SurfacePatch
                 raise InvalidSpec(f"{path} was solved for integrand {payload['integrand']!r}, "
                                   f"not {integrand!r}")
             prob = GraphProblem(tuple(payload["domain"]), tuple(payload["grid"]), bc_zero(), spec)
-            return lift(GraphSolution(
-                prob, np.array(payload["u"], dtype=float).reshape(prob.shape),
-                payload["residual_linf"], payload["iterations"], payload["converged"]))
+            u = np.array(payload["u"], dtype=float).reshape(prob.shape)
+            if not np.all(np.isfinite(u)):  # json reads NaN and Infinity
+                raise InvalidSpec(f"{path} holds a height that is not finite")
+            return lift(GraphSolution(prob, u, payload["residual_linf"], payload["iterations"],
+                                      payload["converged"]))
         except InvalidSpec:
             raise
         except (OSError, ValueError, KeyError, TypeError) as exc:

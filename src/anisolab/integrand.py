@@ -291,35 +291,27 @@ def cahn_hoffman(spec: IntegrandSpec, nu) -> np.ndarray:
 
 
 def anisotropy_constants(
-    spec: IntegrandSpec,
-    sample_count: int = VALIDATION_SAMPLES,
-    extra_normals: np.ndarray | None = None,
+    spec: IntegrandSpec, extra_normals: np.ndarray | None = None
 ) -> AnisotropyConstants:
     """Extremal tangential eigenvalues of the curvature tensor and the
     derived comparison constants.
 
-    Sampling is the deterministic Fibonacci lattice; callers holding a
-    concrete normal field may pass it as ``extra_normals`` so the discrete
-    comparison inequalities see constants extremal over their own nodes.
+    The extremes start from the validation lattice's record, computed once
+    per spec by ``_lattice_extremes`` (there is no sample count); callers
+    holding a concrete normal field pass it as ``extra_normals`` to widen them,
+    so the discrete comparison inequalities see constants extremal over it too.
     """
-    if sample_count < 100:
-        raise ValueError("sample_count must be at least 100")
-    normals = fibonacci_sphere(sample_count)
+    _, lam, Lam = _lattice_extremes(spec)
     if extra_normals is not None:
         extra = np.asarray(extra_normals, dtype=np.float64).reshape(-1, 3)
         norms = np.linalg.norm(extra, axis=-1, keepdims=True)
         if np.any(norms == 0.0):
             raise ZeroVector("extra_normals has a row too close to zero to normalize")
-        extra = extra / norms
-        normals = np.concatenate([normals, extra], axis=0)
-    A, _, _ = tangential_curvature_tensor(spec, normals)
-    lower, upper = sym2x2_eigenvalues(*A)
-    lam = float(np.min(lower))
-    Lam = float(np.max(upper))
+        A, _, _ = tangential_curvature_tensor(spec, extra / norms)
+        lower, upper = sym2x2_eigenvalues(*A)
+        lam, Lam = float(np.min(np.append(lower, lam))), float(np.max(np.append(upper, Lam)))
     if not lam > 1e-10:
-        raise NonConvexIntegrand(
-            f"minimum tangential eigenvalue {lam:.3e} is not positive"
-        )
+        raise NonConvexIntegrand(f"minimum tangential eigenvalue {lam:.3e} is not positive")
     ratio = Lam / lam
     c_gamma = ratio**2 * (ratio + 1.0 / ratio)
     return AnisotropyConstants(
@@ -334,20 +326,25 @@ def anisotropy_constants(
 # factories and validation
 # ---------------------------------------------------------------------------
 
-def _validate(spec: IntegrandSpec) -> IntegrandSpec:
+@lru_cache(maxsize=None)
+def _lattice_extremes(spec: IntegrandSpec) -> tuple[float, float, float]:
+    """The smallest gamma and the smallest and largest tangential eigenvalue
+    over the validation lattice: the one sampled record of the integrand's
+    extremes, which both ``_validate`` and ``anisotropy_constants`` read."""
     sample = fibonacci_sphere(VALIDATION_SAMPLES)
-    vals = gamma_values(spec, sample)
-    if not np.min(vals) > 0.0:
-        raise NonConvexIntegrand(
-            f"gamma takes non-positive value {np.min(vals):.3e} on the validation sample"
-        )
     A, _, _ = tangential_curvature_tensor(spec, sample)
-    min_eig = float(np.min(sym2x2_eigenvalues(*A)[0]))
+    lower, upper = sym2x2_eigenvalues(*A)
+    return float(np.min(gamma_values(spec, sample))), float(np.min(lower)), float(np.max(upper))
+
+
+def _validate(spec: IntegrandSpec) -> IntegrandSpec:
+    min_gamma, min_eig, _ = _lattice_extremes(spec)
+    if not min_gamma > 0.0:
+        raise NonConvexIntegrand(f"gamma takes non-positive value {min_gamma:.3e} "
+                                 "on the validation sample")
     if not min_eig >= CONVEXITY_MARGIN:
-        raise NonConvexIntegrand(
-            f"sampled convexity margin violated: min tangential eigenvalue "
-            f"{min_eig:.3e} < {CONVEXITY_MARGIN}"
-        )
+        raise NonConvexIntegrand(f"sampled convexity margin violated: min tangential eigenvalue "
+                                 f"{min_eig:.3e} < {CONVEXITY_MARGIN}")
     return spec
 
 

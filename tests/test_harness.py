@@ -579,6 +579,8 @@ class TestCli:
         "spectrum_domains_not_nested", "bounds_domain_repeated", "config_jacobi_residual_tol",
         "graph_spacing_underflow", "graph_spacing_overflow", "solution_spacing_overflow",
         "surface_arity", "config_list",
+        *(f"solution_{h}_{view}" for h in ("nan", "inf")
+          for view in ("bounds", "spectrum", "gauss", "curvature")),
     ])
     def test_bad_input_exits_2(self, tmp_path, capsys, case):
         cfg = tmp_path / "cfg.json"
@@ -668,6 +670,17 @@ class TestCli:
             "bounds_domain_repeated": ["bounds", "--grid", "48", "--domains",
                                        "0,6.2832,-1,1;0,6.2832,-2,2;0,6.2832,-2,2"],
         }.get(case, ["bounds", "--config", str(cfg)])  # the config_* cases
+        if case.startswith(("solution_nan", "solution_inf")):
+            # json reads NaN and Infinity; a corner height of either ended in a
+            # traceback in degrees, or warned and then blamed the P1 assembly
+            height = np.nan if case.startswith("solution_nan") else np.inf
+            cfg.write_text(json.dumps(
+                {"integrand": "const:1", "domain": [0, 1, 0, 1], "grid": [9, 9],
+                 "u": [height] + [0.0] * 80, "residual_linf": 0.0, "iterations": 0,
+                 "converged": True}))
+            view = case.rsplit("_", 1)[1]
+            argv = [view, "--surface", str(cfg)] + ([] if view == "bounds" else [
+                "--integrand", "const:1", "--out", str(tmp_path / "out.json")])
         assert main(argv) == 2
         err = capsys.readouterr().err
         # |X_u x X_v| overflows on every node of a finite chart
@@ -678,6 +691,8 @@ class TestCli:
         if case in ("config_tolerance_string", "config_wulff_refinement_above_cap",
                     "config_jacobi_residual_tol", "config_euler_char"):
             assert "unknown config keys" in err
+        if case.startswith(("solution_nan", "solution_inf")):
+            assert str(cfg) in err
 
     @pytest.mark.parametrize("argv", [
         ["wulff", "--integrand", "const:inf"],
@@ -695,6 +710,54 @@ class TestCli:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: InvalidSpec: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_spectrum_windows_beyond_arpack(self, tmp_path):
+        # the first domain has 4 free nodes: its window is solved densely
+        out = tmp_path / "s.json"
+        assert main(["spectrum", "--surface", "plane", "--integrand", "const:1", "--grid", "8",
+                     "--domains", "0.3,0.7,0.3,0.7;0.2,0.8,0.2,0.8;0.1,0.9,0.1,0.9",
+                     "--out", str(out)]) == 0
+        assert [len(v) for v in json.loads(out.read_text())["eigenvalues"]] == [4, 12, 12]
+
+    @pytest.mark.parametrize("failure", ["eigsh_raises", "counts_not_monotone"])
+    def test_spectral_refusal_exits_2(self, monkeypatch, capsys, failure):
+        # enneper at grid 24 takes the sparse path: a solver exception is
+        # wrapped, and counts 2, 1, 1 over the nested domains are refused
+        if failure == "eigsh_raises":
+            def eigsh(*args, **kwargs):
+                raise RuntimeError("solver broke")
+
+            monkeypatch.setattr(spx.spla, "eigsh", eigsh)
+        else:
+            counts = iter([2, 1, 1])
+
+            def dirichlet_eigs(disc, k, domain=None):
+                c = next(counts)
+                return np.repeat([-1.0, 1.0], [c, k - c]), None, None
+
+            monkeypatch.setattr(spx, "dirichlet_eigs", dirichlet_eigs)
+        assert main(["bounds", "--surface", "enneper:1.3", "--grid", "24"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: SolverFailure: ")
+        assert err.count("\n") == 1
+        assert ("eigensolve failed" if failure == "eigsh_raises" else "not monotone") in err
+
+    @pytest.mark.parametrize("argv", [
+        ["wulff", "--integrand", "const:1e-9"],  # smallest eigenvalue 1e-9
+        ["wulff", "--integrand", "ellipsoid:1e-6,1e-6,2e-6"],  # smallest eigenvalue 5e-7
+        ["wulff", "--integrand", "ellipsoid:0,1,1"],  # a zero semi-axis
+        ["bounds", "--integrand", "const:1e-9"],
+    ], ids=lambda argv: f"{argv[0]}-{argv[2]}")
+    def test_non_convex_integrand_exits_2(self, tmp_path, capsys, argv):
+        # below the sampled convexity margin, or with a semi-axis that is not positive
+        out = tmp_path / "w.obj"
+        if argv[0] == "wulff":
+            argv = argv + ["--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: NonConvexIntegrand: ")
         assert err.count("\n") == 1
         assert not out.exists()
 
@@ -886,6 +949,24 @@ class TestRunContext:
                         if value is original:
                             monkeypatch.setattr(mod, attr, counted)
         return counts
+
+    def test_lattice_extremes_evaluated_once(self, monkeypatch):
+        # validation and the verdict's constants read one cached record of
+        # the validation lattice
+        ig._lattice_extremes.cache_clear()
+        sizes = []
+        original = ig.tangential_curvature_tensor
+
+        def counted(spec, normals):
+            sizes.append(len(normals))
+            return original(spec, normals)
+
+        monkeypatch.setattr(ig, "tangential_curvature_tensor", counted)
+        ctx = RunContext(ExperimentConfig(surface="catenoid:2", integrand="ellipsoid:1,1,2",
+                                          grid=16))
+        # widening by the patch normals can only lower lambda
+        assert ctx.consts.lambda_gamma <= ig.anisotropy_constants(ctx.spec).lambda_gamma
+        assert sizes.count(ig.VALIDATION_SAMPLES) == 1
 
     def test_each_artifact_computed_once(self, monkeypatch, tmp_path):
         counts = self._count_calls(monkeypatch)

@@ -214,6 +214,28 @@ class TestDirichletEigs:
         _, v2, _ = spx.dirichlet_eigs(disc, 4)
         assert np.array_equal(v1, v2)
 
+    def test_dense_window_beyond_arpack(self, monkeypatch):
+        # k >= n - 1 of a pencil's n eigenvalues are beyond ARPACK: all 4 of a
+        # 4-node domain come from LAPACK on the restricted pencil
+        def refuse(*args, **kwargs):
+            raise AssertionError("ARPACK called for a window beyond its reach")
+
+        monkeypatch.setattr(spx.spla, "eigsh", refuse)
+        disc = spx.assemble(sf.fixture("plane", grid=8), C1)
+        domain = (0.3, 0.7, 0.3, 0.7)
+        idx = spx.interior_indices(disc, domain)
+        assert len(idx) == 4
+        vals, _, free = spx.dirichlet_eigs(disc, 12, domain)
+        ref = sla.eigh(disc.operator[idx][:, idx].toarray(), disc.mass[idx][:, idx].toarray(),
+                       eigvals_only=True)
+        assert np.array_equal(free, idx)
+        np.testing.assert_allclose(vals, ref, rtol=1e-12, atol=0)
+
+    def test_empty_window_refused(self):
+        disc = spx.assemble(sf.fixture("plane", grid=8), C1)
+        with pytest.raises(ValueError, match="k >= 1"):
+            spx.dirichlet_eigs(disc, 0)
+
     def test_empty_domain_fails_loudly(self):
         disc = spx.assemble(sf.fixture("plane", grid=(32, 32)), C1)
         with pytest.raises(SolverFailure):

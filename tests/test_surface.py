@@ -212,6 +212,11 @@ class TestFirstVariation:
         with pytest.raises(ValueError):
             sf.first_variation_check(p, C1, np.zeros(p.shape), 1e-7)
 
+    def test_field_shape_refused(self):
+        p = sf.fixture("plane", grid=(32, 32))
+        with pytest.raises(ValueError, match="patch grid"):
+            sf.first_variation_check(p, C1, np.zeros((31, 32)), 1e-3)
+
 
 def stencil_d1(a, h, axis, periodic):
     """The explicit 3-point stencils grid_d1 must reproduce."""
@@ -343,6 +348,10 @@ class TestFixtures:
     def test_singular_shear(self):
         with pytest.raises(SingularShear):
             sf.fixture("sheared_catenoid", shear=np.zeros((3, 3)))
+
+    def test_shear_shape_refused(self):
+        with pytest.raises(ValueError, match="3x3"):
+            sf.fixture("sheared_catenoid", shear=np.eye(2))
 
     def test_parameter_ranges(self):
         with pytest.raises(ValueError):

@@ -164,11 +164,15 @@ def parse_surface(text: str, grid, integrand: str | None = None) -> SurfacePatch
             u = np.array(payload["u"], dtype=float).reshape(prob.shape)
             if not np.all(np.isfinite(u)):  # json reads NaN and Infinity
                 raise InvalidSpec(f"{path} holds a height that is not finite")
-            return lift(GraphSolution(prob, u, payload["residual_linf"], payload["iterations"],
-                                      payload["converged"]))
+            res, its, conv = (payload[k] for k in ("residual_linf", "iterations", "converged"))
+            if not (_numbers([res], 1) and res >= 0 and isinstance(its, Integral)
+                    and not isinstance(its, bool) and its >= 0 and isinstance(conv, bool)):
+                raise InvalidSpec(f"{path} holds malformed solver metadata: residual_linf "
+                                  f"{res!r}, iterations {its!r}, converged {conv!r}")
+            return lift(GraphSolution(prob, u, res, its, conv))
         except InvalidSpec:
             raise
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
             raise InvalidSpec(f"cannot read solution {text!r}: {exc!r}") from exc
     head, _, tail = text.strip().partition(":")
     if head not in FIXTURE_PARAMS:
@@ -528,8 +532,10 @@ def verify_bounds(run: ExperimentConfig | RunContext) -> dict:
     # shifted by the eigensolver's zero threshold, the inertia counts exactly
     # the eigenvalues negative_count counts; an untrusted factorization
     # (None) leaves the check unevaluated unless a trusted count disagrees.
-    # inertia always factors the sparse pencil, so where the eigenvalues
-    # came one Fourier mode at a time it checks one algorithm by another
+    # A sparse window certified at sigma = 0 answers with its count unless
+    # one of its values lies in [-shift, 0); every other domain, those whose
+    # eigenvalues came one Fourier mode at a time included, is recounted by
+    # the sparse factorization, which there checks one algorithm by another
     by_inertia = [
         inertia(ctx.disc, dom, shift=zero_threshold(vals))
         for dom, vals in zip(spectral.domains, spectral.eigenvalues)

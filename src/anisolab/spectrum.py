@@ -41,8 +41,11 @@ mode (:class:`_ModePencil`): Sturm counts of all modes at once (backward
 stable; Kahan 1966, Demmel 1997, 5.3.4), and dense solves of only the
 modes holding one of the lowest eigenvalues, no factorization.  Callers
 take ``_mode_pencil(disc, domain, sparse) or sparse``, the modes where they
-provably match the pencil.  :func:`inertia` counts on the sparse pencil on
-every chart, so the verdict's recount checks one algorithm by the other.
+provably match the pencil.  :func:`inertia` takes the count of a sparse
+window certified at sigma = 0 when no window value lies in [-shift, 0),
+so each such domain is factored once; it recounts every other domain on
+the sparse pencil, the per-mode ones included, so there the verdict's
+recount checks one algorithm by the other.
 """
 
 from __future__ import annotations
@@ -100,6 +103,12 @@ class JacobiDiscretization:
     def operator(self) -> sp.csr_matrix:
         """The Jacobi operator matrix, stiffness - potential."""
         return (self.stiffness - self.potential).tocsr()
+
+    @cached_property
+    def certified(self) -> dict:
+        """Domain -> (count c at sigma = 0, window values) of each sparse
+        window certified there; numbers only, so no factor outlives its solve."""
+        return {}
 
 
 @dataclass
@@ -326,7 +335,7 @@ class _SparsePencil:
     gap_a = gap_m = 0.0  # the pencil is exactly what it counts and solves
 
     def __init__(self, disc: JacobiDiscretization, domain):
-        self.disc, self.idx = disc, interior_indices(disc, domain)
+        self.disc, self.domain, self.idx = disc, domain, interior_indices(disc, domain)
         self.op = disc.operator[self.idx][:, self.idx].tocsc()
         self.mass = disc.mass[self.idx][:, self.idx].tocsc()
         self.sigma = self.opinv = self.below_zero = None
@@ -346,6 +355,7 @@ class _SparsePencil:
         if self.sigma == 0.0 and self.below_zero < k:
             vals, vecs = self._arpack(k)
             if np.sum(vals < 0.0) == self.below_zero:
+                self.disc.certified[_domain_key(self.domain)] = (self.below_zero, vals)
                 return vals, vecs
         if not self.sigma:  # no factor at 0, or it cannot give the k lowest
             self._descend()
@@ -565,11 +575,22 @@ def inertia(
     lambda mass x on the domain's free nodes: the count of the sparse pencil
     at sigma = -shift, or None when it is not trusted.
 
-    It counts on the sparse pencil on every chart, also where
-    :func:`dirichlet_eigs` solves per Fourier mode, so it checks that path.
+    A window of the domain certified at sigma = 0 (``disc.certified``)
+    holds every negative eigenvalue, so for a shift >= 0 with none of its
+    values in [-shift, 0) its count c is the answer, read off the
+    shift-invert factor as Grimes, Lewis and Simon do.  Otherwise the
+    sparse pencil is factored at -shift, also where :func:`dirichlet_eigs`
+    solves per Fourier mode, which records nothing, so it checks that path.
     """
+    c, window = disc.certified.get(_domain_key(domain), (None, None))
+    if c is not None and shift >= 0.0 and not np.any((window >= -shift) & (window < 0.0)):
+        return c
     sparse = _SparsePencil(disc, domain)
     return sparse.count(-shift) if len(sparse.idx) else None
+
+
+def _domain_key(domain) -> tuple | None:
+    return None if domain is None else tuple(domain)
 
 
 def _symmetric_factor(op: sp.csc_matrix, mass: sp.csc_matrix, sigma: float):
@@ -592,10 +613,17 @@ def _symmetric_factor(op: sp.csc_matrix, mass: sp.csc_matrix, sigma: float):
     if not np.array_equal(lu.perm_r, lu.perm_c):
         return None, None
     pivots = lu.U.diagonal()
-    row_max = abs(a).max(axis=1).toarray().reshape(-1)[np.argsort(lu.perm_r)]
+    row_max = _row_abs_max(a)[np.argsort(lu.perm_r)]
     if np.any(np.abs(pivots) <= ZERO_EIG_REL * row_max):
         return None, None
     return lu, int(np.sum(pivots < 0))
+
+
+def _row_abs_max(a: sp.csc_matrix) -> np.ndarray:
+    """Largest |entry| of each row of ``a`` (0 for an empty row), from its CSC arrays."""
+    out = np.zeros(a.shape[0])
+    np.maximum.at(out, a.indices, np.abs(a.data))
+    return out
 
 
 def guarded_negative_count(

@@ -578,7 +578,8 @@ class TestCli:
         "shear_nan", "shear_inf", "shear_overflow", "shear_det_overflow", "config_euler_char",
         "spectrum_domains_not_nested", "bounds_domain_repeated", "config_jacobi_residual_tol",
         "graph_spacing_underflow", "graph_spacing_overflow", "solution_spacing_overflow",
-        "surface_arity", "config_list",
+        "surface_arity", "config_list", "solution_converged_string", "solution_residual_nan",
+        "solution_metadata_types", "solution_residual_huge_int",
         *(f"solution_{h}_{view}" for h in ("nan", "inf")
           for view in ("bounds", "spectrum", "gauss", "curvature")),
     ])
@@ -670,6 +671,17 @@ class TestCli:
             "bounds_domain_repeated": ["bounds", "--grid", "48", "--domains",
                                        "0,6.2832,-1,1;0,6.2832,-2,2;0,6.2832,-2,2"],
         }.get(case, ["bounds", "--config", str(cfg)])  # the config_* cases
+        metadata = {  # each was judged like the solution it was edited from
+            "solution_converged_string": {"converged": "no", "iterations": -5},
+            "solution_residual_nan": {"residual_linf": np.nan},
+            "solution_metadata_types": {"residual_linf": "x", "iterations": 2.5},
+            "solution_residual_huge_int": {"residual_linf": 10**400},  # no float holds it
+        }
+        if case in metadata:
+            cfg.write_text(json.dumps(
+                {"integrand": "const:1", "domain": [0, 1, 0, 1], "grid": [9, 9], "u": [0.0] * 81,
+                 "residual_linf": 0.0, "iterations": 0, "converged": True, **metadata[case]}))
+            argv = ["bounds", "--surface", str(cfg)]
         if case.startswith(("solution_nan", "solution_inf")):
             # json reads NaN and Infinity; a corner height of either ended in a
             # traceback in degrees, or warned and then blamed the P1 assembly
@@ -691,7 +703,7 @@ class TestCli:
         if case in ("config_tolerance_string", "config_wulff_refinement_above_cap",
                     "config_jacobi_residual_tol", "config_euler_char"):
             assert "unknown config keys" in err
-        if case.startswith(("solution_nan", "solution_inf")):
+        if case.startswith(("solution_nan", "solution_inf")) or case in metadata:
             assert str(cfg) in err
 
     @pytest.mark.parametrize("argv", [

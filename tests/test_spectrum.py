@@ -455,13 +455,16 @@ def assert_guard_falls_back(monkeypatch, patch, factorizations=None):
 class TestInertia:
     @pytest.mark.parametrize("config", CRITERION_11, ids=["catenoid", "enneper", "sheared"])
     def test_matches_eigensolve_count(self, config):
-        ctx = RunContext(config)
-        for disc in (ctx.disc, ctx.disc_cmp):
+        # the recount on a fresh assembly, which holds no certified window,
+        # factors at the shift on every chart
+        ctx, fresh = RunContext(config), RunContext(config)
+        for disc, recount in ((ctx.disc, fresh.disc), (ctx.disc_cmp, fresh.disc_cmp)):
             for dom in ctx.domains:
                 vals = spx.dirichlet_eigs(disc, spx.DEFAULT_EIG_COUNT, domain=dom)[0]
                 expected = spx.negative_count(vals)
                 shift = spx.ZERO_EIG_REL * float(np.max(np.abs(vals)))
-                assert spx.inertia(disc, dom, shift=shift) == expected
+                assert recount.certified == {}
+                assert spx.inertia(recount, dom, shift=shift) == expected
                 assert spx.guarded_negative_count(disc, spx.DEFAULT_EIG_COUNT, dom) == expected
 
     @pytest.mark.parametrize("matrix", [[[0, 1], [1, 0]], [[1, 0], [0, 0]],
@@ -626,16 +629,81 @@ class TestVerdictWork:
     eigensolve or the descent's shift below the spectrum fails here."""
 
     @pytest.mark.parametrize("config,eigensolves,made", [
-        (ExperimentConfig(surface="enneper:1.3", grid=48), 3, 3 + 3),
+        (ExperimentConfig(surface="enneper:1.3", grid=48), 3, 3),
         (CRITERION_11[0], 0, 3),
-    ], ids=["enneper", "catenoid"])
+        (CRITERION_11[2], 0, 3),
+    ], ids=["enneper", "catenoid", "sheared"])
     def test_counts(self, config, eigensolves, made, factorizations, shifts):
-        # enneper: 3 eigensolves and 3 inertia checks, and no comparison
-        # counts for its isotropic integrand; the catenoid solves per
-        # Fourier mode, so only inertia factors
+        # enneper: 3 eigensolves, whose certified counts at 0 answer the
+        # inertia checks, and no comparison counts for its isotropic
+        # integrand; the catenoids solve per Fourier mode and count the
+        # comparison operator per mode, so only the inertia checks factor
         verify_bounds(config)
         assert len(factorizations) == made
         assert shifts == [0.0] * eigensolves
+
+
+class TestRecount:
+    """Which recounts :func:`spx.inertia` takes from a window certified at
+    sigma = 0 and which it factors, on enneper:1.3 at grid 48."""
+
+    @staticmethod
+    def solved():
+        ctx = RunContext(ExperimentConfig(surface="enneper:1.3", grid=48))
+        windows = [spx.dirichlet_eigs(ctx.disc, spx.DEFAULT_EIG_COUNT, domain=dom)[0]
+                   for dom in ctx.domains]
+        return ctx.disc, ctx.domains, windows
+
+    def test_certified_window_answers(self, factorizations):
+        disc, domains, windows = self.solved()
+        factorizations.clear()
+        for dom, vals in zip(domains, windows):
+            assert spx.inertia(disc, dom, shift=spx.zero_threshold(vals)) == spx.negative_count(vals)
+        assert factorizations == []
+
+    def test_window_value_in_range_factors(self, factorizations):
+        disc, domains, windows = self.solved()
+        lam1 = windows[-1][0]
+        assert -1.01 < lam1 < -1.008 and disc.certified[domains[-1]][0] == 1
+        factorizations.clear()
+        assert spx.inertia(disc, domains[-1], shift=1.5 * abs(lam1)) == 0
+        assert len(factorizations) == 1
+
+    def test_negative_shift_factors(self, factorizations):
+        disc, domains, windows = self.solved()
+        expected = int(np.sum(windows[-1] < 1.5))  # the window holds every value below 1.5
+        assert expected > 1
+        factorizations.clear()
+        assert spx.inertia(disc, domains[-1], shift=-1.5) == expected
+        assert len(factorizations) == 1
+
+    def test_unsolved_domain_factors(self, factorizations):
+        disc = self.solved()[0]
+        dom = (-1.0, 1.0, -1.0, 1.0)
+        factorizations.clear()
+        count = spx.inertia(disc, dom)
+        assert len(factorizations) == 1
+        assert count == spx.negative_count(spx.dirichlet_eigs(disc, spx.DEFAULT_EIG_COUNT, dom)[0])
+
+    def test_refused_factor_at_zero_leaves_no_record(self, monkeypatch, factorizations):
+        factor = spx._symmetric_factor
+        monkeypatch.setattr(spx, "_symmetric_factor", lambda op, mass, sigma: (
+            factor(op, mass, sigma) if sigma else (None, None)))
+        disc, domains, windows = self.solved()
+        assert disc.certified == {}
+        factorizations.clear()
+        for dom, vals in zip(domains, windows):
+            assert spx.inertia(disc, dom, shift=spx.zero_threshold(vals)) == spx.negative_count(vals)
+        assert len(factorizations) == 3
+
+    def test_row_maxima(self):
+        # an explicit zero, rows whose largest |entry| is a negative entry, an empty row
+        rows, cols = [0, 0, 1, 1, 2, 2], [0, 1, 0, 2, 1, 2]
+        a = sp.csc_matrix(([2.0, -5.0, -5.0, 0.0, 0.5, -3.0], (rows, cols)), shape=(4, 4))
+        assert a.nnz == 6
+        np.testing.assert_array_equal(spx._row_abs_max(a), [5.0, 5.0, 3.0, 0.0])
+        np.testing.assert_array_equal(spx._row_abs_max(a),
+                                      abs(a).max(axis=1).toarray().reshape(-1))
 
 
 def eigs_and_count(disc, dom, k=spx.DEFAULT_EIG_COUNT):

@@ -73,6 +73,9 @@ def _parse_domains(text: str | None):
     return [_parse_numbers(part, "u0,u1,v0,v1") for part in text.split(";")]
 
 
+GRID_HELP = "fixture nodes per axis; a solution.json keeps its own (see surface_sha256)"
+
+
 def _config(args, **fields) -> ExperimentConfig:
     return ExperimentConfig(
         surface=args.surface, integrand=args.integrand, grid=args.grid, **fields
@@ -246,14 +249,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curvature", help="export curvature fields of a surface")
     p.add_argument("--surface", required=True)
     p.add_argument("--integrand", required=True)
-    p.add_argument("--grid", type=int, default=ExperimentConfig.grid)
+    p.add_argument("--grid", type=int, default=ExperimentConfig.grid, help=GRID_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_curvature)
 
     p = sub.add_parser("spectrum", help="Jacobi spectra over an exhaustion")
     p.add_argument("--surface", required=True, help="fixture spec or solution.json")
     p.add_argument("--integrand", required=True)
-    p.add_argument("--grid", type=int, default=ExperimentConfig.grid)
+    p.add_argument("--grid", type=int, default=ExperimentConfig.grid, help=GRID_HELP)
     p.add_argument("--domains", default=None, help="u0,u1,v0,v1;... (default: nested)")
     p.add_argument("--k", type=int, default=ExperimentConfig.eig_count)
     p.add_argument("--out", default=None)
@@ -262,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gauss", help="Gauss-map degrees and nodal pseudograph")
     p.add_argument("--surface", required=True)
     p.add_argument("--integrand", required=True)
-    p.add_argument("--grid", type=int, default=ExperimentConfig.grid)
+    p.add_argument("--grid", type=int, default=ExperimentConfig.grid, help=GRID_HELP)
     p.add_argument("--axis", default="0,0,1")
     p.add_argument("--genus", type=int, default=ExperimentConfig.genus)
     p.add_argument("--out", default=None)
@@ -272,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--surface", default=ExperimentConfig.surface)
     p.add_argument("--integrand", default=ExperimentConfig.integrand)
-    p.add_argument("--grid", type=int, default=ExperimentConfig.grid)
+    p.add_argument("--grid", type=int, default=ExperimentConfig.grid, help=GRID_HELP)
     p.add_argument("--domains", default=None)
     p.add_argument("--genus", type=int, default=ExperimentConfig.genus)
     p.add_argument("--seed", type=int, default=ExperimentConfig.seed)
@@ -290,7 +293,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except AnisolabError as exc:
+    except (AnisolabError, OSError) as exc:  # an unwritable --out, say
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

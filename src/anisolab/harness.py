@@ -160,10 +160,11 @@ def parse_surface(text: str, grid, integrand: str | None = None) -> SurfacePatch
             if integrand is not None and spec != parse_integrand(integrand):
                 raise InvalidSpec(f"{path} was solved for integrand {payload['integrand']!r}, "
                                   f"not {integrand!r}")
-            prob = GraphProblem(tuple(payload["domain"]), tuple(payload["grid"]), bc_zero(), spec)
-            u = np.array(payload["u"], dtype=float).reshape(prob.shape)
+            shape = tuple(payload["grid"])  # filled before GraphProblem allocates it
+            u = np.array(payload["u"], dtype=float).reshape(shape)
             if not np.all(np.isfinite(u)):  # json reads NaN and Infinity
                 raise InvalidSpec(f"{path} holds a height that is not finite")
+            prob = GraphProblem(tuple(payload["domain"]), shape, bc_zero(), spec)
             res, its, conv = (payload[k] for k in ("residual_linf", "iterations", "converged"))
             if not (_numbers([res], 1) and res >= 0 and isinstance(its, Integral)
                     and not isinstance(its, bool) and its >= 0 and isinstance(conv, bool)):
@@ -314,7 +315,7 @@ class RunContext:
 
     @cached_property
     def consts(self) -> AnisotropyConstants:
-        return anisotropy_constants(self.spec, extra_normals=self.field.normal.reshape(-1, 3))
+        return anisotropy_constants(self.spec, self.field.a_tensor)
 
     @cached_property
     def domains(self) -> list[tuple[float, float, float, float]]:

@@ -290,25 +290,20 @@ def cahn_hoffman(spec: IntegrandSpec, nu) -> np.ndarray:
     return gamma_gradients(spec, nu)
 
 
-def anisotropy_constants(
-    spec: IntegrandSpec, extra_normals: np.ndarray | None = None
-) -> AnisotropyConstants:
+def anisotropy_constants(spec: IntegrandSpec, tensor=None) -> AnisotropyConstants:
     """Extremal tangential eigenvalues of the curvature tensor and the
     derived comparison constants.
 
     The extremes start from the validation lattice's record, computed once
     per spec by ``_lattice_extremes`` (there is no sample count); callers
-    holding a concrete normal field pass it as ``extra_normals`` to widen them,
-    so the discrete comparison inequalities see constants extremal over it too.
+    holding the tensor's entry planes (a11, a12, a22) at concrete points, such
+    as ``CurvatureField.a_tensor``, pass them as ``tensor`` to widen them by its
+    eigenvalues, so the discrete comparison inequalities see constants
+    extremal over exactly the tensor values they read.
     """
     _, lam, Lam = _lattice_extremes(spec)
-    if extra_normals is not None:
-        extra = np.asarray(extra_normals, dtype=np.float64).reshape(-1, 3)
-        norms = np.linalg.norm(extra, axis=-1, keepdims=True)
-        if np.any(norms == 0.0):
-            raise ZeroVector("extra_normals has a row too close to zero to normalize")
-        A, _, _ = tangential_curvature_tensor(spec, extra / norms)
-        lower, upper = sym2x2_eigenvalues(*A)
+    if tensor is not None:
+        lower, upper = sym2x2_eigenvalues(*tensor)
         lam, Lam = float(np.min(np.append(lower, lam))), float(np.max(np.append(upper, Lam)))
     if not lam > 1e-10:
         raise NonConvexIntegrand(f"minimum tangential eigenvalue {lam:.3e} is not positive")

@@ -253,7 +253,7 @@ def test_criterion_06_pairing_sandwich(accepted_fields, converged_lifts):
     fields = list(accepted_fields.values()) + [f for _, f in converged_lifts]
     worst = -math.inf
     for fld in fields:
-        consts = ig.anisotropy_constants(fld.spec, extra_normals=fld.normal.reshape(-1, 3))
+        consts = ig.anisotropy_constants(fld.spec, fld.a_tensor)
         s2 = fld.curvature_scale() ** 2
         lo = (-2.0 / consts.Lambda_gamma) * fld.k_gamma
         hi = (-2.0 / consts.lambda_gamma) * fld.k_gamma
@@ -343,7 +343,7 @@ def test_criterion_09_comparison_chain(accepted_fields):
     }
     for name, fld in accepted_fields.items():
         patch, spec = fld.patch, fld.spec
-        consts = ig.anisotropy_constants(spec, extra_normals=fld.normal.reshape(-1, 3))
+        consts = ig.anisotropy_constants(spec, fld.a_tensor)
         disc = spx.assemble(patch, spec, field=fld)
         w = (2.0 / consts.lambda_gamma**2) * (-fld.k_gamma)
         cmp_disc = spx.assemble(

@@ -316,6 +316,21 @@ class TestProvenance:
         assert first["surface_name"] == second["surface_name"] == "graph_solution"
         assert first["surface_sha256"] != second["surface_sha256"]
 
+    def test_grid_flag_does_not_change_a_solution(self, tmp_path):
+        # a solution is judged on its own grid less its trimmed edge ring;
+        # only the config echo repeats the requested grid
+        sol = tmp_path / "sol.json"
+        assert main(["solve-graph", "--integrand", "const:1", "--domain", "1.2,2,-0.4,0.4",
+                     "--grid", "17", "--bc", "catenoid", "--out", str(sol)]) == 0
+        judged = []
+        for grid in ("24", "96"):
+            out = tmp_path / f"v{grid}.json"
+            main(["bounds", "--surface", str(sol), "--grid", grid, "--out", str(out)])
+            report = json.loads(out.read_text())
+            judged.append((report["provenance"]["surface_sha256"],
+                           [c["name"] for c in report["checks"] if c["passed"] is False]))
+        assert judged[0] == judged[1]
+
     def test_replaced_patch_changes_the_digest(self):
         # the (1, z^2) chart assigned to a context of the default configuration
         config = ExperimentConfig(grid=65)
@@ -363,6 +378,22 @@ class TestConfig:
         assert p.name == "sheared_catenoid"
         with pytest.raises(ValueError):
             parse_surface("torus", 16)
+
+    def test_solution_heights_counted_before_the_grid_is_built(self, tmp_path, monkeypatch):
+        # a one-height file declaring 2001 x 2001 nodes built a boundary grid of
+        # that size, growing with the declared grid and not the file, before
+        # its refusal
+        built = []
+        original = gs.GraphProblem.boundary_grid
+        monkeypatch.setattr(gs.GraphProblem, "boundary_grid",
+                            lambda prob: built.append(prob.shape) or original(prob))
+        sol = tmp_path / "sol.json"
+        sol.write_text(json.dumps({"integrand": "const:1", "domain": [0, 1, 0, 1],
+                                   "grid": [2001, 2001], "u": [0.0], "residual_linf": 0.0,
+                                   "iterations": 0, "converged": True}))
+        with pytest.raises(InvalidSpec):
+            parse_surface(str(sol), 16)
+        assert built == []
 
 
 class TestCli:
@@ -499,6 +530,25 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert payload["pseudograph"]["N"] == 2
         assert payload["pseudograph"]["lower_bound"] == 1
+
+    @pytest.mark.parametrize("target", ["missing_directory", "directory"])
+    @pytest.mark.parametrize("command", ["curvature", "bounds", "wulff", "solve-graph"])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, command, target):
+        # these ended in a traceback and exit 1, which reads as a failed check
+        # for bounds and as no convergence for solve-graph
+        out = tmp_path / "missing" / "x.json" if target == "missing_directory" else tmp_path
+        argv = {
+            "curvature": ["curvature", "--surface", "catenoid:2", "--integrand", "const:1",
+                          "--grid", "16"],
+            "bounds": ["bounds", "--surface", "plane", "--grid", "16"],
+            "wulff": ["wulff", "--integrand", "const:1", "--refine", "0"],
+            "solve-graph": ["solve-graph", "--integrand", "const:1", "--domain", "0,1,0,1",
+                            "--grid", "9", "--bc", "zero"],
+        }[command]
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_bounds_exit_codes(self, tmp_path):
         out = tmp_path / "v.json"
@@ -976,9 +1026,42 @@ class TestRunContext:
         monkeypatch.setattr(ig, "tangential_curvature_tensor", counted)
         ctx = RunContext(ExperimentConfig(surface="catenoid:2", integrand="ellipsoid:1,1,2",
                                           grid=16))
-        # widening by the patch normals can only lower lambda
+        # widening by the field's tensor can only lower lambda
         assert ctx.consts.lambda_gamma <= ig.anisotropy_constants(ctx.spec).lambda_gamma
         assert sizes.count(ig.VALIDATION_SAMPLES) == 1
+
+    @pytest.mark.parametrize("config", [
+        dict(surface="catenoid:3"), dict(surface="enneper:1.3"),
+        dict(surface="sheared_catenoid:1,0,0,0,1,0,0,0,2;2", integrand="ellipsoid:1,1,2"),
+    ], ids=["catenoid", "enneper", "sheared"])
+    def test_consts_equal_reevaluated_normals(self, config):
+        # widening by the field's tensor gives, bit for bit, what evaluating
+        # the Hessian again at the field's normals, in the lattice's frame, gave
+        ctx = RunContext(ExperimentConfig(grid=96, **config))
+        normals = ctx.field.normal.reshape(-1, 3)
+        A, _, _ = ig.tangential_curvature_tensor(
+            ctx.spec, normals / np.linalg.norm(normals, axis=-1, keepdims=True))
+        lower, upper = ig.sym2x2_eigenvalues(*A)
+        _, lam, Lam = ig._lattice_extremes(ctx.spec)
+        assert (ctx.consts.lambda_gamma, ctx.consts.Lambda_gamma) == (
+            min(float(np.min(lower)), lam), max(float(np.max(upper)), Lam))
+
+    def test_one_hessian_evaluation_per_point_set(self, monkeypatch):
+        # the nodes (curvature field) and the element barycenters (assembly);
+        # the constants read the field's tensor instead of a third evaluation
+        config = ExperimentConfig(surface="sheared_catenoid:1,0,0,0,1,0,0,0,2;2",
+                                  integrand="ellipsoid:1,1,2", grid=24)
+        ig.parse_integrand(config.integrand)  # the lattice record is cached per spec
+        points = []
+        original = ig.hessian_entries
+
+        def counted(spec, x, entries):
+            points.append(x.shape[:-1])
+            return original(spec, x, entries)
+
+        monkeypatch.setattr(ig, "hessian_entries", counted)
+        verify_bounds(config)
+        assert len(points) == 2
 
     def test_each_artifact_computed_once(self, monkeypatch, tmp_path):
         counts = self._count_calls(monkeypatch)

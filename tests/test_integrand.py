@@ -382,6 +382,19 @@ class TestAnisotropyConstants:
         assert all(b <= a + 1e-12 for a, b in zip(lams, lams[1:]))
         assert lams[-1] < 1.0
 
+    def test_tensor_below_the_lattice_widens_it(self):
+        # one node whose tensor diag(0.3, 2) lies outside const:1's record [1, 1]
+        c = ig.anisotropy_constants(ig.constant(1.0), (np.array([0.3]), np.zeros(1),
+                                                       np.array([2.0])))
+        # the closed-form eigenvalues round (1.15 - 0.85) to 1 ulp below 0.3
+        assert (c.lambda_gamma, c.Lambda_gamma) == pytest.approx((0.3, 2.0), rel=1e-15, abs=0)
+
+    def test_non_positive_tensor_eigenvalue_refused(self):
+        # a node tensor with lower eigenvalue -1 leaves no positive lambda_gamma
+        with pytest.raises(NonConvexIntegrand):
+            ig.anisotropy_constants(ig.constant(1.0), (np.array([-1.0]), np.zeros(1),
+                                                       np.array([1.0])))
+
 
 class TestValidation:
     def test_rejects_nonpositive_constant(self):
@@ -434,11 +447,6 @@ class TestValidation:
     def test_rejects_non_finite_parameters(self, factory, params):
         with pytest.raises(InvalidSpec):
             factory(*params)
-
-    def test_zero_extra_normal_refused(self):
-        # a zero row is refused before the normalization divides by zero
-        with pytest.raises(ZeroVector):
-            ig.anisotropy_constants(ig.constant(1.0), extra_normals=np.zeros((1, 3)))
 
     def test_parse_rejects_unknown(self):
         with pytest.raises(ValueError):

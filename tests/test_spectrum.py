@@ -328,7 +328,7 @@ class TestComparisonOperator:
     def test_q_comparison_inequality(self, rng):
         patch = sf.fixture("catenoid", grid=(64, 64), v_extent=2.0)
         fld = sf.curvature_field(patch, E112)
-        consts = ig.anisotropy_constants(E112, extra_normals=fld.normal.reshape(-1, 3))
+        consts = ig.anisotropy_constants(E112, fld.a_tensor)
         disc = spx.assemble(patch, E112, field=fld)
         w = (2.0 / consts.lambda_gamma**2) * (-fld.k_gamma)
         cmp_disc = spx.assemble(
@@ -345,7 +345,7 @@ class TestComparisonOperator:
     def test_coercivity_sandwich(self, rng):
         patch = sf.fixture("catenoid", grid=(48, 48), v_extent=1.5)
         fld = sf.curvature_field(patch, E112)
-        consts = ig.anisotropy_constants(E112, extra_normals=fld.normal.reshape(-1, 3))
+        consts = ig.anisotropy_constants(E112, fld.a_tensor)
         disc = spx.assemble(patch, E112, field=fld)
         iso = spx.assemble(
             patch,
@@ -483,7 +483,7 @@ class TestInertia:
             "sheared_catenoid", grid=(64, 64), shear=np.diag([1.0, 1.0, 2.0]), v_extent=2.5
         )
         fld = sf.curvature_field(patch, E112)
-        consts = ig.anisotropy_constants(E112, extra_normals=fld.normal.reshape(-1, 3))
+        consts = ig.anisotropy_constants(E112, fld.a_tensor)
         disc = spx.comparison_assembly(fld, consts.lambda_gamma)
         with general_path():
             vals = spx.dirichlet_eigs(disc, 12, domain=(0, TWO_PI, -2.5, 2.5))[0]
@@ -500,7 +500,7 @@ class TestComparisonAssembly:
             "sheared_catenoid", grid=(32, 24), shear=np.diag([1.0, 1.0, 2.0]), v_extent=2.0
         )
         fld = sf.curvature_field(patch, E112)
-        lam = ig.anisotropy_constants(E112, extra_normals=fld.normal.reshape(-1, 3)).lambda_gamma
+        lam = ig.anisotropy_constants(E112, fld.a_tensor).lambda_gamma
         got = spx.comparison_assembly(fld, lam)
         ref = spx.assemble(patch, E112, field=fld, potential_weight=(2.0 / lam**2) * (-fld.k_gamma),
                            isotropic_diffusion=True)

@@ -284,9 +284,7 @@ class TestMinimalSurfaceInvariants:
 
     def test_pairing_sandwich(self):
         for f in self.accepted_fields():
-            consts = ig.anisotropy_constants(
-                f.spec, extra_normals=f.normal.reshape(-1, 3)
-            )
+            consts = ig.anisotropy_constants(f.spec, f.a_tensor)
             s2 = f.curvature_scale() ** 2
             lo = (-2.0 / consts.Lambda_gamma) * f.k_gamma
             hi = (-2.0 / consts.lambda_gamma) * f.k_gamma
